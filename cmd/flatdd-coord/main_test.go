@@ -13,6 +13,7 @@ import (
 
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
+	"flatdd/internal/testproc"
 )
 
 // TestCoordSmoke builds flatdd-serve and flatdd-coord (race-enabled) and
@@ -37,7 +38,7 @@ func TestCoordSmoke(t *testing.T) {
 
 	// startProc launches a binary and returns its base URL scraped from
 	// the "listening on http://..." stdout line.
-	startProc := func(bin string, args ...string) (*exec.Cmd, string) {
+	startProc := func(bin string, args ...string) (*testproc.Proc, string) {
 		t.Helper()
 		cmd := exec.Command(bin, args...)
 		stdout, err := cmd.StdoutPipe()
@@ -45,10 +46,8 @@ func TestCoordSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		cmd.Stderr = &bytes.Buffer{}
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cmd.Process.Kill() }) //nolint:errcheck // backstop
+		// Dies with this test process; killed and reaped at test end.
+		proc := testproc.Start(t, cmd)
 		sc := bufio.NewScanner(stdout)
 		base := ""
 		for sc.Scan() {
@@ -64,7 +63,7 @@ func TestCoordSmoke(t *testing.T) {
 			for sc.Scan() {
 			}
 		}()
-		return cmd, base
+		return proc, base
 	}
 
 	r1, url1 := startProc(serveBin, "-listen", "127.0.0.1:0", "-inflight", "2", "-queue", "16")

@@ -15,6 +15,7 @@ import (
 
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
+	"flatdd/internal/testproc"
 )
 
 // TestServeSmoke builds the flatdd-serve binary (race-enabled) and
@@ -47,10 +48,9 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmd.Stderr = &bytes.Buffer{}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill() //nolint:errcheck // backstop; SIGTERM path is the real teardown
+	// Dies with this test process; killed and reaped at test end as a
+	// backstop (the SIGTERM path below is the real teardown).
+	proc := testproc.Start(t, cmd)
 
 	sc := bufio.NewScanner(stdout)
 	base := ""
@@ -220,7 +220,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
+	go func() { exited <- proc.Wait() }()
 	select {
 	case err := <-exited:
 		if err != nil {

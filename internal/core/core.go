@@ -9,6 +9,7 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -1104,28 +1105,79 @@ func statevecView(amps []complex128, n int) *statevec.State {
 }
 
 // TopAmplitudes returns the k largest-magnitude basis states of the final
-// state. In the DD phase this is a branch-and-bound query on the diagram
-// (no 2^n expansion); after conversion it scans the flat array.
+// state, in descending magnitude order with ties broken by lower index.
+// In the DD phase this is a branch-and-bound query on the diagram (no 2^n
+// expansion); after conversion it is one pass over the flat array with a
+// k-entry heap — O(2^n) time, O(k) memory.
 func (s *Simulator) TopAmplitudes(k int) []dd.AmpEntry {
 	if s.phase == PhaseDD {
 		return s.m.TopAmplitudes(s.sim.State(), s.n, k)
 	}
+	return topAmplitudes(s.state, k)
+}
+
+// topAmplitudes selects the k largest nonzero entries of amps by
+// |amplitude|, ties to the lower index. The heap keeps the k best seen so
+// far with the worst on top; the scan visits indices in ascending order,
+// so an entry displaces the top only when strictly larger.
+func topAmplitudes(amps []complex128, k int) []dd.AmpEntry {
 	if k <= 0 {
 		return nil
 	}
-	entries := make([]dd.AmpEntry, 0, len(s.state))
-	for i, a := range s.state {
-		if a != 0 {
-			entries = append(entries, dd.AmpEntry{Index: uint64(i), Amplitude: a})
+	var h ampHeap
+	// floor is a cheap lower bound on the squared magnitude an entry needs
+	// once the heap is full, so nearly every amplitude is rejected on two
+	// multiplies without the exact cmplx.Abs.
+	floor := 0.0
+	for i, a := range amps {
+		if a == 0 || real(a)*real(a)+imag(a)*imag(a) < floor {
+			continue
+		}
+		mag := cmplx.Abs(a)
+		switch {
+		case len(h.e) < k:
+			heap.Push(&h, ampMag{dd.AmpEntry{Index: uint64(i), Amplitude: a}, mag})
+		case mag > h.e[0].mag:
+			h.e[0] = ampMag{dd.AmpEntry{Index: uint64(i), Amplitude: a}, mag}
+			heap.Fix(&h, 0)
+		default:
+			continue
+		}
+		if len(h.e) == k {
+			floor = h.e[0].mag * h.e[0].mag * (1 - 1e-9)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return cmplx.Abs(entries[i].Amplitude) > cmplx.Abs(entries[j].Amplitude)
-	})
-	if k > len(entries) {
-		k = len(entries)
+	sort.Slice(h.e, func(i, j int) bool { return h.Less(j, i) })
+	out := make([]dd.AmpEntry, len(h.e))
+	for i, e := range h.e {
+		out[i] = e.AmpEntry
 	}
-	return entries[:k]
+	return out
+}
+
+// ampMag is a heap entry: a basis state with its magnitude computed once.
+type ampMag struct {
+	dd.AmpEntry
+	mag float64
+}
+
+// ampHeap is a min-heap of the best entries seen: Less means "ranks
+// later", i.e. smaller magnitude, or equal magnitude and higher index.
+type ampHeap struct{ e []ampMag }
+
+func (h *ampHeap) Len() int { return len(h.e) }
+func (h *ampHeap) Less(i, j int) bool {
+	if h.e[i].mag != h.e[j].mag {
+		return h.e[i].mag < h.e[j].mag
+	}
+	return h.e[i].Index > h.e[j].Index
+}
+func (h *ampHeap) Swap(i, j int)      { h.e[i], h.e[j] = h.e[j], h.e[i] }
+func (h *ampHeap) Push(x interface{}) { h.e = append(h.e, x.(ampMag)) }
+func (h *ampHeap) Pop() interface{} {
+	last := h.e[len(h.e)-1]
+	h.e = h.e[:len(h.e)-1]
+	return last
 }
 
 // Probabilities returns |amplitude|^2 for every basis state.
@@ -1138,33 +1190,39 @@ func (s *Simulator) Probabilities() []float64 {
 	return out
 }
 
-// Sample draws basis states from the final distribution. The cumulative
-// distribution is built once and each shot is a binary search, so many
-// shots (a serving workload) cost O(2^n + shots·n) instead of
-// O(shots·2^n).
+// Sample draws basis states from the final distribution. The shots
+// uniforms are drawn first and sorted, then one pass over the amplitudes
+// accumulates the cumulative probability in index order and hands every
+// draw to the first state whose cumulative value exceeds it (draws at or
+// beyond the total fall through to the last state). That is
+// O(2^n + shots·log shots) time and O(shots) memory: no probability or
+// cumulative array is materialized.
 func (s *Simulator) Sample(rng *rand.Rand, shots int) map[uint64]int {
-	probs := s.Probabilities()
-	cum := make([]float64, len(probs))
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		cum[i] = acc
-	}
 	counts := make(map[uint64]int)
-	for k := 0; k < shots; k++ {
-		x := rng.Float64()
-		// First index with x < cum[i] (matches the linear-scan semantics,
-		// including the fall-through to the last state when x >= acc).
-		lo, hi := 0, len(cum)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if x < cum[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
+	if shots <= 0 {
+		return counts
+	}
+	xs := make([]float64, shots)
+	for k := range xs {
+		xs[k] = rng.Float64()
+	}
+	sort.Float64s(xs)
+	amps := s.Amplitudes()
+	acc := 0.0
+	next := 0
+	for i, a := range amps {
+		acc += real(a)*real(a) + imag(a)*imag(a)
+		if xs[next] < acc {
+			first := next
+			for next < shots && xs[next] < acc {
+				next++
+			}
+			counts[uint64(i)] += next - first
+			if next == shots {
+				return counts
 			}
 		}
-		counts[uint64(lo)]++
 	}
+	counts[uint64(len(amps)-1)] += shots - next
 	return counts
 }

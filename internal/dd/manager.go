@@ -111,7 +111,7 @@ func NewWithTolerance(nQubits int, tol float64) *Manager {
 		gcThreshold: 1 << 22,
 	}
 	m.vTerminal = &VNode{Level: TerminalLevel}
-	m.mTerminal = &MNode{Level: TerminalLevel}
+	m.mTerminal = &MNode{Level: TerminalLevel, Flags: MIdent | MDiag}
 	m.vUnique.init()
 	m.mUnique.init()
 	m.addCT.init()
@@ -299,7 +299,7 @@ func (m *Manager) MakeMNode(level int, e [4]MEdge) MEdge {
 		e[0].N, e[1].N, e[2].N, e[3].N,
 	}
 	n, inserted := m.mUnique.lookupOrInsert(k, func() *MNode {
-		return &MNode{E: e, Level: int8(level)}
+		return &MNode{E: e, Level: int8(level), Flags: mflags(&e)}
 	})
 	if inserted {
 		m.noteInsert()

@@ -36,7 +36,49 @@ type MNode struct {
 	E     [4]MEdge
 	Level int8
 
+	// Flags records structure of the node's sub-matrix that is fixed at
+	// construction (MakeMNode), so consumers such as DMAV can act on a
+	// whole sub-block without walking it. It sits in the struct's padding:
+	// the node stays 104 bytes.
+	Flags MFlags
+
 	marked bool
+}
+
+// MFlags is a bit set of structural properties of a matrix node's
+// sub-matrix (the node taken with weight 1).
+type MFlags uint8
+
+const (
+	// MIdent: the sub-matrix is exactly the identity.
+	MIdent MFlags = 1 << iota
+	// MRep: the sub-matrix is I⊗child — E[1] and E[2] are zero and E[0]
+	// equals E[3], node and weight (which normalization makes 1). Every
+	// MIdent node is also MRep.
+	MRep
+	// MDiag: the sub-matrix is diagonal. Every MRep node over a diagonal
+	// child, and so every MIdent node, is also MDiag.
+	MDiag
+)
+
+// mflags derives a node's flags from its normalized children, whose own
+// flags are already final (children are interned before their parents).
+// The terminal counts as the 1×1 identity.
+func mflags(e *[4]MEdge) MFlags {
+	if !e[1].IsZero() || !e[2].IsZero() {
+		return 0
+	}
+	var f MFlags
+	if (e[0].IsZero() || e[0].N.Flags&MDiag != 0) && (e[3].IsZero() || e[3].N.Flags&MDiag != 0) {
+		f |= MDiag
+	}
+	if e[0] == e[3] && !e[0].IsZero() {
+		f |= MRep
+		if e[0].W == 1 && e[0].N.Flags&MIdent != 0 {
+			f |= MIdent
+		}
+	}
+	return f
 }
 
 // VEdge is a weighted edge to a vector node. A weight of 0 with the terminal

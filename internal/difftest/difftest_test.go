@@ -18,8 +18,8 @@ func TestCrossEngineDifferential(t *testing.T) {
 		{qubits: 5, gates: 40, threads: 1},
 		{qubits: 6, gates: 50, threads: 3}, // deliberately not a power of two
 		{qubits: 7, gates: 60, threads: 4},
-		// 12 qubits clears the DMAV serial cutoff (4096 amplitudes), so
-		// this configuration drives the pool-batched execution paths.
+		// A larger register with an odd thread count. (Gates this small run
+		// inline in DMAV; TestKernelPathMatrix drives the pooled paths.)
 		{qubits: 12, gates: 30, threads: 3},
 	}
 	circuits := 2 + *ExtraCircuits

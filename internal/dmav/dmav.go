@@ -8,17 +8,25 @@
 //
 //   - without caching (Algorithm 1): the amplitude range is split in row
 //     space into ~8×threads chunks sized by the MAC-count cost model, so
-//     a heavy sub-block splits finer than a sparse one; run is the
-//     recursive kernel that performs one multiply-accumulate per nonzero
-//     matrix entry, with constant-time indexing along the DD structure;
+//     a heavy sub-block splits finer than a sparse one; each chunk runs
+//     the span kernel over the sub-blocks that land in its rows;
 //   - with caching (Algorithm 2): AssignCache splits in column space
 //     into a power-of-two chunk count (the border-level split must stay
 //     aligned with the DD), chunks with non-overlapping partial outputs
-//     share zero-initialized buffers, each chunk caches the result
-//     sub-vector of every border node it computes, and a repeated node
-//     is reused through one scalar multiplication instead of a full
-//     recursive multiply. The final partial-buffer sum runs as row-range
-//     tasks on the same pool.
+//     share buffers, each chunk computes the result sub-vector of every
+//     distinct border node once, and a repeated node is reused through
+//     one scalar multiplication instead of a full multiply. The final
+//     partial-buffer sum runs as row-range tasks on the same pool.
+//
+// Both run one kernel (plan.go): every gate-DD node is compiled once into
+// a plan that acts on whole sub-blocks — a contiguous span for an identity
+// block, a strided loop for a run of I⊗child levels, a 2×2 butterfly over
+// identity children, a four-child descent otherwise — with constant-time
+// indexing along the DD structure and no per-amplitude recursion. What a
+// gate needs beyond its node plans (cost, chunk lists, pool batch, whether
+// it is worth a fork-join at all) is a pure function of the root node and
+// the engine shape and is memoized per root, so a repeated gate costs a
+// map lookup and a loop.
 //
 // Any positive thread count is supported; chunks are distributed over
 // the pool and re-balanced by stealing, so worker count and chunk
@@ -28,7 +36,6 @@ package dmav
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"flatdd/internal/dd"
@@ -47,11 +54,23 @@ const DefaultSIMDWidth = 4
 // work-stealing pool has slack to re-balance a skewed MAC distribution.
 const chunksPerThread = 8
 
-// serialCutoffDim is the state size below which Apply always executes
-// inline on the calling goroutine: a pool batch costs a few microseconds
-// of wake/join per gate, which a sub-4096-amplitude multiplication
-// cannot amortize.
-const serialCutoffDim = 1 << 12
+// inlineBelowMACs is the planned work — multiply-accumulates of the chosen
+// algorithm, counting a copied or scaled element as one — under which a
+// gate runs on the calling goroutine instead of forking onto the pool.
+// It rests on two measurements on the 2-vCPU reference box (go1.24; see
+// EXPERIMENTS.md, "DMAV span kernel"). First, the cost of a fork-join:
+// sched.batch_us_p50 is 1.8 µs for back-to-back empty batches, whose
+// workers never stop spinning, but inside a gate stream the second worker
+// has parked by the time the next gate arrives, and the same gate forced
+// onto the pool takes 11–40 µs longer than inline at n=12–14. Second, span
+// throughput: one thread sustains 0.4 (fSim) to 1.4 (single-qubit) G
+// MACs/s inline. A second worker saves at most half the run time, so the
+// fork cannot pay below 2 × 40 µs × 1.4 G/s ≈ 2^17 MACs; measured, two
+// threads lose up to n=16 (≤ 2^17 MACs per gate: the supremacy n=14
+// stream takes 176 ms forked, 105 ms inline), tie at n=17 and win 1.1–1.6×
+// at n=18 (2^18–2^19), so the cutoff sits at 2^18. Beyond two vCPUs the
+// crossover is unmeasured.
+const inlineBelowMACs = 1 << 18
 
 // Mode selects the caching policy of an Engine.
 type Mode int
@@ -78,21 +97,59 @@ func (m Mode) String() string {
 	}
 }
 
-// task is one border-level multiplication task: a sub-matrix (its DD
-// edge), the start index of the paired sub-vector, and the weight product
-// accumulated above the edge (exclusive of the edge's own weight).
+// task is one sub-block of the gate matrix met while splitting it: its DD
+// edge, the start index of the paired sub-vector of V (row splitting) or
+// of its output segment (column splitting), and the weight product
+// accumulated between the root node and the edge (exclusive of both the
+// root edge's and this edge's own weight).
 type task struct {
 	edge dd.MEdge
-	idx  uint64 // start index in V (Algorithm 1) or the partial output (Algorithm 2)
+	idx  uint64
 	f    complex128
 }
 
-// rowChunk is one schedulable unit of the uncached path: the tasks whose
-// outputs land in the row range starting at ir. Chunks partition row
+// rowItem is one compiled sub-block of a row chunk: W[rows] += f·P·V[iv:].
+// f is the weight product below the root edge, the item's own edge
+// included; Apply multiplies the root weight in.
+type rowItem struct {
+	p  *plan
+	iv uint64
+	f  complex128
+}
+
+// rowChunk is one schedulable unit of the uncached path: the sub-blocks
+// whose outputs land in the size rows starting at ir. Chunks partition row
 // space, so they write disjoint slices of W and need no synchronization.
+// A chunk without items is a row range the matrix leaves zero.
 type rowChunk struct {
-	ir    uint64
-	items []task
+	ir, size uint64
+	items    []rowItem
+}
+
+// colTask is one compiled border task of the cached path: the ch rows at
+// idx of the chunk's buffer receive f·P·V[chunk columns] — computed, or,
+// when an earlier task of the chunk already computed the same node (hit),
+// copied from that task's rows at src scaled by the ratio of the weights.
+type colTask struct {
+	p     *plan
+	idx   uint64
+	f     complex128
+	hit   bool
+	src   uint64
+	ratio complex128
+}
+
+// colChunk is one schedulable unit of the cached path: the border tasks of
+// column block u, all writing into partial-output buffer buf.
+type colChunk struct {
+	u, buf int
+	tasks  []colTask
+}
+
+// bufSeg is a ch-row segment of a partial-output buffer.
+type bufSeg struct {
+	buf int
+	idx uint64
 }
 
 // GateCost is the cost-model evaluation of one gate matrix (Section 3.2.3).
@@ -125,6 +182,30 @@ type Stats struct {
 	MACsC1      float64 // sum of C1 (Equation 5) — the no-caching cost
 }
 
+// gatePlan is what the engine knows about one distinct gate root. The cost
+// is filled by the first EvaluateCost; the execution half (everything
+// below built) by the first Apply, for the one algorithm the engine's mode
+// and the cost pick — both are pure functions of the root node and the
+// engine shape.
+type gatePlan struct {
+	cost GateCost
+
+	built  bool
+	cached bool // Algorithm 2
+	// inline: run on the caller, no fork-join. Fixed per root, so the
+	// load accounting below never sees a plan-shape change.
+	inline bool
+	rows   []rowChunk   // uncached: row-space chunks
+	cols   []colChunk   // cached: non-empty column chunks
+	gaps   []bufSeg     // cached: buffer segments no task writes
+	batch  []sched.Task // the pool batch over rows or cols (nil if inline)
+
+	// Load of one Apply, for the metrics: schedulable chunks, sub-blocks
+	// executed, multiply-accumulates performed (a cache hit costs ch
+	// scalar multiplies) and cache misses.
+	chunks, tasks, macs, misses int64
+}
+
 // Engine executes DMAV products over a fixed register size. It reuses its
 // buffers across gates; an Engine is not safe for concurrent use (the
 // parallelism is internal).
@@ -143,26 +224,38 @@ type Engine struct {
 	clogT   uint   // log2(cchunks)
 	ch      uint64 // 2^n / cchunks: rows/cols per cached chunk
 
-	tasks   [][]task // per-chunk task lists (cached path), reused
-	buffers [][]complex128
-	bufOf   []int // chunk -> buffer index
-	caches  []map[*dd.MNode]cacheEntry
+	// Memo tables, keyed by gate-DD node. Keys keep the nodes alive,
+	// bounded by the distinct gates evaluated (macMemo, gates) or applied
+	// (plans).
+	macMemo map[*dd.MNode]int64 // dd.MACCountNode
+	plans   map[*dd.MNode]*plan
+	gates   map[*dd.MNode]*gatePlan
 
-	// Uncached-path adaptive row chunks, reused across gates.
-	rchunks []rowChunk
+	// Scratch of assignCache, reused across roots: per-chunk border
+	// tasks, chunk -> buffer, buffer count, per-buffer segment occupancy
+	// (a bit per segment) and the first task index of each node.
+	tasks   [][]task
+	bufOf   []int
+	nBuf    int
+	occ     []uint64
+	firstOf map[*dd.MNode]int
 
-	// macMemo memoizes dd.MACCountNode across gates for chunk sizing and
-	// load accounting. Keys keep gate nodes alive, bounded by the
-	// distinct gates actually applied.
-	macMemo map[*dd.MNode]int64
+	buffers [][]complex128 // partial-output buffers 1, 2, … (0 is W), grown on demand
 
 	// pool executes chunk batches. Either injected via SetPool (caller
 	// owns its lifetime) or created lazily on the first multi-threaded
 	// Apply (released by Close).
-	pool      *sched.Pool
-	ownPool   bool
-	execTasks []sched.Task // reused batch buffer
-	sumTasks  []sched.Task
+	pool     *sched.Pool
+	ownPool  bool
+	sumTasks []sched.Task // the buffer-sum batch, built once
+
+	// cur is the multiplication in flight: the memoized batches read
+	// their operands here, so a repeated gate allocates nothing.
+	cur struct {
+		mul
+		f complex128 // the root edge's weight
+		g *gatePlan
+	}
 
 	// noBufferShare disables the shared-partial-output optimization of
 	// Algorithm 2 (every chunk gets a private buffer); used by the
@@ -215,33 +308,6 @@ type engMetrics struct {
 	tasks         *obs.Counter
 	chunks        *obs.Counter
 	applyNs       *obs.Histogram
-
-	// Load accounting caches. A gate's chunk plan and MAC counts are a
-	// pure function of its (immutable) DD and the engine shape, so the
-	// accounting is computed once per distinct gate root and replayed as
-	// counter adds on repeats.
-	macSeen map[*dd.MNode]bool
-	acct    map[acctKey]*gateAccount
-}
-
-// acctKey identifies one accounting result: the gate DD root plus the
-// execution mode (cached and uncached runs partition tasks differently).
-type acctKey struct {
-	n      *dd.MNode
-	cached bool
-}
-
-// gateAccount is the memoized load of one gate in one mode.
-type gateAccount struct {
-	tasks  int64 // border tasks executed
-	macs   int64 // multiply-accumulates (cache hits cost ch scalar ops)
-	chunks int64 // schedulable chunks
-	misses int64 // cache misses (cached mode only)
-}
-
-type cacheEntry struct {
-	f     complex128 // full weight product of the cached result (incl. edge weight)
-	start uint64     // start index of the cached sub-vector in the chunk's buffer
 }
 
 // New returns a DMAV engine for n qubits running max(1, threads)
@@ -275,16 +341,19 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 		clogT:   uint(bits.TrailingZeros(uint(cchunks))),
 		simd:    DefaultSIMDWidth,
 		macMemo: make(map[*dd.MNode]int64),
+		plans:   make(map[*dd.MNode]*plan),
+		gates:   make(map[*dd.MNode]*gatePlan),
+		firstOf: make(map[*dd.MNode]int),
 	}
 	e.ch = e.dim >> e.clogT
 	e.tasks = make([][]task, cchunks)
 	e.bufOf = make([]int, cchunks)
-	e.caches = make([]map[*dd.MNode]cacheEntry, cchunks)
-	for i := range e.caches {
-		e.caches[i] = make(map[*dd.MNode]cacheEntry)
-	}
+	e.occ = make([]uint64, cchunks*e.occWords())
 	return e
 }
+
+// occWords is the length in words of one buffer's segment-occupancy set.
+func (e *Engine) occWords() int { return (e.cchunks + 63) / 64 }
 
 // Threads returns the effective worker count: max(1, requested), capped
 // at 2^n. Unlike earlier versions, the count is no longer rounded to a
@@ -352,14 +421,18 @@ func (e *Engine) SetSpan(s *obs.Span) { e.span = s }
 
 // SetLedger installs the resource ledger the engine reports into (nil
 // removes it — the production default). Pool batches credit their
-// worker busy-ns to the ledger's open phase, and the cached path's
-// shared partial-output buffers are counted as live flat-array bytes
-// when (re)allocated. Like SetSpan, it is set per run, not per gate.
+// worker busy-ns to the ledger's open phase, a gate that runs inline
+// credits its wall time, and the cached path's shared partial-output
+// buffers are counted as live flat-array bytes when (re)allocated. Like
+// SetSpan, it is set per run, not per gate.
 func (e *Engine) SetLedger(l *obs.ResourceLedger) { e.led = l }
 
 // SetBufferSharing enables or disables the shared partial-output buffers
 // of Algorithm 2 (enabled by default; disabling is for ablation studies).
-func (e *Engine) SetBufferSharing(on bool) { e.noBufferShare = !on }
+func (e *Engine) SetBufferSharing(on bool) {
+	e.noBufferShare = !on
+	clear(e.gates) // costs and buffer assignments depend on it
+}
 
 // SetSIMDWidth overrides the d parameter of Equation 6.
 func (e *Engine) SetSIMDWidth(d int) {
@@ -367,6 +440,7 @@ func (e *Engine) SetSIMDWidth(d int) {
 		d = 1
 	}
 	e.simd = d
+	clear(e.gates) // costs, and so the cache decisions, depend on it
 }
 
 // Stats returns the accumulated counters.
@@ -395,8 +469,6 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		tasks:         r.Counter("dmav.tasks"),
 		chunks:        r.Counter("dmav.chunks"),
 		applyNs:       r.Histogram("dmav.apply_ns", obs.DurationBuckets()),
-		macSeen:       make(map[*dd.MNode]bool),
-		acct:          make(map[acctKey]*gateAccount),
 	}
 }
 
@@ -415,14 +487,8 @@ func (e *Engine) SetFaults(r *faults.Registry) {
 }
 
 // borderLevel is n - log2(cchunks) - 1 (Section 3.2.1): AssignCache
-// stops there and run starts there.
+// stops there and the kernel starts there.
 func (e *Engine) borderLevel() int { return e.n - int(e.clogT) - 1 }
-
-// inline reports whether this engine runs its per-gate work on the
-// calling goroutine instead of batching it onto the pool. The decision
-// is fixed per engine (it depends only on the thread count and state
-// size), so the memoized load accounting never sees a plan-shape change.
-func (e *Engine) inline() bool { return e.threads == 1 || e.dim < serialCutoffDim }
 
 // Apply computes W = M·V, choosing the execution mode per the engine
 // policy. V and W must have length 2^n and must not alias — violations
@@ -435,46 +501,43 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 	if len(V) > 0 && &V[0] == &W[0] {
 		return GateCost{}, fmt.Errorf("dmav: V and W must not alias")
 	}
-	zero(W)
 	if M.IsZero() {
+		clear(W)
 		return GateCost{}, nil
 	}
 	var start time.Time
 	if e.met != nil {
 		start = time.Now()
 	}
-	cost := e.EvaluateCost(M)
-	useCache := cost.UseCache()
-	switch e.mode {
-	case NeverCache:
-		useCache = false
-	case AlwaysCache:
-		useCache = true
+	g := e.gate(M.N)
+	if !g.built {
+		e.build(g, M.N)
 	}
 	// Inline execution never touches the pool, so its CPU time would be
 	// invisible to the ledger's batch-level busy accounting; credit the
 	// apply wall time instead (single-threaded, so wall == CPU).
 	var ledStart time.Time
-	if e.led != nil && e.inline() {
+	if e.led != nil && g.inline {
 		ledStart = time.Now()
 	}
-	var hits int64
-	if useCache {
-		hits = e.applyCached(M, V, W)
+	e.cur.V, e.cur.W, e.cur.f, e.cur.g = V, W, M.W, g
+	if g.cached {
+		e.applyCached(g)
 	} else {
-		e.applyUncached(M, V, W, cost.K1)
+		e.applyUncached(g)
 	}
 	if !ledStart.IsZero() {
 		e.led.AddCPU(time.Since(ledStart).Nanoseconds())
 	}
+	cost := g.cost
 	if e.cancelled() {
 		// Aborted mid-gate: W is partial and the caller discards it, so
 		// neither Stats nor the metrics count this Apply.
 		return cost, nil
 	}
-	if useCache {
+	if g.cached {
 		e.stats.CachedGates++
-		e.stats.CacheHits += hits
+		e.stats.CacheHits += cost.Hits
 	}
 	e.stats.Gates++
 	e.stats.MACsModeled += cost.Cost()
@@ -483,156 +546,156 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 		met.applyNs.Observe(time.Since(start).Nanoseconds())
 		met.gates.Inc()
 		met.macsModeled.Add(int64(cost.Cost()))
-		if useCache {
+		if g.cached {
 			met.cachedGates.Inc()
-			met.cacheHits.Add(hits)
+			met.cacheHits.Add(cost.Hits)
+			met.cacheMisses.Add(g.misses)
 		} else {
 			met.uncachedGates.Inc()
 		}
-		e.accountLoad(met, M, useCache)
+		// The exact load of the Apply that just ran, memoized with the
+		// plan; per-worker attribution comes from the scheduler's own
+		// counters, since stealing makes the worker→chunk mapping dynamic.
+		met.tasks.Add(g.tasks)
+		met.macsExec.Add(g.macs)
+		met.chunks.Add(g.chunks)
 	}
 	return cost, nil
 }
 
-// accountLoad attributes the exact load of the Apply that just ran:
-// chunks built, tasks executed and multiply-accumulates performed (the
-// path count of each executed sub-tree; with caching, repeated nodes
-// cost one scalar multiply per cached element instead). It runs
-// sequentially after the pool batch has drained so the kernel stays
-// instrumentation-free, and is memoized per distinct gate root (walking
-// the chunk plan the assignment just built); steady state is one map
-// lookup plus counter adds. Per-worker attribution comes from the
-// scheduler's own counters, since stealing makes the worker→chunk
-// mapping dynamic.
-func (e *Engine) accountLoad(met *engMetrics, M dd.MEdge, useCache bool) {
-	key := acctKey{M.N, useCache}
-	a, ok := met.acct[key]
-	if !ok {
-		a = &gateAccount{}
-		memo := e.macMemo
-		if !useCache {
-			a.chunks = int64(len(e.rchunks))
-			for i := range e.rchunks {
-				a.tasks += int64(len(e.rchunks[i].items))
-				for _, tk := range e.rchunks[i].items {
-					a.macs += dd.MACCountNode(tk.edge.N, memo)
-				}
-			}
-		} else {
-			seen := met.macSeen
-			for u := 0; u < e.cchunks; u++ {
-				if len(e.tasks[u]) == 0 {
-					continue
-				}
-				a.chunks++
-				a.tasks += int64(len(e.tasks[u]))
-				clear(seen)
-				for _, tk := range e.tasks[u] {
-					if seen[tk.edge.N] {
-						a.macs += int64(e.ch)
-						continue
-					}
-					seen[tk.edge.N] = true
-					a.misses++
-					a.macs += dd.MACCountNode(tk.edge.N, memo)
-				}
-			}
-		}
-		met.acct[key] = a
+// EvaluateCost runs the Section 3.2.3 cost model on a gate matrix without
+// executing the multiplication. The evaluation is memoized per root node.
+func (e *Engine) EvaluateCost(M dd.MEdge) GateCost {
+	if M.IsZero() {
+		return GateCost{}
 	}
-	met.tasks.Add(a.tasks)
-	met.macsExec.Add(a.macs)
-	met.chunks.Add(a.chunks)
-	if useCache {
-		met.cacheMisses.Add(a.misses)
-	}
+	return e.gate(M.N).cost
 }
 
-// EvaluateCost runs the Section 3.2.3 cost model on a gate matrix without
-// executing the multiplication.
-func (e *Engine) EvaluateCost(M dd.MEdge) GateCost {
-	var c GateCost
-	if M.IsZero() {
-		return c
+// gate returns the memo entry of a gate root, evaluating its cost on
+// first sight.
+func (e *Engine) gate(root *dd.MNode) *gatePlan {
+	g, ok := e.gates[root]
+	if !ok {
+		g = &gatePlan{cost: e.evaluate(root)}
+		e.gates[root] = g
 	}
-	c.K1 = dd.MACCount(M)
+	return g
+}
+
+// evaluate is the cost model proper: K1 from the MAC count, and K2, H and
+// b from a dry run of the caching assignment.
+func (e *Engine) evaluate(root *dd.MNode) GateCost {
+	var c GateCost
+	c.K1 = dd.MACCountNode(root, e.macMemo)
 	c.C1 = float64(c.K1) / float64(e.threads)
 
-	// Dry-run the caching assignment to obtain K2, H and b.
-	e.assignCache(M)
-	memo := make(map[*dd.MNode]int64)
-	seen := make(map[*dd.MNode]bool)
-	nBuf := 0
-	for u := range e.tasks {
-		clear(seen)
-		for _, tk := range e.tasks[u] {
-			if seen[tk.edge.N] {
+	e.assignCache(root)
+	for _, ts := range e.tasks {
+		clear(e.firstOf)
+		for i, tk := range ts {
+			if _, ok := e.firstOf[tk.edge.N]; ok {
 				c.Hits++
 				continue
 			}
-			seen[tk.edge.N] = true
-			c.K2 += dd.MACCountNode(tk.edge.N, memo)
-		}
-		if e.bufOf[u]+1 > nBuf {
-			nBuf = e.bufOf[u] + 1
+			e.firstOf[tk.edge.N] = i
+			c.K2 += dd.MACCountNode(tk.edge.N, e.macMemo)
 		}
 	}
-	c.Buffers = nBuf
+	c.Buffers = e.nBuf
 	t := float64(e.threads)
 	d := float64(e.simd)
 	c.C2 = float64(c.K2)/t + float64(e.dim)/(d*t)*(float64(c.Hits)/t+float64(c.Buffers))
 	return c
 }
 
+// build fills the execution half of a gate's memo entry: which algorithm
+// runs, its chunk lists with every sub-block compiled to a plan, whether
+// the gate is worth a fork-join, and the pool batch if it is.
+func (e *Engine) build(g *gatePlan, root *dd.MNode) {
+	g.built = true
+	g.cached = g.cost.UseCache()
+	switch e.mode {
+	case NeverCache:
+		g.cached = false
+	case AlwaysCache:
+		g.cached = true
+	}
+	work := g.cost.K1
+	if g.cached {
+		// Algorithm 2 forks twice — the chunks, then the sum — so each
+		// batch carries about half of its work (a cached top-qubit gate,
+		// forked vs inline: 744 vs 302 µs at n=16, 772 vs 799 at n=17,
+		// 1250 vs 1535 at n=18).
+		work = (g.cost.K2 + g.cost.Hits*int64(e.ch) + int64(g.cost.Buffers)*int64(e.dim)) / 2
+	}
+	g.inline = e.threads == 1 || work < inlineBelowMACs
+	if g.cached {
+		e.buildCols(g, root)
+	} else {
+		e.buildRows(g, root)
+	}
+	if g.inline {
+		return
+	}
+	if g.cached {
+		for i := range g.cols {
+			c := &g.cols[i]
+			g.batch = append(g.batch, func() { e.runCol(c) })
+		}
+	} else {
+		for i := range g.rows {
+			c := &g.rows[i]
+			g.batch = append(g.batch, func() { e.runRow(c) })
+		}
+	}
+}
+
 // applyUncached is Algorithm 1: DMAV without caching. Row chunks are
-// sized by the MAC cost model (assignRows) and executed as one pool
+// sized by the MAC cost model (buildRows) and executed as one pool
 // batch; chunks write disjoint row ranges of W, so tasks need no
 // synchronization among themselves.
-func (e *Engine) applyUncached(M dd.MEdge, V, W []complex128, k1 int64) {
-	e.assignRows(M, k1)
-	if e.inline() || len(e.rchunks) == 1 {
-		for i := range e.rchunks {
-			if e.cancelled() {
-				return
-			}
-			c := &e.rchunks[i]
-			for _, tk := range c.items {
-				run(tk.edge, V, W, tk.idx, c.ir, tk.f)
-			}
-			e.corruptRow(W, c.ir)
+func (e *Engine) applyUncached(g *gatePlan) {
+	if g.inline {
+		for i := range g.rows {
+			e.runRow(&g.rows[i])
 		}
 		return
 	}
 	e.ensurePool()
-	ts := e.execTasks[:0]
-	for i := range e.rchunks {
-		c := &e.rchunks[i]
-		ts = append(ts, func() {
-			if e.cancelled() {
-				return
-			}
-			for _, tk := range c.items {
-				run(tk.edge, V, W, tk.idx, c.ir, tk.f)
-			}
-			e.corruptRow(W, c.ir)
-		})
-	}
-	e.execTasks = ts
-	e.pool.RunTracked(e.span, "dmav.rows", e.led, ts)
+	e.pool.RunTracked(e.span, "dmav.rows", e.led, g.batch)
 }
 
-// assignRows builds the uncached path's row-space chunk plan: starting
+// runRow executes one row chunk of the multiplication in flight. The
+// chunk's first sub-block writes its rows, the rest accumulate, so W is
+// never zeroed beforehand.
+func (e *Engine) runRow(c *rowChunk) {
+	if e.cancelled() {
+		return
+	}
+	x := &e.cur
+	if len(c.items) == 0 {
+		clear(x.W[c.ir : c.ir+c.size])
+	}
+	for i := range c.items {
+		it := &c.items[i]
+		x.exec(it.p, it.iv, c.ir, x.f*it.f, i == 0)
+	}
+	e.corruptRow(x.W, c.ir)
+}
+
+// buildRows builds the uncached path's row-space chunk plan: starting
 // from the whole matrix, any row range whose modeled MAC count exceeds
 // K1/(chunksPerThread·threads) is split in half (descending one DD
 // level), so dense sub-blocks decompose into many small chunks while
 // sparse ones stay whole. The result is ~chunksPerThread×threads chunks
 // whose sizes track actual work, which is what gives the stealing pool
-// something useful to balance.
-func (e *Engine) assignRows(M dd.MEdge, totalMACs int64) {
-	e.rchunks = e.rchunks[:0]
-	budget := totalMACs / int64(chunksPerThread*e.threads)
-	if e.inline() {
-		budget = totalMACs // one chunk: nothing to balance inline
+// something useful to balance. An inline gate is one chunk: there is
+// nothing to balance.
+func (e *Engine) buildRows(g *gatePlan, root *dd.MNode) {
+	budget := g.cost.K1 / int64(chunksPerThread*e.threads)
+	if g.inline {
+		budget = g.cost.K1
 	}
 	if budget < 1 {
 		budget = 1
@@ -640,9 +703,6 @@ func (e *Engine) assignRows(M dd.MEdge, totalMACs int64) {
 	memo := e.macMemo
 	var rec func(items []task, l int, ir uint64)
 	rec = func(items []task, l int, ir uint64) {
-		if len(items) == 0 {
-			return
-		}
 		if l >= 0 {
 			var cost int64
 			for _, it := range items {
@@ -667,113 +727,117 @@ func (e *Engine) assignRows(M dd.MEdge, totalMACs int64) {
 				return
 			}
 		}
-		e.rchunks = append(e.rchunks, rowChunk{ir: ir, items: items})
+		c := rowChunk{ir: ir, size: uint64(1) << uint(l+1), items: make([]rowItem, len(items))}
+		for i, it := range items {
+			c.items[i] = rowItem{e.planOf(it.edge.N), it.idx, it.f * it.edge.W}
+		}
+		g.rows = append(g.rows, c)
+		g.tasks += int64(len(items))
 	}
-	rec([]task{{M, 0, 1}}, e.n-1, 0)
-}
-
-// run is the recursive kernel of Algorithm 1. The weight product f excludes
-// the current edge's weight; a terminal edge performs the MAC
-// W[iw] += f·w·V[iv]. Indexing descends the DD with one shift-or per level
-// — the constant-average-cost access pattern DMAV's speed over generic
-// array simulators comes from.
-func run(edge dd.MEdge, V, W []complex128, iv, iw uint64, f complex128) {
-	n := edge.N
-	if n.Level == dd.TerminalLevel {
-		W[iw] += f * edge.W * V[iv]
-		return
-	}
-	l := uint(n.Level)
-	fw := f * edge.W
-	if c := n.E[0]; !c.IsZero() {
-		run(c, V, W, iv, iw, fw)
-	}
-	if c := n.E[1]; !c.IsZero() {
-		run(c, V, W, iv+1<<l, iw, fw)
-	}
-	if c := n.E[2]; !c.IsZero() {
-		run(c, V, W, iv, iw+1<<l, fw)
-	}
-	if c := n.E[3]; !c.IsZero() {
-		run(c, V, W, iv+1<<l, iw+1<<l, fw)
+	rec([]task{{dd.MEdge{W: 1, N: root}, 0, 1}}, e.n-1, 0)
+	g.chunks = int64(len(g.rows))
+	g.macs = g.cost.K1 // the chunks partition the matrix's nonzero paths
+	if len(g.rows) == 1 {
+		g.inline = true
 	}
 }
 
 // applyCached is Algorithm 2: DMAV with caching. Column-space chunks run
 // as one pool batch (chunks sharing a buffer write disjoint row
 // segments, so they may run concurrently), then the partial buffers are
-// summed into W by a second batch of row-range tasks. It returns the
-// number of cache hits.
-func (e *Engine) applyCached(M dd.MEdge, V, W []complex128) int64 {
-	e.assignCache(M)
-	nBuf := 0
-	for _, b := range e.bufOf {
-		if b+1 > nBuf {
-			nBuf = b + 1
-		}
-	}
-	// (Re)allocate and zero the shared partial-output buffers.
-	for len(e.buffers) < nBuf {
+// summed into W by a second batch of row-range tasks. W itself serves as
+// partial-output buffer 0, so a gate with b buffers allocates b-1 and a
+// gate with one needs no sum at all.
+func (e *Engine) applyCached(g *gatePlan) {
+	for len(e.buffers) < g.cost.Buffers-1 {
 		e.buffers = append(e.buffers, make([]complex128, e.dim))
 		e.led.AddFlat(int64(e.dim) * 16)
 	}
-	for b := 0; b < nBuf; b++ {
-		zero(e.buffers[b])
+	// Every task writes its whole segment; only the segments no task
+	// owns must be cleared before the sum.
+	for _, s := range g.gaps {
+		clear(e.partial(s.buf)[s.idx : s.idx+e.ch])
 	}
-
-	var hits atomic.Int64
-	runChunk := func(u int) {
-		if e.cancelled() {
-			return
-		}
-		buf := e.buffers[e.bufOf[u]]
-		cache := e.caches[u]
-		clear(cache)
-		iv := uint64(u) * e.ch // the chunk's column block in V
-		var local int64
-		for _, tk := range e.tasks[u] {
-			fFull := tk.f * tk.edge.W
-			if r, ok := cache[tk.edge.N]; ok {
-				// Reuse: the repeated node's result is the cached
-				// sub-vector scaled by the ratio of full weights.
-				scalarMulInto(buf[tk.idx:tk.idx+e.ch], buf[r.start:r.start+e.ch], fFull/r.f)
-				local++
-				continue
-			}
-			run(tk.edge, V, buf, iv, tk.idx, tk.f)
-			cache[tk.edge.N] = cacheEntry{f: fFull, start: tk.idx}
-			if e.fts.cacheCorrupt != nil {
-				if z, ok := e.fts.cacheCorrupt.Corrupt(buf[tk.idx]); ok {
-					buf[tk.idx] = z
-				}
-			}
-		}
-		if local > 0 {
-			hits.Add(local)
-		}
-	}
-	if e.inline() {
-		for u := 0; u < e.cchunks; u++ {
-			if len(e.tasks[u]) > 0 {
-				runChunk(u)
-			}
+	if g.inline {
+		for i := range g.cols {
+			e.runCol(&g.cols[i])
 		}
 	} else {
 		e.ensurePool()
-		ts := e.execTasks[:0]
-		for u := 0; u < e.cchunks; u++ {
-			if len(e.tasks[u]) == 0 {
-				continue
-			}
-			u := u
-			ts = append(ts, func() { runChunk(u) })
-		}
-		e.execTasks = ts
-		e.pool.RunTracked(e.span, "dmav.chunks", e.led, ts)
+		e.pool.RunTracked(e.span, "dmav.chunks", e.led, g.batch)
 	}
+	if g.cost.Buffers > 1 {
+		e.sumBuffers(g)
+	}
+}
 
-	e.sumBuffers(W, nBuf)
-	return hits.Load()
+// partial returns partial-output buffer b of the multiplication in flight.
+func (e *Engine) partial(b int) []complex128 {
+	if b == 0 {
+		return e.cur.W
+	}
+	return e.buffers[b-1]
+}
+
+// runCol executes one column chunk of the multiplication in flight.
+func (e *Engine) runCol(c *colChunk) {
+	if e.cancelled() {
+		return
+	}
+	x := mul{V: e.cur.V, W: e.partial(c.buf)}
+	buf := x.W
+	iv := uint64(c.u) * e.ch // the chunk's column block in V
+	for i := range c.tasks {
+		tk := &c.tasks[i]
+		if tk.hit {
+			// Reuse: the repeated node's result is the cached sub-vector
+			// scaled by the ratio of full weights.
+			scalarMulInto(buf[tk.idx:tk.idx+e.ch], buf[tk.src:tk.src+e.ch], tk.ratio)
+			continue
+		}
+		x.exec(tk.p, iv, tk.idx, e.cur.f*tk.f, true)
+		if e.fts.cacheCorrupt != nil {
+			if z, ok := e.fts.cacheCorrupt.Corrupt(buf[tk.idx]); ok {
+				buf[tk.idx] = z
+			}
+		}
+	}
+}
+
+// buildCols compiles the caching assignment of a root into column chunks:
+// per chunk, which tasks compute and which reuse an earlier result, and
+// which buffer segments stay empty.
+func (e *Engine) buildCols(g *gatePlan, root *dd.MNode) {
+	e.assignCache(root)
+	for u, ts := range e.tasks {
+		if len(ts) == 0 {
+			continue
+		}
+		c := colChunk{u: u, buf: e.bufOf[u], tasks: make([]colTask, len(ts))}
+		clear(e.firstOf)
+		for i, tk := range ts {
+			ct := colTask{p: e.planOf(tk.edge.N), idx: tk.idx, f: tk.f * tk.edge.W}
+			if j, ok := e.firstOf[tk.edge.N]; ok {
+				ct.hit, ct.src, ct.ratio = true, c.tasks[j].idx, ct.f/c.tasks[j].f
+			} else {
+				e.firstOf[tk.edge.N] = i
+				g.misses++
+			}
+			c.tasks[i] = ct
+		}
+		g.cols = append(g.cols, c)
+		g.tasks += int64(len(ts))
+	}
+	words := e.occWords()
+	for b := 0; b < e.nBuf; b++ {
+		for s := 0; s < e.cchunks; s++ {
+			if e.occ[b*words+s/64]>>(uint(s)%64)&1 == 0 {
+				g.gaps = append(g.gaps, bufSeg{b, uint64(s) * e.ch})
+			}
+		}
+	}
+	g.chunks = int64(len(g.cols))
+	g.macs = g.cost.K2 + g.cost.Hits*int64(e.ch)
 }
 
 // corruptRow is the uncached path's corruption hook: after a row chunk
@@ -788,53 +852,47 @@ func (e *Engine) corruptRow(W []complex128, ir uint64) {
 	}
 }
 
-// sumBuffers adds the partial-output buffers into W as ~chunksPerThread
-// ×threads row-range tasks on the pool (each task owns a disjoint row
-// range across all buffers, so the adds race with nothing).
-func (e *Engine) sumBuffers(W []complex128, nBuf int) {
-	if nBuf == 0 {
-		return
-	}
+// sumBuffers adds the partial-output buffers beyond the first (W itself)
+// into W as ~chunksPerThread×threads row-range tasks on the pool (each task
+// owns a disjoint row range across all buffers, so the writes race with
+// nothing).
+func (e *Engine) sumBuffers(g *gatePlan) {
 	const minRows = 1024
 	chunks := chunksPerThread * e.threads
 	if m := int(e.dim / minRows); chunks > m {
 		chunks = m
 	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	if e.inline() || chunks == 1 {
-		if e.cancelled() {
-			return
-		}
-		for b := 0; b < nBuf; b++ {
-			addInto(W, e.buffers[b])
-		}
+	if g.inline || chunks <= 1 {
+		e.sumRange(0, e.dim)
 		return
 	}
-	e.ensurePool()
-	ts := e.sumTasks[:0]
-	for i := 0; i < chunks; i++ {
-		lo := uint64(i) * e.dim / uint64(chunks)
-		hi := uint64(i+1) * e.dim / uint64(chunks)
-		ts = append(ts, func() {
-			if e.cancelled() {
-				return
-			}
-			for b := 0; b < nBuf; b++ {
-				addInto(W[lo:hi], e.buffers[b][lo:hi])
-			}
-		})
+	if e.sumTasks == nil {
+		for i := 0; i < chunks; i++ {
+			lo := uint64(i) * e.dim / uint64(chunks)
+			hi := uint64(i+1) * e.dim / uint64(chunks)
+			e.sumTasks = append(e.sumTasks, func() { e.sumRange(lo, hi) })
+		}
 	}
-	e.sumTasks = ts
-	e.pool.RunTracked(e.span, "dmav.sum", e.led, ts)
+	e.ensurePool()
+	e.pool.RunTracked(e.span, "dmav.sum", e.led, e.sumTasks)
 }
 
-// assignCache populates e.tasks with column-space border tasks
-// (AssignCache of Algorithm 2) and assigns each chunk a partial-output
-// buffer, sharing buffers between chunks whose output row segments do
-// not overlap.
-func (e *Engine) assignCache(M dd.MEdge) {
+// sumRange completes rows [lo, hi) of the multiplication in flight.
+func (e *Engine) sumRange(lo, hi uint64) {
+	if e.cancelled() {
+		return
+	}
+	W := e.cur.W[lo:hi]
+	for b := 1; b < e.cur.g.cost.Buffers; b++ {
+		addInto(W, e.buffers[b-1][lo:hi])
+	}
+}
+
+// assignCache fills the scratch e.tasks with the column-space border tasks
+// of a root (AssignCache of Algorithm 2) and assigns each chunk a
+// partial-output buffer (e.bufOf, e.nBuf, e.occ), sharing buffers between
+// chunks whose output row segments do not overlap.
+func (e *Engine) assignCache(root *dd.MNode) {
 	for u := range e.tasks {
 		e.tasks[u] = e.tasks[u][:0]
 	}
@@ -860,45 +918,41 @@ func (e *Engine) assignCache(M dd.MEdge) {
 			}
 		}
 	}
-	rec(M, 1, 0, 0, e.n-1)
-
-	if e.noBufferShare {
-		for u := range e.bufOf {
-			e.bufOf[u] = u
-		}
-		return
-	}
+	rec(dd.MEdge{W: 1, N: root}, 1, 0, 0, e.n-1)
 
 	// Greedy buffer sharing: quantum gate matrices are sparse, so the
 	// partial outputs of different chunks frequently occupy disjoint row
-	// segments and can live in one buffer.
-	type segset map[uint64]struct{}
-	var occupied []segset
-	for u := 0; u < e.cchunks; u++ {
-		mine := make(segset, len(e.tasks[u]))
-		for _, tk := range e.tasks[u] {
-			mine[tk.idx] = struct{}{}
-		}
-		placed := -1
-		for b, occ := range occupied {
-			conflict := false
-			for s := range mine {
-				if _, ok := occ[s]; ok {
-					conflict = true
+	// segments and can live in one buffer. A chunk goes into the first
+	// buffer none of whose occupied segments it would write.
+	words := e.occWords()
+	segShift := uint(e.n) - e.clogT
+	clear(e.occ)
+	e.nBuf = 0
+	for u, ts := range e.tasks {
+		placed := u
+		if !e.noBufferShare {
+			placed = 0
+			for ; placed < e.nBuf; placed++ {
+				occ := e.occ[placed*words : (placed+1)*words]
+				conflict := false
+				for _, tk := range ts {
+					s := tk.idx >> segShift
+					if occ[s/64]>>(s%64)&1 != 0 {
+						conflict = true
+						break
+					}
+				}
+				if !conflict {
 					break
 				}
 			}
-			if !conflict {
-				placed = b
-				break
-			}
 		}
-		if placed < 0 {
-			occupied = append(occupied, make(segset))
-			placed = len(occupied) - 1
+		if placed >= e.nBuf {
+			e.nBuf = placed + 1
 		}
-		for s := range mine {
-			occupied[placed][s] = struct{}{}
+		for _, tk := range ts {
+			s := tk.idx >> segShift
+			e.occ[placed*words+int(s/64)] |= 1 << (s % 64)
 		}
 		e.bufOf[u] = placed
 	}

@@ -1,6 +1,7 @@
 package dmav
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -99,28 +100,43 @@ func TestApplyMatchesOracleAllModes(t *testing.T) {
 	}
 }
 
+// fusedAbove multiplies random gates into one matrix DD until its MAC
+// count reaches macs, returning the product and the gates in application
+// order: a dense fused block of the kind DMAV-aware fusion produces.
+func fusedAbove(rng *rand.Rand, m *dd.Manager, n int, macs int64) (dd.MEdge, []circuit.Gate) {
+	M := m.Identity(n)
+	var gates []circuit.Gate
+	for dd.MACCount(M) < macs {
+		g := randomGate(rng, n)
+		gates = append(gates, g)
+		M = m.MulMM(ddsim.BuildGateDD(m, n, &g), M)
+	}
+	return M, gates
+}
+
 // TestApplyPooledMatchesOracle covers the pool-batched execution paths:
-// states below serialCutoffDim run inline, so this test uses n=12 (4096
-// amplitudes) to force real sched batches through both algorithms.
+// gates below inlineBelowMACs run inline, so this test uses n=18, where
+// every gate of the random mix (≥ 2^18 MACs) forces real sched batches
+// through both algorithms.
 func TestApplyPooledMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	const n = 12
+	const n = 18
 	m := dd.New(n)
 	V := randAmps(rng, n)
+	W := make([]complex128, len(V))
 	for _, mode := range []Mode{NeverCache, AlwaysCache} {
 		for _, threads := range []int{3, 8} {
 			e := New(m, n, threads, mode)
-			if e.inline() {
-				t.Fatalf("threads=%d n=%d: engine chose inline execution; cutoff test is vacuous", threads, n)
-			}
 			for trial := 0; trial < 3; trial++ {
 				g := randomGate(rng, n)
 				M := ddsim.BuildGateDD(m, n, &g)
-				sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+				sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 2)
 				sv.Apply(&g)
 				want := sv.Amplitudes()
-				W := make([]complex128, len(V))
 				e.Apply(M, V, W)
+				if e.gates[M.N].inline {
+					t.Fatalf("mode=%v threads=%d gate=%s ran inline; cutoff test is vacuous", mode, threads, g.Name)
+				}
 				for i := range want {
 					if !approx(W[i], want[i]) {
 						t.Fatalf("mode=%v threads=%d gate=%s: W[%d]=%v want %v",
@@ -418,26 +434,94 @@ func TestAddInto(t *testing.T) {
 	}
 }
 
-func BenchmarkDMAVUncachedSupremacyGate(b *testing.B) {
-	benchDMAV(b, NeverCache)
+// BenchmarkApply is the DMAV layer microbenchmark: steady-state Apply of
+// one repeated gate, by register size, gate shape, algorithm and thread
+// count. MACs/s is the modeled rate (GateCost.Cost × threads per Apply,
+// the unit of dmav.macs_per_s in bench/); B/op must read 0.
+func BenchmarkApply(b *testing.B) {
+	for _, n := range []int{14, 20} {
+		m := dd.New(n)
+		rng := rand.New(rand.NewSource(1))
+		V := randAmps(rng, n)
+		W := make([]complex128, len(V))
+		gates := []struct {
+			name string
+			M    dd.MEdge
+		}{
+			{"q0", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, 0))},
+			{"qmid", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, n/2))},
+			{"qtop", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, n-1))},
+			{"cz", gateDD(m, n, circuit.CZ(2, n-3))},
+			{"fused", denseBlock(m, n)},
+		}
+		for _, g := range gates {
+			for _, mode := range []Mode{NeverCache, AlwaysCache} {
+				for _, threads := range []int{1, 2} {
+					name := fmt.Sprintf("n=%d/%s/%v/t%d", n, g.name, mode, threads)
+					b.Run(name, func(b *testing.B) {
+						e := New(m, n, threads, mode)
+						defer e.Close()
+						cost, _ := e.Apply(g.M, V, W) // compile outside the timer
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							e.Apply(g.M, V, W)
+						}
+						macs := cost.Cost() * float64(threads) * float64(b.N)
+						b.ReportMetric(macs/b.Elapsed().Seconds(), "MACs/s")
+					})
+				}
+			}
+		}
+	}
 }
 
-func BenchmarkDMAVCachedSupremacyGate(b *testing.B) {
-	benchDMAV(b, AlwaysCache)
+func gateDD(m *dd.Manager, n int, g circuit.Gate) dd.MEdge {
+	return ddsim.BuildGateDD(m, n, &g)
 }
 
-func benchDMAV(b *testing.B, mode Mode) {
-	rng := rand.New(rand.NewSource(1))
-	n := 14
+// denseBlock is a fused gate dense on five qubits spread over the
+// register, qubit 0 included: the shape DMAV-aware fusion produces.
+func denseBlock(m *dd.Manager, n int) dd.MEdge {
+	qs := []int{0, 1, n / 2, n - 2, n - 1}
+	M := m.Identity(n)
+	for i, q := range qs {
+		M = m.MulMM(gateDD(m, n, circuit.U3(0.3+float64(i), 0.2, 0.1, q)), M)
+	}
+	for i := range qs[1:] {
+		M = m.MulMM(gateDD(m, n, circuit.FSim(0.5, 0.2, qs[i], qs[i+1])), M)
+	}
+	return M
+}
+
+// TestApplySteadyStateAllocationFree: once a root's plan is memoized, a
+// repeated Apply — inline or as pool batches, either algorithm — must not
+// allocate.
+func TestApplySteadyStateAllocationFree(t *testing.T) {
+	// n=17 is the smallest register where a single-qubit gate (2^18 MACs)
+	// reaches inlineBelowMACs; a CZ (2^17) stays under it.
+	const n = 17
 	m := dd.New(n)
-	g := circuit.FSim(0.5, 0.2, 2, 11)
-	M := ddsim.BuildGateDD(m, n, &g)
+	rng := rand.New(rand.NewSource(8))
 	V := randAmps(rng, n)
 	W := make([]complex128, len(V))
-	e := New(m, n, 4, mode)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Apply(M, V, W)
+	small := gateDD(m, n, circuit.CZ(3, 9))
+	big := gateDD(m, n, circuit.H(n-1))
+	for _, mode := range []Mode{NeverCache, AlwaysCache} {
+		for _, threads := range []int{1, 2} {
+			e := New(m, n, threads, mode)
+			for _, M := range []dd.MEdge{small, big} {
+				e.Apply(M, V, W)
+				if inline := e.gates[M.N].inline; M == big && inline != (threads == 1) {
+					t.Fatalf("mode=%v threads=%d: the 2^18-MAC gate has inline=%v", mode, threads, inline)
+				}
+				if a := testing.AllocsPerRun(10, func() { e.Apply(M, V, W) }); a != 0 {
+					t.Errorf("mode=%v threads=%d inline=%v: %v allocs per steady-state Apply",
+						mode, threads, e.gates[M.N].inline, a)
+				}
+			}
+			e.Close()
+		}
 	}
 }
 

@@ -80,7 +80,8 @@ func ablationBufferSharing(cfg Config) {
 			label = "off"
 			bufs = eng.CacheChunks()
 		}
-		tbl.AddRow(label, elapsed, bufs, fmtMB(uint64(bufs)*uint64(len(v))*16))
+		// The output vector serves as buffer 0: b buffers allocate b-1.
+		tbl.AddRow(label, elapsed, bufs, fmtMB(uint64(bufs-1)*uint64(len(v))*16))
 	}
 	emit(cfg, "ablation-buffers", tbl)
 }
