@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test check staticcheck profile-smoke faults dd-race fuzz serve-smoke chaos trace-schema bench-obs bench-record bench-gate csv
+.PHONY: build test check staticcheck profile-smoke faults fuzz serve-smoke chaos trace-schema bench-obs bench-record bench-gate csv
 
 build:
 	$(GO) build ./...
@@ -17,14 +17,15 @@ test:
 
 # check is the pre-commit gate: full vet, the race detector over the
 # whole module in short mode (the sched pool, DMAV workers, conversion
-# tasks, and the obs registry all run concurrently; short mode keeps the
-# differential and stress suites at their quick defaults), and a smoke
-# run of the perf-record + benchdiff pipeline.
+# tasks, and the obs registry all run concurrently, and core's
+# share-nothing test runs one dd.Manager per goroutine against a shared
+# pool and registry; short mode keeps the differential and stress suites
+# at their quick defaults), and a smoke run of the perf-record +
+# benchdiff pipeline.
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -race -short ./...
-	$(MAKE) dd-race
 	$(MAKE) faults
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
@@ -69,15 +70,6 @@ faults:
 	$(GO) test -race -count=1 -run 'Fault|Degraded|Drift|TaskPanic' \
 		./internal/sched/... ./internal/core/... ./internal/serve/...
 
-# dd-race runs the DD-phase concurrency battery under the race detector:
-# sharded unique tables, striped compute tables, the GC barrier, and the
-# frontier-split parallel multiply, asserting bit-identical results
-# against the sequential path. count=2 defeats the test cache and varies
-# goroutine scheduling across the two runs.
-dd-race:
-	$(GO) test -race -run 'Par|Concurrent' -count=2 \
-		./internal/dd/... ./internal/ddsim/... ./internal/cnum/...
-
 # serve-smoke builds the flatdd-serve and flatdd-coord binaries
 # race-enabled and drives them end to end over HTTP: admission control
 # (413 over budget), bell + randct jobs to completion, client
@@ -114,13 +106,12 @@ fuzz:
 	$(GO) test -run NoSuchTest -fuzz FuzzParse -fuzztime 10s ./internal/qasm
 
 # bench-record emits a machine-readable perf record (BENCH_<n>.json at the
-# repo root) from a tiny-scale Table 1 run, the parallel-DD-phase thread
-# sweep, and the multi-tenant and cluster serving experiments: 2
-# repetitions per cell plus sampled time series. Run it once per
-# meaningful commit to grow the performance history benchdiff compares
-# against.
+# repo root) from a tiny-scale Table 1 run and the multi-tenant and
+# cluster serving experiments: 2 repetitions per cell plus sampled time
+# series. Run it once per meaningful commit to grow the performance
+# history benchdiff compares against.
 bench-record:
-	$(GO) run ./cmd/flatdd-bench -exp table1,ddpar,tenants,cluster -scale tiny -reps 2 -timeout 60s -out auto
+	$(GO) run ./cmd/flatdd-bench -exp table1,tenants,cluster -scale tiny -reps 2 -timeout 60s -out auto
 
 # bench-gate diffs the newest record against the one before it and fails
 # on any wall-time regression beyond the noise guard (CI gate). With only

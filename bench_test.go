@@ -132,15 +132,15 @@ func BenchmarkFig11DMAVGateIrregular(b *testing.B) {
 
 // ---- Figure 12: scalability across thread counts.
 
-func benchFlatDDThreads(b *testing.B, threads int) {
+func benchFig12FlatDD(b *testing.B, threads int) {
 	runFlatDD(b, benchSupremacy(), core.Options{Threads: threads})
 }
 
-func BenchmarkFig12FlatDDT1(b *testing.B)  { benchFlatDDThreads(b, 1) }
-func BenchmarkFig12FlatDDT2(b *testing.B)  { benchFlatDDThreads(b, 2) }
-func BenchmarkFig12FlatDDT4(b *testing.B)  { benchFlatDDThreads(b, 4) }
-func BenchmarkFig12FlatDDT8(b *testing.B)  { benchFlatDDThreads(b, 8) }
-func BenchmarkFig12FlatDDT16(b *testing.B) { benchFlatDDThreads(b, 16) }
+func BenchmarkFig12FlatDDT1(b *testing.B)  { benchFig12FlatDD(b, 1) }
+func BenchmarkFig12FlatDDT2(b *testing.B)  { benchFig12FlatDD(b, 2) }
+func BenchmarkFig12FlatDDT4(b *testing.B)  { benchFig12FlatDD(b, 4) }
+func BenchmarkFig12FlatDDT8(b *testing.B)  { benchFig12FlatDD(b, 8) }
+func BenchmarkFig12FlatDDT16(b *testing.B) { benchFig12FlatDD(b, 16) }
 func BenchmarkFig12QppT1(b *testing.B)     { runStatevec(b, benchSupremacy(), 1) }
 func BenchmarkFig12QppT4(b *testing.B)     { runStatevec(b, benchSupremacy(), 4) }
 func BenchmarkFig12QppT16(b *testing.B)    { runStatevec(b, benchSupremacy(), 16) }

@@ -41,7 +41,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "workload generator seed")
 		engine    = flag.String("engine", "flatdd", "engine: flatdd | ddsim | statevec")
 		threads   = flag.Int("threads", 4, "worker threads (FlatDD and statevec)")
-		ddThreads = flag.Int("dd-threads", 0, "task-parallel DD-phase workers (FlatDD and ddsim; 0 or 1 = sequential DD phase)")
 		beta      = flag.Float64("beta", 0.9, "EWMA beta (FlatDD)")
 		epsilon   = flag.Float64("epsilon", 2.0, "EWMA epsilon (FlatDD)")
 		fusionF   = flag.String("fusion", "none", "gate fusion: none | dmav | kops (FlatDD)")
@@ -104,8 +103,7 @@ func main() {
 	switch *engine {
 	case "flatdd":
 		opts := core.Options{
-			Threads: *threads, DDThreads: *ddThreads,
-			Beta: *beta, Epsilon: *epsilon, K: *k,
+			Threads: *threads, Beta: *beta, Epsilon: *epsilon, K: *k,
 			ApproxBudget: *approx, Metrics: reg,
 			MemoryBudget:   uint64(*memMB) << 20,
 			IntegrityEvery: *integrity,
@@ -232,13 +230,7 @@ func main() {
 		}
 
 	case "ddsim":
-		var res harness.Result
-		if *ddThreads > 1 {
-			res = harness.RunDDSIMParallel(c, *ddThreads, *timeout)
-		} else {
-			res = harness.RunDDSIM(c, *timeout)
-		}
-		report(res)
+		report(harness.RunDDSIM(c, *timeout))
 
 	case "statevec":
 		res := harness.RunStatevec(c, *threads, *timeout)

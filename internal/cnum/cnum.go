@@ -11,19 +11,18 @@
 // canonical representative within a configurable tolerance, so that edge
 // weights can be compared bit-exactly and hashed directly.
 //
-// # Determinism under concurrency
+// # Why a fixed grid
 //
 // Snapping is a pure function of the value: LookupFloat(x) maps x to the
 // canonical representative of its grid bucket (round(x/2^-g) * 2^-g, with
 // well-known constants such as 1/sqrt(2) pre-seeded onto their buckets at
 // construction), never to "whichever nearby value was interned first".
 // Earlier designs kept first-comer representatives, which made the snapped
-// value depend on lookup order — under the concurrent DD phase that order
-// is a scheduling accident, and final amplitudes would differ between
-// runs. With grid snapping, any interleaving of any number of goroutines
-// produces bit-identical weights, which is what makes the parallel DD
-// phase's results reproducible (see the determinism tests in
-// internal/ddsim and DESIGN.md §12).
+// value depend on lookup order. The same amplitude reached through two
+// evaluation orders (a different gate order, a fused versus an unfused
+// product, a DD rebuilt after garbage collection) must land on the same
+// bits, or hash-consing stops recognizing equal nodes; a fixed grid
+// guarantees that independently of history.
 //
 // The grid step is a power of two (the largest 2^-g <= the configured
 // tolerance) rather than a decimal multiple, and that choice is
@@ -36,14 +35,11 @@
 // here: scaling its representatives by 1/2 lands exactly between two
 // buckets with one ulp of path-dependent noise deciding the round, which
 // destroys hash-consing canonicity in practice. The bucket-membership map
-// exists only for statistics and is sharded so concurrent lookups do not
-// serialize on one lock.
+// exists only for statistics.
 package cnum
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"flatdd/internal/obs"
 )
@@ -53,23 +49,18 @@ import (
 // tolerance commonly used by DD packages for quantum simulation.
 const DefaultTolerance = 1e-10
 
-// statShards is the number of stripe locks over the bucket-membership map
-// (statistics only; the snapped value never depends on the map).
-const statShards = 64
+// statsInitCap pre-sizes the bucket-membership map (statistics only; the
+// snapped value never depends on the map).
+const statsInitCap = 4096
 
 // maxBucket bounds |x|/step for which grid snapping is attempted; far
 // larger magnitudes (never produced by unitary simulation) are returned
 // unsnapped, which is still deterministic.
 const maxBucket = 1 << 62
 
-type statShard struct {
-	mu      sync.Mutex
-	buckets map[int64]struct{}
-}
-
 // Table interns float64 components of complex numbers. The zero value is not
-// usable; create one with NewTable. A Table is safe for concurrent use, and
-// its results are independent of the interleaving of concurrent callers.
+// usable; create one with NewTable. A Table belongs to one goroutine (its
+// dd.Manager's owner); its results are independent of lookup history.
 type Table struct {
 	tol float64
 
@@ -83,12 +74,11 @@ type Table struct {
 	// once in NewTable, read-only afterwards — lock-free on the hot path.
 	seeded map[int64]float64
 
-	shards [statShards]statShard
-	size   atomic.Int64
+	buckets map[int64]struct{}
 
-	lookups  atomic.Uint64
-	hits     atomic.Uint64
-	inserted atomic.Uint64
+	lookups  uint64
+	hits     uint64
+	inserted uint64
 
 	// Registry handles (nil when metrics are off).
 	obsLookups *obs.Counter
@@ -98,14 +88,13 @@ type Table struct {
 }
 
 // SetMetrics attaches the table's counters to a registry (nil detaches):
-// cnum.lookups, cnum.hits, cnum.inserts and the cnum.size gauge. It must be
-// called before the table is used concurrently (i.e. at setup time).
+// cnum.lookups, cnum.hits, cnum.inserts and the cnum.size gauge.
 func (t *Table) SetMetrics(r *obs.Registry) {
 	t.obsLookups = r.Counter("cnum.lookups")
 	t.obsHits = r.Counter("cnum.hits")
 	t.obsInserts = r.Counter("cnum.inserts")
 	t.obsSize = r.Gauge("cnum.size")
-	t.obsSize.Set(t.size.Load())
+	t.obsSize.Set(int64(len(t.buckets)))
 }
 
 // NewTable returns a Table with the given tolerance. A non-positive
@@ -120,9 +109,7 @@ func NewTable(tol float64) *Table {
 		step:    math.Ldexp(1, -g),
 		invStep: math.Ldexp(1, g),
 		seeded:  make(map[int64]float64, 32),
-	}
-	for i := range t.shards {
-		t.shards[i].buckets = make(map[int64]struct{}, 64)
+		buckets: make(map[int64]struct{}, statsInitCap),
 	}
 	// Seed exact representations of the values that appear in virtually
 	// every circuit so they are canonical from the start. Each constant
@@ -159,7 +146,7 @@ func (t *Table) LookupFloat(x float64) float64 {
 	if x == 0 { // fast path, avoids -0 issues too
 		return 0
 	}
-	t.lookups.Add(1)
+	t.lookups++
 	t.obsLookups.Inc()
 	s := x * t.invStep
 	if s != s || s >= maxBucket || s <= -maxBucket {
@@ -183,34 +170,26 @@ func (t *Table) LookupFloat(x float64) float64 {
 // noteBucket records bucket membership for statistics: the first sighting
 // of a bucket counts as an insert, later ones as hits.
 func (t *Table) noteBucket(k int64) {
-	sh := &t.shards[uint64(k)%statShards]
-	sh.mu.Lock()
-	_, seen := sh.buckets[k]
-	if !seen {
-		sh.buckets[k] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if seen {
-		t.hits.Add(1)
+	if _, seen := t.buckets[k]; seen {
+		t.hits++
 		t.obsHits.Inc()
-	} else {
-		t.inserted.Add(1)
-		t.obsInserts.Inc()
-		t.obsSize.Set(t.size.Add(1))
+		return
 	}
+	t.buckets[k] = struct{}{}
+	t.inserted++
+	t.obsInserts.Inc()
+	t.obsSize.Set(int64(len(t.buckets)))
 }
 
 // Stats reports counters useful for tests and diagnostics: the number of
 // non-zero lookups, how many hit an existing representative, and how many
 // distinct representatives were inserted.
 func (t *Table) Stats() (lookups, hits, inserted uint64) {
-	return t.lookups.Load(), t.hits.Load(), t.inserted.Load()
+	return t.lookups, t.hits, t.inserted
 }
 
 // Size returns the number of distinct float representatives stored.
-func (t *Table) Size() int {
-	return int(t.size.Load())
-}
+func (t *Table) Size() int { return len(t.buckets) }
 
 // ApproxEqual reports whether a and b are within tol of each other in both
 // components. It is the comparison the rest of the simulator uses when

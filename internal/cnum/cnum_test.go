@@ -3,7 +3,6 @@ package cnum
 import (
 	"math"
 	"math/cmplx"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -82,31 +81,30 @@ func TestSeededConstantsExact(t *testing.T) {
 	}
 }
 
-func TestConcurrentLookupStable(t *testing.T) {
-	tbl := NewTable(1e-10)
-	const workers = 8
-	const perWorker = 500
-	results := make([][]complex128, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out := make([]complex128, perWorker)
-			for i := 0; i < perWorker; i++ {
-				// Every worker hits the same value sequence.
-				v := complex(math.Sin(float64(i)), math.Cos(float64(i)))
-				out[i] = tbl.Lookup(v)
-			}
-			results[w] = out
-		}(w)
+// TestLookupIndependentOfHistory pins that snapping is a pure function of
+// the value: a table warmed with unrelated and nearby values, then queried
+// in reverse order, returns the same bits as a fresh table.
+func TestLookupIndependentOfHistory(t *testing.T) {
+	const count = 500
+	vals := make([]complex128, count)
+	for i := range vals {
+		vals[i] = complex(math.Sin(float64(i)), math.Cos(float64(i)))
 	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for i := range results[0] {
-			if results[w][i] != results[0][i] {
-				t.Fatalf("worker %d disagrees at %d: %v vs %v", w, i, results[w][i], results[0][i])
-			}
+	fresh := NewTable(1e-10)
+	want := make([]complex128, count)
+	for i, v := range vals {
+		want[i] = fresh.Lookup(v)
+	}
+
+	warmed := NewTable(1e-10)
+	for i, v := range vals {
+		// Neighbors within the tolerance, plus values in other buckets.
+		warmed.Lookup(v + complex(3e-11, -3e-11))
+		warmed.Lookup(complex(math.Cos(float64(7*i)), 0.5*math.Sin(float64(i))))
+	}
+	for i := count - 1; i >= 0; i-- {
+		if got := warmed.Lookup(vals[i]); got != want[i] {
+			t.Fatalf("value %d: warmed table %v, fresh table %v", i, got, want[i])
 		}
 	}
 }

@@ -190,15 +190,6 @@ type Options struct {
 	// ownership of the pool's lifetime. When nil, the run creates a
 	// pool of Threads workers for its duration.
 	Pool *sched.Pool
-	// DDThreads enables task-parallel gate application in the DD phase:
-	// when > 1, each gate's DD multiplication is decomposed into
-	// independent sub-DD recursions on a scheduler pool (results are
-	// bit-identical to the sequential path, see dd.MulMVParallel). When
-	// Pool is set it is shared with the DD phase and its worker count is
-	// authoritative; otherwise the run creates a DD-phase pool of
-	// DDThreads workers. 0 or 1 keeps the DD phase sequential (the
-	// default, and the paper's DDSIM-phase behaviour).
-	DDThreads int
 	// Beta and Epsilon parameterize the EWMA conversion controller
 	// (defaults 0.9 and 2).
 	Beta, Epsilon float64
@@ -629,23 +620,6 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 	// Phase 1: DD-based simulation with conversion monitoring.
 	ddSpan := span.Child("phase.dd")
 	s.led.Begin("dd")
-	if s.opts.DDThreads > 1 {
-		ddPool := s.opts.Pool
-		if ddPool == nil {
-			ddPool = sched.New(s.opts.DDThreads)
-			ddPool.SetMetrics(s.opts.Metrics)
-			ddPool.SetFaults(s.opts.Faults)
-			defer ddPool.Close()
-		}
-		if ddPool.Threads() > 1 {
-			if ddSpan != nil {
-				ddSpan.SetAttr("dd_threads", ddPool.Threads())
-			}
-			s.sim.SetParallelism(func(tasks []func()) {
-				ddPool.RunSpanned(ddSpan, "dd.frontier", tasks)
-			}, ddPool.Threads())
-		}
-	}
 	endDD := func(gates int) {
 		// The DD loop is sequential on this goroutine, so its CPU time is
 		// its wall time (already computed into Stats.DDTime by callers).

@@ -2,8 +2,6 @@ package dd
 
 import (
 	"hash/maphash"
-	"sync"
-	"sync/atomic"
 
 	"flatdd/internal/obs"
 )
@@ -11,17 +9,10 @@ import (
 // ctBits sets the compute-table capacity to 2^ctBits entries. Compute
 // tables are direct-mapped with overwrite-on-collision, the classic DD
 // package design: memory stays bounded while the hit rate on the repetitive
-// sub-computations of structured circuits stays high.
+// sub-computations of structured circuits stays high. A lost entry is a
+// recompute, never a wrong answer: every cached value is a pure function
+// of its key.
 const ctBits = 17
-
-// ctStripes is the number of stripe locks over the entry array. Entries are
-// multi-word, so reads and writes copy the whole entry under the stripe
-// lock; beyond that the table is deliberately lossy under concurrency — two
-// writers to the same slot overwrite each other, and a reader may miss an
-// entry a concurrent writer is installing. A missed hit is a recompute,
-// never a wrong answer: every cached value is a pure function of its key,
-// so whichever entry survives is correct for its key.
-const ctStripes = 64
 
 type ctEntry[K comparable, V any] struct {
 	key   K
@@ -29,15 +20,14 @@ type ctEntry[K comparable, V any] struct {
 	valid bool
 }
 
-// ctable is a direct-mapped memoization cache for DD operations, safe for
-// concurrent use with lossy racy-read/racy-write semantics (see ctStripes).
+// ctable is a direct-mapped memoization cache for DD operations.
 type ctable[K comparable, V any] struct {
 	seed    maphash.Seed
 	entries []ctEntry[K, V]
-	stripes [ctStripes]sync.Mutex
 
-	lookups atomic.Uint64
-	hits    atomic.Uint64
+	// lookups and hits count over the table's lifetime; clear keeps them.
+	lookups uint64
+	hits    uint64
 
 	// Optional registry handles (nil when metrics are off; the handle
 	// methods no-op after one pointer check).
@@ -56,20 +46,15 @@ func (c *ctable[K, V]) init() {
 	c.entries = make([]ctEntry[K, V], 1<<ctBits)
 }
 
-func (c *ctable[K, V]) slotIndex(k K) uint64 {
-	return maphash.Comparable(c.seed, k) & (1<<ctBits - 1)
+func (c *ctable[K, V]) slot(k K) *ctEntry[K, V] {
+	return &c.entries[maphash.Comparable(c.seed, k)&(1<<ctBits-1)]
 }
 
 func (c *ctable[K, V]) get(k K) (V, bool) {
-	c.lookups.Add(1)
+	c.lookups++
 	c.obsLookups.Inc()
-	s := c.slotIndex(k)
-	st := &c.stripes[s&(ctStripes-1)]
-	st.Lock()
-	e := c.entries[s]
-	st.Unlock()
-	if e.valid && e.key == k {
-		c.hits.Add(1)
+	if e := c.slot(k); e.valid && e.key == k {
+		c.hits++
 		c.obsHits.Inc()
 		return e.value, true
 	}
@@ -78,45 +63,19 @@ func (c *ctable[K, V]) get(k K) (V, bool) {
 }
 
 func (c *ctable[K, V]) put(k K, v V) {
-	s := c.slotIndex(k)
-	st := &c.stripes[s&(ctStripes-1)]
-	st.Lock()
-	c.entries[s] = ctEntry[K, V]{key: k, value: v, valid: true}
-	st.Unlock()
+	*c.slot(k) = ctEntry[K, V]{key: k, value: v, valid: true}
 }
 
-// clear empties the table. It takes every stripe lock so it is safe even if
-// a straggling reader is still in flight, though the GC barrier normally
-// guarantees quiescence before clear runs.
+// clear drops every entry: they hold raw node pointers the GC may have
+// swept.
 func (c *ctable[K, V]) clear() {
-	for i := range c.stripes {
-		c.stripes[i].Lock()
-	}
 	clear(c.entries)
-	c.lookups.Store(0)
-	c.hits.Store(0)
-	for i := range c.stripes {
-		c.stripes[i].Unlock()
-	}
 }
 
-func (c *ctable[K, V]) stats() (lookups, hits uint64) {
-	return c.lookups.Load(), c.hits.Load()
-}
-
-// ComputeTableStats reports aggregate lookup/hit counters across the
-// manager's four compute tables, for diagnostics and tests.
+// ComputeTableStats reports lifetime lookup/hit counters aggregated across
+// the manager's four compute tables, for diagnostics and tests.
 func (m *Manager) ComputeTableStats() (lookups, hits uint64) {
-	for _, s := range [][2]uint64{
-		sliceStats(m.addCT.stats()),
-		sliceStats(m.maddCT.stats()),
-		sliceStats(m.mvCT.stats()),
-		sliceStats(m.mmCT.stats()),
-	} {
-		lookups += s[0]
-		hits += s[1]
-	}
-	return
+	lookups = m.addCT.lookups + m.maddCT.lookups + m.mvCT.lookups + m.mmCT.lookups
+	hits = m.addCT.hits + m.maddCT.hits + m.mvCT.hits + m.mmCT.hits
+	return lookups, hits
 }
-
-func sliceStats(l, h uint64) [2]uint64 { return [2]uint64{l, h} }

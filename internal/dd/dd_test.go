@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"flatdd/internal/obs"
 )
 
 const eps = 1e-9
@@ -642,6 +644,36 @@ func TestComputeTableEffective(t *testing.T) {
 	_, hits := m.ComputeTableStats()
 	if hits == 0 {
 		t.Fatal("compute tables never hit")
+	}
+}
+
+// TestComputeTableStatsSurviveCollect pins ComputeTableStats as lifetime
+// totals: a Collect clears the entries but not the counters, so the
+// accessor keeps agreeing with the dd.ct.* registry counters.
+func TestComputeTableStatsSurviveCollect(t *testing.T) {
+	m := New(6)
+	reg := obs.New()
+	m.SetMetrics(reg)
+	v := m.ZeroState(6)
+	for round := 0; round < 3; round++ {
+		for q := 0; q < 6; q++ {
+			v = m.MulMV(m.MulMM(m.SingleGate(6, matH, q), m.SingleGate(6, matT, q)), v)
+			v = m.Add(v, v)
+		}
+		m.Collect(Roots{V: []VEdge{v}})
+	}
+	lookups, hits := m.ComputeTableStats()
+	c := reg.Snapshot().Counters
+	var regLookups, regHits int64
+	for _, op := range []string{"add", "madd", "mv", "mm"} {
+		regLookups += c["dd.ct."+op+".lookups"]
+		regHits += c["dd.ct."+op+".hits"]
+	}
+	if lookups == 0 || hits == 0 {
+		t.Fatalf("workload exercised nothing: lookups=%d hits=%d", lookups, hits)
+	}
+	if int64(lookups) != regLookups || int64(hits) != regHits {
+		t.Fatalf("ComputeTableStats = (%d, %d), registry = (%d, %d)", lookups, hits, regLookups, regHits)
 	}
 }
 

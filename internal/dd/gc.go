@@ -7,12 +7,6 @@ import "time"
 // roots. Compute tables hold raw node pointers, so they are cleared on every
 // collection — a stale entry whose node was swept could otherwise alias a
 // newly allocated node.
-//
-// Concurrency: collection requires quiescence. Parallel construction
-// batches bracket themselves with BeginConcurrent/EndConcurrent; Collect
-// holds gcMu for the whole collection (so no new batch can open mid-sweep)
-// and defers itself when a batch is still in flight, leaving a pending flag
-// that CollectIfNeeded honors at the next quiescent point.
 
 // Roots is the set of live DD roots a caller wants preserved across a
 // collection.
@@ -21,37 +15,10 @@ type Roots struct {
 	M []MEdge
 }
 
-// BeginConcurrent marks the start of a parallel construction batch. It
-// blocks while a collection is running (stop-the-world), so a batch never
-// observes a half-swept table. Every BeginConcurrent must be paired with
-// exactly one EndConcurrent after the batch has fully joined.
-func (m *Manager) BeginConcurrent() {
-	m.gcMu.Lock()
-	m.workers.Add(1)
-	m.gcMu.Unlock()
-}
-
-// EndConcurrent marks the end of a parallel construction batch.
-func (m *Manager) EndConcurrent() {
-	if m.workers.Add(-1) < 0 {
-		panic("dd: EndConcurrent without matching BeginConcurrent")
-	}
-}
-
 // Collect sweeps every node not reachable from roots out of the unique
 // tables and clears the compute tables. It returns the number of nodes
-// removed. If a parallel batch is in flight the collection is deferred —
-// Collect returns 0, records the deferral, and CollectIfNeeded retries once
-// the batch has joined.
+// removed.
 func (m *Manager) Collect(roots Roots) int {
-	m.gcMu.Lock()
-	defer m.gcMu.Unlock()
-	if m.workers.Load() > 0 {
-		m.gcPending.Store(true)
-		m.met.gcDeferred.Inc()
-		return 0
-	}
-	m.gcPending.Store(false)
 	start := time.Now()
 	for _, e := range roots.V {
 		if !e.IsZero() {
@@ -63,21 +30,25 @@ func (m *Manager) Collect(roots Roots) int {
 			markM(e.N)
 		}
 	}
-	removed := m.vUnique.sweep(func(n *VNode) bool {
+	// Sweep: survivors have their mark cleared for the next collection.
+	removed := 0
+	for k, n := range m.vUnique {
 		if n.marked {
 			n.marked = false
-			return true
+		} else {
+			delete(m.vUnique, k)
+			removed++
 		}
-		return false
-	})
-	removed += m.mUnique.sweep(func(n *MNode) bool {
+	}
+	for k, n := range m.mUnique {
 		if n.marked {
 			n.marked = false
-			return true
+		} else {
+			delete(m.mUnique, k)
+			removed++
 		}
-		return false
-	})
-	m.nodeCount.Add(int64(-removed))
+	}
+	m.nodeCount -= removed
 	m.addCT.clear()
 	m.maddCT.clear()
 	m.mvCT.clear()
@@ -93,12 +64,9 @@ func (m *Manager) Collect(roots Roots) int {
 func (m *Manager) SetGCThreshold(n int) { m.gcThreshold = n }
 
 // CollectIfNeeded runs Collect(roots) when the node count exceeds the GC
-// threshold, or when a previous collection was deferred by an in-flight
-// batch. It returns the number of nodes removed (0 when no collection ran).
+// threshold. It returns the number of nodes removed (0 when no collection
+// ran).
 func (m *Manager) CollectIfNeeded(roots Roots) int {
-	if m.gcPending.Load() {
-		return m.Collect(roots)
-	}
 	if m.gcThreshold <= 0 || m.NodeCount() <= m.gcThreshold {
 		return 0
 	}

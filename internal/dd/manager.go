@@ -3,8 +3,6 @@ package dd
 import (
 	"fmt"
 	"math/cmplx"
-	"sync"
-	"sync/atomic"
 
 	"flatdd/internal/cnum"
 )
@@ -12,30 +10,20 @@ import (
 // Manager owns the unique tables, compute tables and complex-number table of
 // one DD universe. Edges from different managers must never be mixed.
 //
-// A Manager is safe for concurrent use: DD construction (Make*, arithmetic,
-// gate builders) may run from any number of goroutines. The unique tables
-// are sharded-lock hash-consing tables — lookup-or-insert happens under one
-// shard lock, so canonicity (one pointer per structurally distinct node)
-// holds within a run regardless of interleaving. The compute tables are
-// lossy under concurrency: a racing reader may miss a concurrently installed
-// entry and recompute, but every cached value is a pure function of its key,
-// so results are never wrong. Weight snapping (cnum.Table) is a pure
-// function of the value, which makes concurrent construction bit-
-// deterministic end to end (see DESIGN.md §12).
-//
-// Garbage collection is the one operation that requires quiescence: callers
-// running parallel batches must bracket them with BeginConcurrent /
-// EndConcurrent, and Collect defers itself (returning 0) while any such
-// batch is in flight. Sequential callers (equiv, noise, observable, and the
-// serial DD engine) need no bracketing — with no batch open, Collect runs
-// immediately, exactly as before.
+// A Manager is owned by one goroutine: DD construction, arithmetic, gate
+// builders and Collect all mutate its tables without synchronization. Serve
+// and cluster create one Manager per job. Parallel consumers — conversion
+// and DMAV workers — only read nodes, which are immutable once interned;
+// everything that builds or memoizes (DMAV plans, MAC counting, fusion)
+// runs on the owning goroutine before work is handed to the pool.
 type Manager struct {
 	C *cnum.Table
 
 	nQubits int
 
-	vUnique uniqueTable[vKey, *VNode]
-	mUnique uniqueTable[mKey, *MNode]
+	// Unique tables: one canonical node per structurally distinct key.
+	vUnique map[vKey]*VNode
+	mUnique map[mKey]*MNode
 
 	vTerminal *VNode
 	mTerminal *MNode
@@ -48,16 +36,8 @@ type Manager struct {
 	// gcThreshold triggers automatic collection inside CollectIfNeeded.
 	gcThreshold int
 
-	nodeCount atomic.Int64
-	peakNodes atomic.Int64
-
-	// gcMu serializes Collect against the opening of concurrent batches:
-	// Collect holds it for the whole collection, so no new batch can start
-	// mid-sweep (stop-the-world), and BeginConcurrent briefly takes it so a
-	// batch never opens between Collect's quiescence check and its sweep.
-	gcMu      sync.Mutex
-	workers   atomic.Int64
-	gcPending atomic.Bool
+	nodeCount int
+	peakNodes int
 
 	met metrics
 }
@@ -93,6 +73,10 @@ type mmKey struct {
 	a, b *MNode
 }
 
+// uniqueInitCap pre-sizes each unique table so small runs never rehash
+// during their first few thousand node constructions.
+const uniqueInitCap = 4096
+
 // New returns a Manager for circuits of up to nQubits qubits with the
 // default weight tolerance.
 func New(nQubits int) *Manager {
@@ -109,11 +93,11 @@ func NewWithTolerance(nQubits int, tol float64) *Manager {
 		C:           cnum.NewTable(tol),
 		nQubits:     nQubits,
 		gcThreshold: 1 << 22,
+		vUnique:     make(map[vKey]*VNode, uniqueInitCap),
+		mUnique:     make(map[mKey]*MNode, uniqueInitCap),
 	}
 	m.vTerminal = &VNode{Level: TerminalLevel}
 	m.mTerminal = &MNode{Level: TerminalLevel, Flags: MIdent | MDiag}
-	m.vUnique.init()
-	m.mUnique.init()
 	m.addCT.init()
 	m.maddCT.init()
 	m.mvCT.init()
@@ -151,23 +135,17 @@ const NodeBytes = 96
 
 // NodeCount returns the number of live unique nodes (vector + matrix),
 // excluding terminals.
-func (m *Manager) NodeCount() int { return int(m.nodeCount.Load()) }
+func (m *Manager) NodeCount() int { return m.nodeCount }
 
 // PeakNodeCount returns the largest NodeCount observed at node creation.
-func (m *Manager) PeakNodeCount() int { return int(m.peakNodes.Load()) }
+func (m *Manager) PeakNodeCount() int { return m.peakNodes }
 
 // noteInsert accounts for a freshly interned node: it bumps the live count
-// and raises the peak high-water mark (CAS max, accurate under concurrent
-// inserters).
+// and raises the peak high-water mark.
 func (m *Manager) noteInsert() {
-	c := m.nodeCount.Add(1)
-	for {
-		p := m.peakNodes.Load()
-		if c <= p || m.peakNodes.CompareAndSwap(p, c) {
-			break
-		}
-	}
-	m.met.peakNodes.SetMax(c)
+	m.nodeCount++
+	m.peakNodes = max(m.peakNodes, m.nodeCount)
+	m.met.peakNodes.SetMax(int64(m.nodeCount))
 }
 
 // MakeVNode builds (or reuses) the canonical vector node at the given level
@@ -230,14 +208,14 @@ func (m *Manager) MakeVNode(level int, e0, e1 VEdge) VEdge {
 		}
 	}
 	k := vKey{int8(level), cnum.KeyOf(e0.W), cnum.KeyOf(e1.W), e0.N, e1.N}
-	n, inserted := m.vUnique.lookupOrInsert(k, func() *VNode {
-		return &VNode{E: [2]VEdge{e0, e1}, Level: int8(level)}
-	})
-	if inserted {
+	n, ok := m.vUnique[k]
+	if ok {
+		m.met.vHits.Inc()
+	} else {
+		n = &VNode{E: [2]VEdge{e0, e1}, Level: int8(level)}
+		m.vUnique[k] = n
 		m.noteInsert()
 		m.met.vMisses.Inc()
-	} else {
-		m.met.vHits.Inc()
 	}
 	return VEdge{top, n}
 }
@@ -298,14 +276,14 @@ func (m *Manager) MakeMNode(level int, e [4]MEdge) MEdge {
 		cnum.KeyOf(e[0].W), cnum.KeyOf(e[1].W), cnum.KeyOf(e[2].W), cnum.KeyOf(e[3].W),
 		e[0].N, e[1].N, e[2].N, e[3].N,
 	}
-	n, inserted := m.mUnique.lookupOrInsert(k, func() *MNode {
-		return &MNode{E: e, Level: int8(level), Flags: mflags(&e)}
-	})
-	if inserted {
+	n, ok := m.mUnique[k]
+	if ok {
+		m.met.mHits.Inc()
+	} else {
+		n = &MNode{E: e, Level: int8(level), Flags: mflags(&e)}
+		m.mUnique[k] = n
 		m.noteInsert()
 		m.met.mMisses.Inc()
-	} else {
-		m.met.mHits.Inc()
 	}
 	return MEdge{top, n}
 }

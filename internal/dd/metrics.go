@@ -13,7 +13,6 @@ type metrics struct {
 	gcRuns         *obs.Counter
 	gcPauseNs      *obs.Counter
 	gcReclaimed    *obs.Counter
-	gcDeferred     *obs.Counter
 }
 
 // SetMetrics attaches the manager (and its complex-number table and compute
@@ -29,7 +28,6 @@ func (m *Manager) SetMetrics(r *obs.Registry) {
 		gcRuns:      r.Counter("dd.gc.runs"),
 		gcPauseNs:   r.Counter("dd.gc.pause_ns"),
 		gcReclaimed: r.Counter("dd.gc.reclaimed"),
-		gcDeferred:  r.Counter("dd.gc.deferred"),
 	}
 	m.addCT.setMetrics(r.Counter("dd.ct.add.lookups"), r.Counter("dd.ct.add.hits"))
 	m.maddCT.setMetrics(r.Counter("dd.ct.madd.lookups"), r.Counter("dd.ct.madd.hits"))

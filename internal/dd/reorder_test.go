@@ -31,7 +31,7 @@ func TestSwapAdjacentLevelsMatchesIndexSwap(t *testing.T) {
 // Swapping twice is semantically the identity. The result is not required
 // to be pointer-identical to the input: each swap re-normalizes the
 // two-level block, and the grid snapping of the stored weights (chosen so
-// results are independent of thread interleaving, see cnum) can move a
+// results are independent of evaluation order, see cnum) can move a
 // re-derived ratio to the neighboring bucket. The round trip must agree on
 // every amplitude within tolerance, and must be bit-deterministic: an
 // independent manager doing the same round trip produces bit-identical

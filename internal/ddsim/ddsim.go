@@ -38,11 +38,8 @@ func BuildGateDD(m *dd.Manager, n int, g *circuit.Gate) dd.MEdge {
 	return m.MultiQubitGate(n, g.U, g.Targets)
 }
 
-// Simulator is a DD-based state-vector simulator. By default gates are
-// applied sequentially; SetParallelism enables task-parallel gate
-// application, which decomposes each DD multiplication into independent
-// sub-DD recursions on a worker pool (bit-identical results, see
-// dd.MulMVParallel).
+// Simulator is a DD-based state-vector simulator that applies gates
+// sequentially on its manager's owning goroutine.
 type Simulator struct {
 	m     *dd.Manager
 	n     int
@@ -50,18 +47,7 @@ type Simulator struct {
 
 	gatesApplied int
 	peakSize     int
-	lastSize     int
-
-	parRun     dd.TaskRunner
-	parThreads int
-	parCutoff  int
 }
-
-// DefaultParallelCutoff is the state-DD node count below which parallel
-// gate application falls back to the serial path: with fewer amplitudes
-// than this in play, the frontier tasks are too small to amortize batch
-// dispatch.
-const DefaultParallelCutoff = 256
 
 // New returns a simulator for n qubits initialized to |0...0>.
 func New(n int) *Simulator {
@@ -78,43 +64,6 @@ func NewWithManager(m *dd.Manager, n int) *Simulator {
 
 // Manager returns the simulator's DD manager.
 func (s *Simulator) Manager() *dd.Manager { return s.m }
-
-// SetParallelism enables task-parallel gate application: run executes a
-// batch of independent tasks (typically sched.Pool.Run) and threads is the
-// runner's worker count, which sizes the recursion frontier. A nil runner
-// or threads <= 1 restores the sequential path. The cutoff below which
-// gates stay sequential is DefaultParallelCutoff; SetParallelCutoff
-// overrides it.
-func (s *Simulator) SetParallelism(run dd.TaskRunner, threads int) {
-	if run == nil || threads <= 1 {
-		s.parRun, s.parThreads = nil, 0
-		return
-	}
-	s.parRun, s.parThreads = run, threads
-	if s.parCutoff == 0 {
-		s.parCutoff = DefaultParallelCutoff
-	}
-}
-
-// SetParallelCutoff overrides the state-DD node count below which gate
-// application stays sequential (0 restores the default).
-func (s *Simulator) SetParallelCutoff(cutoff int) {
-	if cutoff <= 0 {
-		cutoff = DefaultParallelCutoff
-	}
-	s.parCutoff = cutoff
-}
-
-// splitLevelsFor returns how many recursion levels to decompose so the
-// frontier has at least ~8 tasks per worker (4^k pairs at depth k, before
-// deduplication), capped below the register size.
-func splitLevelsFor(threads, n int) int {
-	k := 0
-	for 1<<(2*k) < 8*threads && k < n-1 {
-		k++
-	}
-	return k
-}
 
 // Qubits returns the register size.
 func (s *Simulator) Qubits() int { return s.n }
@@ -138,15 +87,10 @@ func (s *Simulator) ApplyGate(g *circuit.Gate) int {
 		panic(err)
 	}
 	gate := BuildGateDD(s.m, s.n, g)
-	if s.parRun != nil && s.lastSize >= s.parCutoff {
-		s.state = s.m.MulMVParallel(gate, s.state, s.parRun, splitLevelsFor(s.parThreads, s.n))
-	} else {
-		s.state = s.m.MulMV(gate, s.state)
-	}
+	s.state = s.m.MulMV(gate, s.state)
 	s.gatesApplied++
 	s.m.CollectIfNeeded(dd.Roots{V: []dd.VEdge{s.state}})
 	size := s.m.VSize(s.state)
-	s.lastSize = size
 	if size > s.peakSize {
 		s.peakSize = size
 	}

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"flatdd/internal/circuit"
+	"flatdd/internal/dd"
+	"flatdd/internal/obs"
 	"flatdd/internal/statevec"
+	"flatdd/internal/workloads"
 )
 
 const eps = 1e-9
@@ -164,6 +167,52 @@ func TestGCDoesNotCorruptState(t *testing.T) {
 		if !approx(got[i], sv.Amplitudes()[i]) {
 			t.Fatalf("GC corrupted amplitude %d", i)
 		}
+	}
+}
+
+// TestFreshManagersBitIdentical runs one seeded random circuit on two
+// fresh simulators: nothing about a manager (table seeds, allocation
+// addresses) may leak into the amplitudes.
+func TestFreshManagersBitIdentical(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		c := randomCircuit(rand.New(rand.NewSource(300+seed)), 4+int(seed), 60)
+		a, b := New(c.Qubits), New(c.Qubits)
+		a.Run(c)
+		b.Run(c)
+		want, got := a.ToArray(), b.ToArray()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed=%d amplitude %d: %v != %v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCollectEveryGateBitIdentical collects after every gate — every node
+// outside the live state swept, every compute table wiped — and requires
+// amplitudes bit-equal to a GC-free run, so rebuilding swept sub-DDs must
+// land on exactly the weights the cached path produced.
+func TestCollectEveryGateBitIdentical(t *testing.T) {
+	c := workloads.SupremacyGrid(6, 12, 20240812)
+	ref := New(c.Qubits)
+	ref.Manager().SetGCThreshold(0)
+	ref.Run(c)
+
+	s := New(c.Qubits)
+	reg := obs.New()
+	s.Manager().SetMetrics(reg)
+	for i := range c.Gates {
+		s.ApplyGate(&c.Gates[i])
+		s.Manager().Collect(dd.Roots{V: []dd.VEdge{s.State()}})
+	}
+	want, got := ref.ToArray(), s.ToArray()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("amplitude %d: collected %v != GC-free %v", i, got[i], want[i])
+		}
+	}
+	if runs := reg.Snapshot().Counters["dd.gc.runs"]; runs != int64(len(c.Gates)) {
+		t.Fatalf("dd.gc.runs = %d, want one per gate (%d)", runs, len(c.Gates))
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
 	"flatdd/internal/dmav"
-	"flatdd/internal/sched"
 	"flatdd/internal/statevec"
 	"flatdd/internal/workloads"
 )
@@ -74,7 +73,6 @@ func Check(c *circuit.Circuit, threads int) error {
 		run  func(*circuit.Circuit, int) []complex128
 	}{
 		{"statevec", runStatevec},
-		{"ddsim-par", runDDSimPar},
 		{"dmav", runDMAV},
 		{"hybrid", runHybrid},
 		{"degraded", runDegraded},
@@ -112,24 +110,6 @@ func cmplxAbs(z complex128) float64 {
 // state flattened once at the end.
 func runDDSim(c *circuit.Circuit) []complex128 {
 	s := ddsim.New(c.Qubits)
-	s.Run(c)
-	return s.ToArray()
-}
-
-// runDDSimPar is ddsim with task-parallel gate application on a scheduler
-// pool. The parallel cutoff is forced to 1 so even the small difftest
-// states take the frontier-split path; the results must match the
-// sequential reference bit-for-bit (the comparison tolerance is just the
-// shared difftest harness).
-func runDDSimPar(c *circuit.Circuit, threads int) []complex128 {
-	if threads < 2 {
-		threads = 2
-	}
-	pool := sched.New(threads)
-	defer pool.Close()
-	s := ddsim.New(c.Qubits)
-	s.SetParallelism(pool.Run, pool.Threads())
-	s.SetParallelCutoff(1)
 	s.Run(c)
 	return s.ToArray()
 }

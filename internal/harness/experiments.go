@@ -375,38 +375,6 @@ func MetricsReport(cfg Config) []Result {
 	return all
 }
 
-// DDPar sweeps the task-parallel DD phase over thread counts: the pure-DD
-// engine with concurrent tables and frontier-split gate application
-// (DDSIM-par), and the hybrid engine with Options.DDThreads set, against
-// their sequential baselines at threads=1. Results are bit-identical
-// across the sweep by construction (see dd.MulMVParallel); the sweep
-// measures only the cost/benefit of the parallel path.
-func DDPar(cfg Config) {
-	cfg = cfg.withDefaults()
-	threadCounts := []int{1, 2, 4, 8}
-	for _, nc := range DDParCircuits(cfg.Scale) {
-		tbl := NewTable(fmt.Sprintf("Parallel DD phase: thread sweep on %s", nc.Label),
-			"Threads", "DDSIM-par", "speedup vs t=1", "FlatDD (dd-threads)", "speedup vs t=1")
-		var d1, f1 time.Duration
-		for _, t := range threadCounts {
-			t := t
-			d, dw, dm := cfg.runReps(func() Result { return RunDDSIMParallel(nc.C, t, cfg.Timeout) })
-			f, fw, fm := cfg.runReps(func() Result {
-				return RunFlatDD(nc.C, core.Options{Threads: cfg.Threads, DDThreads: t, Metrics: cfg.Metrics}, cfg.Timeout)
-			})
-			cfg.recordCell("ddpar", d, dw, dm, t)
-			cfg.recordCell("ddpar", f, fw, fm, t)
-			dMean, fMean := time.Duration(dw.MeanNs), time.Duration(fw.MeanNs)
-			if t == 1 {
-				d1, f1 = dMean, fMean
-			}
-			tbl.AddRow(t, fmtRun(d, dw), fmtSpeedup(d1.Seconds()/dMean.Seconds(), false),
-				fmtRun(f, fw), fmtSpeedup(f1.Seconds()/fMean.Seconds(), false))
-		}
-		emit(cfg, "ddpar-"+nc.Label, tbl)
-	}
-}
-
 // fusionCost extracts the modeled DMAV cost of a FlatDD run: the total
 // min(C1, C2) over every executed DMAV gate.
 func fusionCost(r Result) float64 {
@@ -439,8 +407,6 @@ func RunExperiment(id string, cfg Config) error {
 		Ablation(cfg)
 	case "metrics":
 		MetricsReport(cfg)
-	case "ddpar":
-		DDPar(cfg)
 	case "tenants":
 		Tenants(cfg)
 	case "cluster":
@@ -462,7 +428,7 @@ func RunExperiment(id string, cfg Config) error {
 
 // ExperimentIDs lists the recognized experiment identifiers.
 func ExperimentIDs() []string {
-	return []string{"fig1", "fig3", "table1", "fig11", "fig12", "fig13", "fig14", "table2", "ablation", "metrics", "ddpar", "tenants", "cluster", "all"}
+	return []string{"fig1", "fig3", "table1", "fig11", "fig12", "fig13", "fig14", "table2", "ablation", "metrics", "tenants", "cluster", "all"}
 }
 
 // Helpers.

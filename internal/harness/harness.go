@@ -18,17 +18,15 @@ import (
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
 	"flatdd/internal/obs"
-	"flatdd/internal/sched"
 	"flatdd/internal/statevec"
 	"flatdd/internal/workloads"
 )
 
 // Engine names used in result rows.
 const (
-	EngineFlatDD   = "FlatDD"
-	EngineDDSIM    = "DDSIM"
-	EngineDDSIMPar = "DDSIM-par"
-	EngineQuantum  = "Quantum++"
+	EngineFlatDD  = "FlatDD"
+	EngineDDSIM   = "DDSIM"
+	EngineQuantum = "Quantum++"
 )
 
 // Result is one engine run on one circuit.
@@ -99,35 +97,6 @@ func RunDDSIM(c *circuit.Circuit, timeout time.Duration) Result {
 	return Result{
 		Circuit: c.Name, Qubits: c.Qubits, Gates: c.GateCount(),
 		Engine: EngineDDSIM, Runtime: time.Since(start), TimedOut: timedOut,
-		Memory: uint64(s.Manager().PeakNodeCount()) * ddNodeBytes, ConvertedAt: -1,
-	}
-}
-
-// RunDDSIMParallel runs the DD baseline with task-parallel gate
-// application: each gate's DD multiplication is decomposed into
-// independent sub-DD recursions on a scheduler pool of the given worker
-// count (bit-identical to RunDDSIM's results for any thread count).
-func RunDDSIMParallel(c *circuit.Circuit, threads int, timeout time.Duration) Result {
-	pool := sched.New(threads)
-	defer pool.Close()
-	s := ddsim.New(c.Qubits)
-	s.SetParallelism(pool.Run, pool.Threads())
-	start := time.Now()
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
-	timedOut := false
-	for i := range c.Gates {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			timedOut = true
-			break
-		}
-		s.ApplyGate(&c.Gates[i])
-	}
-	return Result{
-		Circuit: c.Name, Qubits: c.Qubits, Gates: c.GateCount(),
-		Engine: EngineDDSIMPar, Runtime: time.Since(start), TimedOut: timedOut,
 		Memory: uint64(s.Manager().PeakNodeCount()) * ddNodeBytes, ConvertedAt: -1,
 	}
 }
@@ -304,20 +273,6 @@ func ScalabilityCircuits(scale Scale) []Named {
 		return []Named{mk("Supremacy-20", "supremacy", 20), mk("KNN-25", "knn", 25)}
 	case ScaleTiny:
 		return []Named{mkTinySup("Supremacy-8", 8), mk("KNN-9", "knn", 9)}
-	default:
-		return []Named{mk("Supremacy-12", "supremacy", 12), mk("KNN-15", "knn", 15)}
-	}
-}
-
-// DDParCircuits returns the circuits of the parallel-DD-phase thread
-// sweep: one supremacy-style circuit whose state DD grows past the
-// parallel cutoff, plus one KNN circuit as a regular counterpoint.
-func DDParCircuits(scale Scale) []Named {
-	switch scale {
-	case ScalePaper:
-		return []Named{mk("Supremacy-20", "supremacy", 20), mk("KNN-25", "knn", 25)}
-	case ScaleTiny:
-		return []Named{mkTinySup("Supremacy-9", 9), mk("KNN-9", "knn", 9)}
 	default:
 		return []Named{mk("Supremacy-12", "supremacy", 12), mk("KNN-15", "knn", 15)}
 	}

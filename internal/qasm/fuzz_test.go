@@ -23,7 +23,7 @@ func FuzzParse(f *testing.F) {
 		"gate g q { g q; }", // direct recursion in the body
 		// A deep-entangling supremacy-style block: H layer, then brick-work
 		// CZ/T/sqrt-X layers across the register. Parses to the kind of
-		// irregular circuit the parallel DD phase splits into wide frontiers.
+		// irregular circuit whose state DD grows toward full width.
 		"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\n" +
 			"h q[0]; h q[1]; h q[2]; h q[3]; h q[4];\n" +
 			"cz q[0],q[1]; cz q[2],q[3]; t q[4];\n" +

@@ -295,22 +295,17 @@ func (p *Pool) Stats() []WorkerStats {
 // the next batch — essential when one Pool is shared across jobs.
 func (p *Pool) Run(tasks []Task) { p.run(nil, "", nil, tasks) }
 
-// RunSpanned is Run with scheduler attribution: when parent is non-nil
-// the batch executes under a child span named name, carrying the batch's
-// task count, worker count, and the steal/idle/busy deltas measured
-// across exactly this batch (the per-worker lifetime totals are
+// RunTracked is Run with scheduler and resource attribution. When parent
+// is non-nil the batch executes under a child span named name, carrying
+// the batch's task count, worker count, and the steal/idle/busy deltas
+// measured across exactly this batch (the per-worker lifetime totals are
 // snapshotted before and after, under the batch mutex, so concurrent
-// batches cannot bleed into each other's attribution). A nil parent is
-// exactly Run — the tracing-off cost is one pointer check.
-func (p *Pool) RunSpanned(parent *obs.Span, name string, tasks []Task) {
-	p.run(parent, name, nil, tasks)
-}
-
-// RunTracked is RunSpanned plus resource attribution: when led is
+// batches cannot bleed into each other's attribution). When led is
 // non-nil, the batch's worker busy-ns delta (wall time the workers spent
 // inside task bodies, summed across workers — CPU participation, not
 // elapsed time) is credited to the ledger's open phase via AddCPU. Both
-// parent and led may be nil independently.
+// parent and led may be nil independently; with both nil it is exactly
+// Run, and the tracing-off cost is one pointer check.
 func (p *Pool) RunTracked(parent *obs.Span, name string, led *obs.ResourceLedger, tasks []Task) {
 	p.run(parent, name, led, tasks)
 }
