@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test check staticcheck profile-smoke faults fuzz serve-smoke chaos trace-schema bench-obs bench-record bench-gate csv
+.PHONY: build test check staticcheck profile-smoke faults fuzz serve-smoke chaos trace-schema bench-obs csv
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,7 @@ test:
 # tasks, and the obs registry all run concurrently, and core's
 # share-nothing test runs one dd.Manager per goroutine against a shared
 # pool and registry; short mode keeps the differential and stress suites
-# at their quick defaults), and a smoke run of the perf-record +
-# benchdiff pipeline.
+# at their quick defaults).
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -31,8 +30,6 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) trace-schema
-	$(MAKE) bench-record
-	$(MAKE) bench-gate
 
 # staticcheck is presence-gated: boxes without the binary (hermetic CI
 # images, fresh clones) skip it with a note instead of failing, and a
@@ -104,22 +101,6 @@ trace-schema:
 # and replays as a regular test case on the next `go test`.
 fuzz:
 	$(GO) test -run NoSuchTest -fuzz FuzzParse -fuzztime 10s ./internal/qasm
-
-# bench-record emits a machine-readable perf record (BENCH_<n>.json at the
-# repo root) from a tiny-scale Table 1 run and the multi-tenant and
-# cluster serving experiments: 2 repetitions per cell plus sampled time
-# series. Run it once per meaningful commit to grow the performance
-# history benchdiff compares against.
-bench-record:
-	$(GO) run ./cmd/flatdd-bench -exp table1,tenants,cluster -scale tiny -reps 2 -timeout 60s -out auto
-
-# bench-gate diffs the newest record against the one before it and fails
-# on any wall-time regression beyond the noise guard (CI gate). With only
-# one record on disk it self-compares and trivially passes. The 25ms
-# floor keeps tiny-scale micro-cells (which time the scheduler, not the
-# engine) out of the verdict; at small/paper scale every cell clears it.
-bench-gate:
-	$(GO) run ./cmd/flatdd-benchdiff -fail-on-regress -min-time 25ms
 
 # bench-obs reproduces the instrumentation-overhead numbers recorded in
 # EXPERIMENTS.md (run several times and compare pairs; the signal is

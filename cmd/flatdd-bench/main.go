@@ -5,13 +5,6 @@
 //	flatdd-bench -exp fig13 -threads 8
 //	flatdd-bench -exp all -scale tiny        # quick smoke run of everything
 //	flatdd-bench -exp table2 -scale paper -timeout 24h   # the real thing
-//
-// With -out, the run additionally emits a machine-readable perf record
-// (repetition statistics, engine internals, sampled time series) that
-// cmd/flatdd-benchdiff compares across commits:
-//
-//	flatdd-bench -exp table1 -scale tiny -reps 3 -out BENCH_1.json
-//	flatdd-bench -exp table1 -reps 5 -out auto   # next free BENCH_<n>.json
 package main
 
 import (
@@ -24,7 +17,6 @@ import (
 
 	"flatdd/internal/harness"
 	"flatdd/internal/obs"
-	"flatdd/internal/perf"
 )
 
 func main() { os.Exit(run()) }
@@ -39,27 +31,13 @@ func run() (code int) {
 		threads = flag.Int("threads", 16, "worker threads for FlatDD and Quantum++")
 		timeout = flag.Duration("timeout", 5*time.Minute, "per-engine-run cutoff (paper: 24h)")
 		reps    = flag.Int("reps", 1, "repetitions per engine-circuit cell; tables show mean ±stddev")
-		out     = flag.String("out", "", "write a perf record to this path (\"auto\" picks the next free BENCH_<n>.json)")
-		sample  = flag.Duration("sample", 10*time.Millisecond, "time-series sampling interval for the perf record")
 		csvDir  = flag.String("csv", "", "also export every table as CSV into this directory")
 		listen  = flag.String("listen", "", "serve /debug/pprof and /debug/vars on this address while the experiments run")
 	)
 	flag.Parse()
 
-	var (
-		reg     *obs.Registry
-		rec     *perf.Record
-		sampler *obs.Sampler
-	)
-	if *out != "" {
-		reg = obs.New()
-		rec = perf.NewRecord(*exp, *scale, *threads, *reps)
-		sampler = obs.NewSampler(reg, *sample, 2048)
-		sampler.Start()
-	}
-
 	if *listen != "" {
-		addr, shutdown, err := obs.Serve(*listen, reg)
+		addr, shutdown, err := obs.Serve(*listen, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "flatdd-bench:", err)
 			return 1
@@ -82,8 +60,6 @@ func run() (code int) {
 		Out:     os.Stdout,
 		CSVDir:  *csvDir,
 		Reps:    *reps,
-		Metrics: reg,
-		Record:  rec,
 	}
 	fmt.Printf("flatdd-bench: exp=%s scale=%s threads=%d reps=%d timeout=%v GOMAXPROCS=%d\n\n",
 		*exp, *scale, *threads, *reps, *timeout, runtime.GOMAXPROCS(0))
@@ -95,18 +71,5 @@ func run() (code int) {
 		}
 	}
 	fmt.Printf("done in %v\n", time.Since(start))
-
-	if rec != nil {
-		rec.Series = sampler.Stop()
-		path := *out
-		if path == "auto" {
-			path = perf.NextRecordPath(".")
-		}
-		if err := rec.Write(path); err != nil {
-			fmt.Fprintln(os.Stderr, "flatdd-bench: perf record:", err)
-			return 1
-		}
-		fmt.Printf("perf record: %s (%d cells, %d series)\n", path, len(rec.Cells), len(rec.Series))
-	}
 	return 0
 }

@@ -44,7 +44,7 @@ import (
 	"flatdd/internal/sched"
 )
 
-// DefaultSIMDWidth is the default d of Equation 6 — the number of data
+// DefaultSIMDWidth is the d of Equation 6 — the number of data
 // elements a SIMD lane processes at once (AVX2 in the paper; the unrolled
 // Go kernels in kernels.go play that role here).
 const DefaultSIMDWidth = 4
@@ -216,7 +216,6 @@ type Engine struct {
 	mode Mode
 
 	threads int // any positive count, capped at 2^n
-	simd    int
 
 	// Cached-path (Algorithm 2) column-space partition: a power-of-two
 	// chunk count so the border-level split stays aligned with the DD.
@@ -339,7 +338,6 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 		threads: threads,
 		cchunks: cchunks,
 		clogT:   uint(bits.TrailingZeros(uint(cchunks))),
-		simd:    DefaultSIMDWidth,
 		macMemo: make(map[*dd.MNode]int64),
 		plans:   make(map[*dd.MNode]*plan),
 		gates:   make(map[*dd.MNode]*gatePlan),
@@ -432,15 +430,6 @@ func (e *Engine) SetLedger(l *obs.ResourceLedger) { e.led = l }
 func (e *Engine) SetBufferSharing(on bool) {
 	e.noBufferShare = !on
 	clear(e.gates) // costs and buffer assignments depend on it
-}
-
-// SetSIMDWidth overrides the d parameter of Equation 6.
-func (e *Engine) SetSIMDWidth(d int) {
-	if d < 1 {
-		d = 1
-	}
-	e.simd = d
-	clear(e.gates) // costs, and so the cache decisions, depend on it
 }
 
 // Stats returns the accumulated counters.
@@ -604,7 +593,7 @@ func (e *Engine) evaluate(root *dd.MNode) GateCost {
 	}
 	c.Buffers = e.nBuf
 	t := float64(e.threads)
-	d := float64(e.simd)
+	d := float64(DefaultSIMDWidth)
 	c.C2 = float64(c.K2)/t + float64(e.dim)/(d*t)*(float64(c.Hits)/t+float64(c.Buffers))
 	return c
 }

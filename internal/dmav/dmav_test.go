@@ -565,25 +565,20 @@ func TestBufferSharingReducesBuffers(t *testing.T) {
 	}
 }
 
-func TestSIMDWidthChangesCostModel(t *testing.T) {
-	// Equation 6: larger d makes caching cheaper; the decision can flip.
+func TestCostModelC2FixedSIMDWidth(t *testing.T) {
+	// Equation 6 at d = 4: C2 = K2/t + dim/(d·t)·(H/t + b).
 	n := 8
 	m := dd.New(n)
 	g := circuit.H(n - 1)
 	M := ddsim.BuildGateDD(m, n, &g)
 	e := New(m, n, 4, Auto)
-	e.SetSIMDWidth(1)
-	c1 := e.EvaluateCost(M)
-	e.SetSIMDWidth(64)
-	c64 := e.EvaluateCost(M)
-	if c64.C2 >= c1.C2 {
-		t.Fatalf("larger SIMD width did not lower C2: %v vs %v", c64.C2, c1.C2)
+	c := e.EvaluateCost(M)
+	if c.Hits == 0 {
+		t.Fatal("top-qubit Hadamard should have cache hits")
 	}
-	if c1.C1 != c64.C1 {
-		t.Fatal("C1 must not depend on the SIMD width")
-	}
-	e.SetSIMDWidth(0) // clamps to 1
-	if got := e.EvaluateCost(M).C2; got != c1.C2 {
-		t.Fatalf("width clamp broken: %v vs %v", got, c1.C2)
+	dim, thr := float64(uint64(1)<<n), 4.0
+	want := float64(c.K2)/thr + dim/(4*thr)*(float64(c.Hits)/thr+float64(c.Buffers))
+	if c.C2 != want {
+		t.Fatalf("C2 = %v, want %v at d=4", c.C2, want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"flatdd/internal/core"
 	"flatdd/internal/dmav"
 	"flatdd/internal/obs"
-	"flatdd/internal/perf"
 )
 
 // Config parameterizes an experiment run.
@@ -22,17 +21,8 @@ type Config struct {
 	// <CSVDir>/<experiment-id>.csv for external plotting.
 	CSVDir string
 	// Reps re-runs every timed engine cell this many times (default 1);
-	// tables then show mean ±stddev and the perf record stores the full
-	// repetition statistics.
+	// tables then show mean ±stddev.
 	Reps int
-	// Metrics, when non-nil, instruments FlatDD runs with this shared
-	// registry. Per-cell values are isolated with Snapshot.Delta, so one
-	// registry can span a whole multi-experiment invocation (and be
-	// served or sampled live while it runs).
-	Metrics *obs.Registry
-	// Record, when non-nil, receives one perf.Cell per engine-circuit
-	// cell from the recording experiments (fig1, table1, fig12, metrics).
-	Record *perf.Record
 }
 
 func (c Config) withDefaults() Config {
@@ -61,10 +51,8 @@ func Fig1(cfg Config) []Result {
 	var all []Result
 	for _, nc := range Fig1Circuits(cfg.Scale) {
 		nc := nc
-		dd, dw, dm := cfg.runReps(func() Result { return RunDDSIM(nc.C, cfg.Timeout) })
-		arr, aw, am := cfg.runReps(func() Result { return RunStatevec(nc.C, cfg.Threads, cfg.Timeout) })
-		cfg.recordCell("fig1", dd, dw, dm, 0)
-		cfg.recordCell("fig1", arr, aw, am, 0)
+		dd, dw := cfg.runReps(func() Result { return RunDDSIM(nc.C, cfg.Timeout) })
+		arr, aw := cfg.runReps(func() Result { return RunStatevec(nc.C, cfg.Threads, cfg.Timeout) })
 		all = append(all, dd, arr)
 		ddSec, arrSec := dw.MeanNs/1e9, aw.MeanNs/1e9
 		minRT := math.Min(ddSec, arrSec)
@@ -133,12 +121,9 @@ func Table1(cfg Config) []Result {
 	var fRT, dRT, qRT, fMem, dMem, qMem, dSp, qSp []float64
 	for _, nc := range Table1Circuits(cfg.Scale) {
 		nc := nc
-		f, fw, fm := cfg.runReps(func() Result { return RunFlatDD(nc.C, cfg.flatOpts(), cfg.Timeout) })
-		d, dw, dm := cfg.runReps(func() Result { return RunDDSIM(nc.C, cfg.Timeout) })
-		q, qw, qm := cfg.runReps(func() Result { return RunStatevec(nc.C, cfg.Threads, cfg.Timeout) })
-		cfg.recordCell("table1", f, fw, fm, 0)
-		cfg.recordCell("table1", d, dw, dm, 0)
-		cfg.recordCell("table1", q, qw, qm, 0)
+		f, fw := cfg.runReps(func() Result { return RunFlatDD(nc.C, core.Options{Threads: cfg.Threads}, cfg.Timeout) })
+		d, dw := cfg.runReps(func() Result { return RunDDSIM(nc.C, cfg.Timeout) })
+		q, qw := cfg.runReps(func() Result { return RunStatevec(nc.C, cfg.Threads, cfg.Timeout) })
 		all = append(all, f, d, q)
 		sd := dw.MeanNs / fw.MeanNs
 		sq := qw.MeanNs / fw.MeanNs
@@ -213,12 +198,8 @@ func Fig12(cfg Config) map[string]map[int][2]time.Duration {
 		var f1, q1 time.Duration
 		for _, t := range threadCounts {
 			t := t
-			f, fw, fm := cfg.runReps(func() Result {
-				return RunFlatDD(nc.C, core.Options{Threads: t, Metrics: cfg.Metrics}, cfg.Timeout)
-			})
-			q, qw, qm := cfg.runReps(func() Result { return RunStatevec(nc.C, t, cfg.Timeout) })
-			cfg.recordCell("fig12", f, fw, fm, t)
-			cfg.recordCell("fig12", q, qw, qm, t)
+			f, fw := cfg.runReps(func() Result { return RunFlatDD(nc.C, core.Options{Threads: t}, cfg.Timeout) })
+			q, qw := cfg.runReps(func() Result { return RunStatevec(nc.C, t, cfg.Timeout) })
 			fMean, qMean := time.Duration(fw.MeanNs), time.Duration(qw.MeanNs)
 			rows[t] = [2]time.Duration{fMean, qMean}
 			if t == 1 {
@@ -342,12 +323,8 @@ func MetricsReport(cfg Config) []Result {
 		return fmt.Sprintf("%.1f", 100*float64(hits)/float64(total))
 	}
 	// One registry spans every circuit; Snapshot.Delta isolates each
-	// run's counters (this is also the shared-registry path the perf
-	// record uses).
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.New()
-	}
+	// run's counters.
+	reg := obs.New()
 	var all []Result
 	for _, nc := range Fig1Circuits(cfg.Scale) {
 		prev := reg.Snapshot()
@@ -355,7 +332,6 @@ func MetricsReport(cfg Config) []Result {
 		d := res.Metrics.Delta(prev)
 		res.Metrics = &d
 		all = append(all, res)
-		cfg.recordCell("metrics", res, perf.NewStat([]float64{float64(res.Runtime.Nanoseconds())}), memDelta{}, 0)
 		c, g := res.Metrics.Counters, res.Metrics.Gauges
 		uniq := c["dd.unique.v.hits"] + c["dd.unique.m.hits"]
 		uniqTotal := uniq + c["dd.unique.v.misses"] + c["dd.unique.m.misses"]
@@ -385,7 +361,14 @@ func fusionCost(r Result) float64 {
 }
 
 // RunExperiment dispatches an experiment by its DESIGN.md identifier.
+// An unknown scale is an error: the circuit sets would otherwise fall
+// back to the small scale under the wrong label.
 func RunExperiment(id string, cfg Config) error {
+	switch cfg.Scale {
+	case "", ScaleTiny, ScaleSmall, ScalePaper:
+	default:
+		return fmt.Errorf("harness: unknown scale %q (known: %s, %s, %s)", cfg.Scale, ScaleTiny, ScaleSmall, ScalePaper)
+	}
 	switch id {
 	case "fig1":
 		Fig1(cfg)
@@ -407,10 +390,6 @@ func RunExperiment(id string, cfg Config) error {
 		Ablation(cfg)
 	case "metrics":
 		MetricsReport(cfg)
-	case "tenants":
-		Tenants(cfg)
-	case "cluster":
-		Cluster(cfg)
 	case "all":
 		for _, e := range ExperimentIDs() {
 			if e == "all" {
@@ -428,7 +407,7 @@ func RunExperiment(id string, cfg Config) error {
 
 // ExperimentIDs lists the recognized experiment identifiers.
 func ExperimentIDs() []string {
-	return []string{"fig1", "fig3", "table1", "fig11", "fig12", "fig13", "fig14", "table2", "ablation", "metrics", "tenants", "cluster", "all"}
+	return []string{"fig1", "fig3", "table1", "fig11", "fig12", "fig13", "fig14", "table2", "ablation", "metrics", "all"}
 }
 
 // Helpers.

@@ -11,7 +11,6 @@ import (
 
 	"flatdd/internal/core"
 	"flatdd/internal/obs"
-	"flatdd/internal/perf"
 )
 
 func tinyCfg(buf *bytes.Buffer) Config {
@@ -185,6 +184,11 @@ func TestRunExperimentDispatch(t *testing.T) {
 	if err := RunExperiment("bogus", tinyCfg(&buf)); err == nil {
 		t.Fatal("bogus experiment accepted")
 	}
+	cfg := tinyCfg(&buf)
+	cfg.Scale = "medium"
+	if err := RunExperiment("fig1", cfg); err == nil {
+		t.Fatal("unknown scale accepted")
+	}
 }
 
 func TestAblationTiny(t *testing.T) {
@@ -244,12 +248,10 @@ func TestGeoMeanDurations(t *testing.T) {
 	}
 }
 
-func TestTable1WithRepsAndRecord(t *testing.T) {
+func TestTable1WithReps(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyCfg(&buf)
 	cfg.Reps = 2
-	cfg.Metrics = obs.New()
-	cfg.Record = perf.NewRecord("table1", string(cfg.Scale), cfg.Threads, cfg.Reps)
 	results := Table1(cfg)
 	if len(results) != 36 {
 		t.Fatalf("table1 with reps produced %d results", len(results))
@@ -257,53 +259,13 @@ func TestTable1WithRepsAndRecord(t *testing.T) {
 	if !strings.Contains(buf.String(), "±") {
 		t.Fatal("repetition stddev missing from printed table")
 	}
-	if len(cfg.Record.Cells) != 36 {
-		t.Fatalf("record has %d cells, want 36", len(cfg.Record.Cells))
-	}
-	for _, c := range cfg.Record.Cells {
-		if c.Wall.N != 2 {
-			t.Fatalf("cell %s has %d reps, want 2", c.Key(), c.Wall.N)
-		}
-		if c.Wall.MeanNs <= 0 || c.Wall.MinNs <= 0 || c.Wall.MaxNs < c.Wall.MinNs {
-			t.Fatalf("cell %s has bad wall stats: %+v", c.Key(), c.Wall)
-		}
-		if c.Gates <= 0 || c.NsPerGate <= 0 {
-			t.Fatalf("cell %s has no per-gate cost: %+v", c.Key(), c)
-		}
-		if c.DMAVCacheHitRate < -1 || c.DMAVCacheHitRate > 1 {
-			t.Fatalf("cell %s hit rate out of range: %v", c.Key(), c.DMAVCacheHitRate)
-		}
-		switch c.Engine {
-		case EngineFlatDD:
-			if c.PeakDDNodes <= 0 {
-				t.Fatalf("FlatDD cell %s has no peak DD nodes", c.Key())
-			}
-			if c.AllocBytesPerRep == 0 {
-				t.Fatalf("FlatDD cell %s has no allocation delta", c.Key())
-			}
-		case EngineDDSIM, EngineQuantum:
-			if c.ConvertedAt != -1 {
-				t.Fatalf("baseline cell %s claims conversion at %d", c.Key(), c.ConvertedAt)
-			}
-		}
-	}
-	// At least one tiny circuit converts and exercises the DMAV cache.
-	sawCache := false
-	for _, c := range cfg.Record.Cells {
-		if c.Engine == EngineFlatDD && c.DMAVCacheHitRate >= 0 {
-			sawCache = true
-		}
-	}
-	if !sawCache {
-		t.Fatal("no FlatDD cell recorded a DMAV cache hit rate")
-	}
 }
 
 func TestRunRepsAggregatesTimeout(t *testing.T) {
 	nc := Table1Circuits(ScaleSmall)[2]
 	cfg := Config{Reps: 2}
 	calls := 0
-	res, stat, _ := cfg.runReps(func() Result {
+	res, stat := cfg.runReps(func() Result {
 		calls++
 		r := RunDDSIM(nc.C, time.Nanosecond)
 		if calls == 2 {
@@ -322,56 +284,22 @@ func TestRunRepsAggregatesTimeout(t *testing.T) {
 func TestMetricsReportUsesSharedRegistryDelta(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyCfg(&buf)
-	cfg.Metrics = obs.New()
 	results := MetricsReport(cfg)
 	if len(results) != 4 {
 		t.Fatalf("metrics report covered %d circuits", len(results))
 	}
 	// Every result's snapshot must be a per-run delta, not the shared
-	// registry's running total: per-circuit DD-phase gate counts must sum
-	// to the registry total, which only holds if each was isolated.
-	var sum int64
-	for _, r := range results {
+	// registry's running total: each circuit's DD-phase gate count must
+	// equal the count from the same circuit run on a registry of its own.
+	for i, nc := range Fig1Circuits(cfg.Scale) {
+		r := results[i]
 		if r.Metrics == nil {
 			t.Fatal("result missing metrics snapshot")
 		}
-		sum += r.Metrics.Counters["core.gates.dd"]
-	}
-	total := cfg.Metrics.Snapshot().Counters["core.gates.dd"]
-	if sum != total || total == 0 {
-		t.Fatalf("per-run deltas sum to %d, registry total %d", sum, total)
-	}
-}
-
-func TestFig12RecordsThreadKeyedCells(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	cfg.Metrics = obs.New()
-	cfg.Record = perf.NewRecord("fig12", string(cfg.Scale), cfg.Threads, 1)
-	Fig12(cfg)
-	// 2 circuits x 6 thread counts (1,2,3,4,8,16) x 2 engines.
-	if len(cfg.Record.Cells) != 24 {
-		t.Fatalf("fig12 recorded %d cells, want 24", len(cfg.Record.Cells))
-	}
-	keys := map[string]bool{}
-	for _, c := range cfg.Record.Cells {
-		if c.Threads == 0 {
-			t.Fatalf("fig12 cell %s missing thread count", c.Key())
+		own := RunFlatDD(nc.C, core.Options{Threads: cfg.Threads, Metrics: obs.New()}, cfg.Timeout)
+		got, want := r.Metrics.Counters["core.gates.dd"], own.Metrics.Counters["core.gates.dd"]
+		if got != want || want == 0 {
+			t.Fatalf("%s: shared-registry delta core.gates.dd = %d, own registry = %d", nc.Label, got, want)
 		}
-		if keys[c.Key()] {
-			t.Fatalf("duplicate fig12 cell key %s", c.Key())
-		}
-		keys[c.Key()] = true
-	}
-	// Multi-threaded FlatDD cells must carry the scheduler totals (the
-	// steal/idle columns of the Fig. 12 parallel-efficiency analysis).
-	schedSeen := false
-	for _, c := range cfg.Record.Cells {
-		if c.Engine == "FlatDD" && c.Threads > 1 && c.SchedTasks > 0 {
-			schedSeen = true
-		}
-	}
-	if !schedSeen {
-		t.Fatal("no multi-threaded FlatDD cell carries scheduler task metrics")
 	}
 }
