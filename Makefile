@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK ?= staticcheck
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build test check staticcheck profile-smoke faults fuzz serve-smoke chaos trace-schema bench-obs csv
+.PHONY: build test check staticcheck faults fuzz serve-smoke chaos trace-schema bench-obs csv
 
 build:
 	$(GO) build ./...
@@ -15,20 +15,22 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-commit gate: full vet, the race detector over the
+# check is the pre-commit gate: gofmt cleanliness (bench/ excluded, it
+# is frozen with the benchmark), full vet, the race detector over the
 # whole module in short mode (the sched pool, DMAV workers, conversion
 # tasks, and the obs registry all run concurrently, and core's
 # share-nothing test runs one dd.Manager per goroutine against a shared
 # pool and registry; short mode keeps the differential and stress suites
 # at their quick defaults).
 check:
+	@out=$$(gofmt -l $$(find . -path ./bench -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) test -race -short ./...
 	$(MAKE) faults
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
-	$(MAKE) profile-smoke
 	$(MAKE) trace-schema
 
 # staticcheck is presence-gated: boxes without the binary (hermetic CI
@@ -47,14 +49,6 @@ staticcheck:
 	else \
 		echo "staticcheck: not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
-
-# profile-smoke drives the anomaly-profiling path end to end under the
-# race detector: an SLO-breaching burst must produce exactly one pprof
-# capture (rate window), and the on-disk ring must rotate — evicted
-# captures' files deleted, survivors intact.
-profile-smoke:
-	$(GO) test -race -count=1 -run 'TestAnomalyCaptureRateLimited|TestProfileRing' \
-		./internal/serve ./internal/obs
 
 # faults runs the fault-injection and graceful-degradation suites under
 # the race detector: contained worker panics (sched, core, serve),

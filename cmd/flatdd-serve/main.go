@@ -57,9 +57,6 @@ func main() {
 		admission = flag.String("admission", serve.AdmissionWorstCase,
 			"dispatch-gate accounting: worstcase holds each job's static worst case; ledger releases down to the observed/projected footprint (higher concurrency under the same budget)")
 		totalMB = flag.Int("total-mem-budget-mb", 0, "process-wide concurrent-memory budget in MiB for the dispatch gate (0 = inflight x mem-budget-mb)")
-		slo     = flag.Duration("slo", 0, "per-job run-time SLO for anomaly profiling (0 = derive from windowed p99)")
-		profDir = flag.String("profile-dir", "", "capture pprof CPU+heap profiles on job anomalies into this directory, served at /debug/profiles (empty = off)")
-		profWin = flag.Duration("profile-window", 5*time.Minute, "minimum spacing between anomaly captures")
 		cacheMB = flag.Int("cache-budget-mb", 64, "result cache budget in MiB: repeat submissions of a circuit complete without an engine run (0 = off)")
 		tenantQ = flag.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = the global queue depth)")
 		tenantI = flag.Int("tenant-inflight", 0, "per-tenant running-job cap (0 = the global inflight cap)")
@@ -117,9 +114,6 @@ func main() {
 		Logger:             logger,
 		AdmissionMode:      *admission,
 		TotalMemoryBudget:  uint64(*totalMB) << 20,
-		SLOTarget:          *slo,
-		ProfileDir:         *profDir,
-		ProfileWindow:      *profWin,
 		ResultCacheBudget:  normCacheBudget(*cacheMB),
 		TenantMaxQueued:    *tenantQ,
 		TenantMaxInFlight:  *tenantI,

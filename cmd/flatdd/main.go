@@ -312,8 +312,7 @@ func printMetrics(snap obs.Snapshot) {
 	ctLookups := c["dd.ct.add.lookups"] + c["dd.ct.madd.lookups"] + c["dd.ct.mv.lookups"] + c["dd.ct.mm.lookups"]
 	ctHits := c["dd.ct.add.hits"] + c["dd.ct.madd.hits"] + c["dd.ct.mv.hits"] + c["dd.ct.mm.hits"]
 	fmt.Printf("  %-22s %12d %10s\n", "dd compute tables", ctLookups, rate(ctHits, ctLookups))
-	fmt.Printf("  %-22s %12d %10s   (%d entries)\n", "cnum interning",
-		c["cnum.lookups"], rate(c["cnum.hits"], c["cnum.lookups"]), g["cnum.size"])
+	fmt.Printf("  %-22s %12d\n", "cnum interning", c["cnum.lookups"])
 	if c["dmav.gates"] > 0 {
 		fmt.Printf("  %-22s %12d %10s   (%d/%d gates cached)\n", "dmav amplitude cache",
 			c["dmav.cache.hits"]+c["dmav.cache.misses"],

@@ -34,8 +34,7 @@
 // sits exactly on a bucket boundary. A decimal grid (k*1e-10) breaks
 // here: scaling its representatives by 1/2 lands exactly between two
 // buckets with one ulp of path-dependent noise deciding the round, which
-// destroys hash-consing canonicity in practice. The bucket-membership map
-// exists only for statistics.
+// destroys hash-consing canonicity in practice.
 package cnum
 
 import (
@@ -48,10 +47,6 @@ import (
 // closer than this are considered the same value. The value matches the
 // tolerance commonly used by DD packages for quantum simulation.
 const DefaultTolerance = 1e-10
-
-// statsInitCap pre-sizes the bucket-membership map (statistics only; the
-// snapped value never depends on the map).
-const statsInitCap = 4096
 
 // maxBucket bounds |x|/step for which grid snapping is attempted; far
 // larger magnitudes (never produced by unitary simulation) are returned
@@ -74,27 +69,14 @@ type Table struct {
 	// once in NewTable, read-only afterwards — lock-free on the hot path.
 	seeded map[int64]float64
 
-	buckets map[int64]struct{}
-
-	lookups  uint64
-	hits     uint64
-	inserted uint64
-
-	// Registry handles (nil when metrics are off).
+	// obsLookups counts non-zero lookups (nil when metrics are off).
 	obsLookups *obs.Counter
-	obsHits    *obs.Counter
-	obsInserts *obs.Counter
-	obsSize    *obs.Gauge
 }
 
-// SetMetrics attaches the table's counters to a registry (nil detaches):
-// cnum.lookups, cnum.hits, cnum.inserts and the cnum.size gauge.
+// SetMetrics attaches the table's cnum.lookups counter to a registry
+// (nil detaches).
 func (t *Table) SetMetrics(r *obs.Registry) {
 	t.obsLookups = r.Counter("cnum.lookups")
-	t.obsHits = r.Counter("cnum.hits")
-	t.obsInserts = r.Counter("cnum.inserts")
-	t.obsSize = r.Gauge("cnum.size")
-	t.obsSize.Set(int64(len(t.buckets)))
 }
 
 // NewTable returns a Table with the given tolerance. A non-positive
@@ -109,7 +91,6 @@ func NewTable(tol float64) *Table {
 		step:    math.Ldexp(1, -g),
 		invStep: math.Ldexp(1, g),
 		seeded:  make(map[int64]float64, 32),
-		buckets: make(map[int64]struct{}, statsInitCap),
 	}
 	// Seed exact representations of the values that appear in virtually
 	// every circuit so they are canonical from the start. Each constant
@@ -123,7 +104,6 @@ func NewTable(tol float64) *Table {
 				t.seeded[kk] = v
 			}
 		}
-		t.noteBucket(k)
 	}
 	return t
 }
@@ -146,7 +126,6 @@ func (t *Table) LookupFloat(x float64) float64 {
 	if x == 0 { // fast path, avoids -0 issues too
 		return 0
 	}
-	t.lookups++
 	t.obsLookups.Inc()
 	s := x * t.invStep
 	if s != s || s >= maxBucket || s <= -maxBucket {
@@ -158,38 +137,8 @@ func (t *Table) LookupFloat(x float64) float64 {
 	if !ok {
 		v = float64(k) * t.step
 	}
-	if v == 0 {
-		// Snapped into the zero bucket: the canonical zero.
-		t.noteBucket(0)
-		return 0
-	}
-	t.noteBucket(k)
 	return v
 }
-
-// noteBucket records bucket membership for statistics: the first sighting
-// of a bucket counts as an insert, later ones as hits.
-func (t *Table) noteBucket(k int64) {
-	if _, seen := t.buckets[k]; seen {
-		t.hits++
-		t.obsHits.Inc()
-		return
-	}
-	t.buckets[k] = struct{}{}
-	t.inserted++
-	t.obsInserts.Inc()
-	t.obsSize.Set(int64(len(t.buckets)))
-}
-
-// Stats reports counters useful for tests and diagnostics: the number of
-// non-zero lookups, how many hit an existing representative, and how many
-// distinct representatives were inserted.
-func (t *Table) Stats() (lookups, hits, inserted uint64) {
-	return t.lookups, t.hits, t.inserted
-}
-
-// Size returns the number of distinct float representatives stored.
-func (t *Table) Size() int { return len(t.buckets) }
 
 // ApproxEqual reports whether a and b are within tol of each other in both
 // components. It is the comparison the rest of the simulator uses when

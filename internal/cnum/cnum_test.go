@@ -133,22 +133,6 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
-func TestStatsProgress(t *testing.T) {
-	tbl := NewTable(1e-10)
-	tbl.Lookup(complex(0.123456, 0.654321))
-	tbl.Lookup(complex(0.123456, 0.654321))
-	lookups, hits, inserted := tbl.Stats()
-	if lookups == 0 || inserted == 0 {
-		t.Fatalf("stats not tracking: lookups=%d inserted=%d", lookups, inserted)
-	}
-	if hits == 0 {
-		t.Fatalf("repeated lookup should hit, stats: lookups=%d hits=%d", lookups, hits)
-	}
-	if tbl.Size() == 0 {
-		t.Fatal("size should be positive")
-	}
-}
-
 func BenchmarkLookupHit(b *testing.B) {
 	tbl := NewTable(1e-10)
 	v := complex(math.Sqrt2/2, -math.Sqrt2/2)

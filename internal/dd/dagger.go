@@ -32,32 +32,3 @@ func (m *Manager) daggerRec(e MEdge, memo map[*MNode]MEdge) MEdge {
 	memo[e.N] = r
 	return m.scaleM(r, w)
 }
-
-// Trace returns the trace of the matrix DD on n qubits: the sum over the
-// diagonal entries, computed in O(nodes) by following only diagonal
-// children.
-func (m *Manager) Trace(e MEdge, n int) complex128 {
-	memo := make(map[*MNode]complex128)
-	var rec func(nd *MNode, level int) complex128
-	rec = func(nd *MNode, level int) complex128 {
-		if level < 0 {
-			return 1
-		}
-		if v, ok := memo[nd]; ok {
-			return v
-		}
-		var sum complex128
-		if c := nd.E[0]; !c.IsZero() {
-			sum += c.W * rec(c.N, level-1)
-		}
-		if c := nd.E[3]; !c.IsZero() {
-			sum += c.W * rec(c.N, level-1)
-		}
-		memo[nd] = sum
-		return sum
-	}
-	if e.IsZero() {
-		return 0
-	}
-	return e.W * rec(e.N, n-1)
-}

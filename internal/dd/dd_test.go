@@ -517,37 +517,6 @@ func TestUnitaryDaggerIsInverse(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	m := New(4)
-	if tr := m.Trace(m.Identity(4), 4); !approx(tr, 16) {
-		t.Fatalf("tr(I_16) = %v", tr)
-	}
-	// tr(Z ⊗ I ⊗ I ⊗ I) = 0.
-	if tr := m.Trace(m.SingleGate(4, matZ, 3), 4); !approx(tr, 0) {
-		t.Fatalf("tr(Z x I..) = %v", tr)
-	}
-	// tr(S on one qubit of 2) = (1 + i) * 2.
-	if tr := m.Trace(m.SingleGate(2, matS, 0), 2); !approx(tr, complex(2, 2)) {
-		t.Fatalf("tr(S x I) = %v", tr)
-	}
-	if tr := m.Trace(m.MZeroEdge(), 4); tr != 0 {
-		t.Fatalf("tr(0) = %v", tr)
-	}
-}
-
-func TestTraceMatchesDense(t *testing.T) {
-	m := New(3)
-	e := m.ControlledGate(3, matT, 2, []Control{{Qubit: 0}})
-	d := m.ToDense(e, 3)
-	var want complex128
-	for i := range d {
-		want += d[i][i]
-	}
-	if got := m.Trace(e, 3); !approx(got, want) {
-		t.Fatalf("trace %v, dense %v", got, want)
-	}
-}
-
 func TestGCPreservesRoots(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	m := New(6)

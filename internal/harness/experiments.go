@@ -307,14 +307,14 @@ func Table2(cfg Config) {
 
 // MetricsReport runs the instrumented FlatDD engine over the Figure 1
 // circuits (two regular, two irregular) and tabulates the internal-layer
-// metrics — unique/compute-table hit rates, cnum interning, DMAV caching
-// and conversion efficiency — that the other experiments keep hidden. It
-// returns the per-circuit results, each carrying its registry snapshot.
+// metrics — unique/compute-table hit rates, DMAV caching and conversion
+// efficiency — that the other experiments keep hidden. It returns the
+// per-circuit results, each carrying its registry snapshot.
 func MetricsReport(cfg Config) []Result {
 	cfg = cfg.withDefaults()
 	tbl := NewTable(fmt.Sprintf("Engine metrics per circuit (threads=%d)", cfg.Threads),
 		"Circuit", "Converted at",
-		"Unique hit %", "CT hit %", "cnum hit %", "cnum size",
+		"Unique hit %", "CT hit %",
 		"DMAV cache hit %", "MACs (modeled)", "Conv eff %", "GC runs")
 	pct := func(hits, total int64) string {
 		if total == 0 {
@@ -332,7 +332,7 @@ func MetricsReport(cfg Config) []Result {
 		d := res.Metrics.Delta(prev)
 		res.Metrics = &d
 		all = append(all, res)
-		c, g := res.Metrics.Counters, res.Metrics.Gauges
+		c := res.Metrics.Counters
 		uniq := c["dd.unique.v.hits"] + c["dd.unique.m.hits"]
 		uniqTotal := uniq + c["dd.unique.v.misses"] + c["dd.unique.m.misses"]
 		ctHits := c["dd.ct.add.hits"] + c["dd.ct.madd.hits"] + c["dd.ct.mv.hits"] + c["dd.ct.mm.hits"]
@@ -343,7 +343,6 @@ func MetricsReport(cfg Config) []Result {
 		}
 		tbl.AddRow(nc.Label, res.ConvertedAt,
 			pct(uniq, uniqTotal), pct(ctHits, ctTotal),
-			pct(c["cnum.hits"], c["cnum.lookups"]), g["cnum.size"],
 			pct(c["dmav.cache.hits"], c["dmav.cache.hits"]+c["dmav.cache.misses"]),
 			c["dmav.macs.modeled"], convEff, c["dd.gc.runs"])
 	}

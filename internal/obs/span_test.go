@@ -28,7 +28,7 @@ func TestParseTraceParentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", // missing flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",    // missing flags
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span
 		"00-zzf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // non-hex

@@ -88,7 +88,7 @@ type parser struct {
 // still recurse through itself).
 const maxExpandDepth = 256
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) advance() token {
 	t := p.toks[p.pos]

@@ -215,8 +215,6 @@ func (s *Server) viewLocked(j *job) JobView {
 //	GET    /debug/jobs          — flight recorder: last N job span trees (?id= for one)
 //	GET    /debug/ledger        — memory-admission ledger: budget, reservations,
 //	                              observed footprints, per-job resource costs
-//	GET    /debug/profiles      — anomaly pprof capture ring (when enabled;
-//	                              ?file= downloads one profile)
 //	/debug/*                    — metrics, expvar, pprof (internal/obs);
 //	                              /debug/metrics?format=prometheus for text exposition
 //
@@ -247,9 +245,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /debug/jobs", s.flight.Handler())
 	mux.HandleFunc("GET /debug/ledger", s.handleLedger)
-	if s.profiles != nil {
-		mux.Handle("GET /debug/profiles", s.profiles.Handler())
-	}
 	mux.Handle("/debug/", obs.Mux(s.reg))
 	return mux
 }

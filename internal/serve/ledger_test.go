@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 
 	"flatdd/internal/obs"
 	"flatdd/internal/serve"
@@ -91,49 +90,6 @@ func TestReservationsReleasedAtTerminal(t *testing.T) {
 		if got := reg.Gauge("serve.mem.headroom").Value(); got != budget {
 			t.Errorf("%s: headroom %d != budget %d after all jobs done", mode, got, budget)
 		}
-	}
-}
-
-// TestAnomalyCaptureRateLimited asserts the exactly-once contract: a
-// burst of SLO-breaching jobs produces exactly one pprof capture within
-// the rate window. The result cache is disabled so every job actually
-// runs (and breaches) on the engine.
-func TestAnomalyCaptureRateLimited(t *testing.T) {
-	h := newTestServer(t, serve.Config{
-		Threads:           2,
-		SLOTarget:         time.Nanosecond, // every job breaches
-		ProfileDir:        t.TempDir(),
-		ProfileWindow:     time.Hour, // one capture per test run
-		ResultCacheBudget: -1,
-	})
-	for i := 0; i < 5; i++ {
-		v := h.submit(&serve.SubmitRequest{Circuit: "ghz", N: 8})
-		h.waitState(v.ID, serve.StateDone)
-	}
-	// The capture runs on its own goroutine off the server lock; wait for
-	// the first one to land, then confirm the storm stayed at one.
-	ring := h.srv.Profiles()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(ring.Captures()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no anomaly capture after 5 SLO-breaching jobs")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ring.Sync()
-	time.Sleep(50 * time.Millisecond) // grace for suppressed triggers
-	caps := ring.Captures()
-	if len(caps) != 1 {
-		t.Fatalf("got %d captures, want exactly 1 (rate window)", len(caps))
-	}
-	if caps[0].Reason != "slo_breach" {
-		t.Errorf("capture reason %q, want slo_breach", caps[0].Reason)
-	}
-	if caps[0].HeapFile == "" {
-		t.Errorf("capture has no heap profile: %+v", caps[0])
-	}
-	if got := h.srv.Registry().Counter("serve.profiles.captured").Value(); got != 1 {
-		t.Errorf("serve.profiles.captured = %d, want 1", got)
 	}
 }
 

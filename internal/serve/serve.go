@@ -154,28 +154,10 @@ type Config struct {
 	// exactly the capacity the pre-ledger server implicitly had, so the
 	// default changes nothing).
 	TotalMemoryBudget uint64
-	// SLOTarget, when positive, is the per-job run-time SLO used by the
-	// anomaly trigger: a job whose run exceeds it captures a pprof
-	// profile into the ring (rate-limited). When zero, the threshold is
-	// derived from the windowed run-latency p99 (3× p99, once the window
-	// holds at least 20 samples).
-	SLOTarget time.Duration
 	// LatencyWindow is the rotation window of the /healthz latency
 	// quantile histograms (default 5m). The cumulative Prometheus series
 	// are unaffected.
 	LatencyWindow time.Duration
-	// ProfileDir, when non-empty, enables anomaly-triggered pprof
-	// capture: SLO breaches, degradations, retries and failures write
-	// CPU+heap profiles into a bounded on-disk ring in this directory,
-	// served at /debug/profiles.
-	ProfileDir string
-	// ProfileCapacity is how many captures the ring retains (default 8);
-	// ProfileWindow is the minimum spacing between captures (default 5m,
-	// the storm rate limit); ProfileCPUDuration is the CPU profile
-	// length (default 250ms).
-	ProfileCapacity    int
-	ProfileWindow      time.Duration
-	ProfileCPUDuration time.Duration
 
 	// ResultCacheBudget is the total byte budget of the canonical-circuit
 	// result cache (default 64 MiB; negative disables caching and
@@ -367,7 +349,6 @@ type serveMetrics struct {
 	memObserved   *obs.Gauge
 	memHeadroom   *obs.Gauge
 	memPeak       *obs.Gauge // high-water of observed footprint
-	profiles      *obs.Counter
 	latencyNs     *obs.Histogram
 	queueWaitNs   *obs.Histogram
 	runNs         *obs.Histogram
@@ -410,9 +391,6 @@ type Server struct {
 	wLatency   *obs.WindowedHistogram
 	wQueueWait *obs.WindowedHistogram
 	wRun       *obs.WindowedHistogram
-
-	// profiles is the anomaly capture ring (nil without Config.ProfileDir).
-	profiles *obs.ProfileRing
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -494,7 +472,6 @@ func New(cfg Config) *Server {
 		memObserved:   r.Gauge("serve.mem.observed"),
 		memHeadroom:   r.Gauge("serve.mem.headroom"),
 		memPeak:       r.Gauge("serve.mem.observed.peak"),
-		profiles:      r.Counter("serve.profiles.captured"),
 		latencyNs:     r.Histogram("serve.job.latency_ns", obs.DurationBuckets()),
 		queueWaitNs:   r.Histogram("serve.job.queue_wait_ns", obs.DurationBuckets()),
 		runNs:         r.Histogram("serve.job.run_ns", obs.DurationBuckets()),
@@ -515,24 +492,12 @@ func New(cfg Config) *Server {
 	s.wLatency = obs.NewWindowedHistogram(obs.DurationBuckets(), cfg.LatencyWindow)
 	s.wQueueWait = obs.NewWindowedHistogram(obs.DurationBuckets(), cfg.LatencyWindow)
 	s.wRun = obs.NewWindowedHistogram(obs.DurationBuckets(), cfg.LatencyWindow)
-	if cfg.ProfileDir != "" {
-		ring, err := obs.NewProfileRing(cfg.ProfileDir, cfg.ProfileCapacity,
-			cfg.ProfileWindow, cfg.ProfileCPUDuration)
-		if err != nil {
-			s.log.Error("profile ring disabled", "dir", cfg.ProfileDir, "error", err)
-		} else {
-			s.profiles = ring
-		}
-	}
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		s.runWG.Add(1)
 		go s.runner()
 	}
 	return s
 }
-
-// Profiles returns the anomaly capture ring (nil when disabled).
-func (s *Server) Profiles() *obs.ProfileRing { return s.profiles }
 
 // Registry returns the metrics registry the server instruments.
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -958,17 +923,6 @@ func (s *Server) finishJobLocked(j *job) {
 		DroppedSpans: dropped,
 		Ledger:       j.resources,
 	})
-	if s.profiles != nil && j.state != StateCanceled {
-		if reason := s.anomalyReasonLocked(j, degraded); reason != "" {
-			// The ring does its own rate limiting and the heap write hits
-			// the filesystem — capture off the lock.
-			go func() {
-				if s.profiles.Capture(reason) {
-					s.met.profiles.Inc()
-				}
-			}()
-		}
-	}
 	s.tw.Flush() //nolint:errcheck // trace output is best-effort
 	attrs := []any{
 		"job", j.id, "trace", j.span.Trace().String(), "state", j.state,
@@ -1065,41 +1019,6 @@ func (s *Server) updateCacheGaugesLocked() {
 	s.met.cacheEntries.Set(int64(n))
 	s.met.cacheBytes.Set(b)
 	s.met.cacheEvictions.Set(ev)
-}
-
-// anomalyReasonLocked classifies a finished job as profile-worthy (a
-// non-empty reason triggers a capture): failure, degraded completion,
-// retried run, or a run time over the SLO. The SLO is Config.SLOTarget
-// when set, otherwise 3× the windowed run-latency p99 once the window
-// holds enough samples to make the baseline meaningful. Caller holds
-// s.mu.
-func (s *Server) anomalyReasonLocked(j *job, degraded bool) string {
-	switch {
-	case j.state == StateFailed:
-		if j.reason != "" {
-			return "failed_" + j.reason
-		}
-		return "failed"
-	case degraded:
-		return "degraded"
-	case j.attempts > 1:
-		return "retried"
-	}
-	if j.started.IsZero() {
-		return ""
-	}
-	run := j.finished.Sub(j.started)
-	slo := s.cfg.SLOTarget
-	if slo <= 0 {
-		snap := s.wRun.Snapshot()
-		if snap.Count >= 20 {
-			slo = time.Duration(3 * snap.Quantile(0.99))
-		}
-	}
-	if slo > 0 && run > slo {
-		return "slo_breach"
-	}
-	return ""
 }
 
 // onLedgerUpdate is the per-job ledger hook: it caches the job's live
