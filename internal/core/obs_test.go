@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"flatdd/internal/circuit"
 	"flatdd/internal/obs"
 	"flatdd/internal/statevec"
+	"flatdd/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -236,5 +238,72 @@ func TestMetricsRegistryEndToEnd(t *testing.T) {
 		if !approx(got[i], want[i]) {
 			t.Fatalf("metrics changed amplitude %d: %v vs %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestFlatPhaseWiring pins how a run's concerns reach the flat phase:
+// the conversion batch and the DMAV pool batches hang off their phase
+// spans, the ledger credits CPU time to the convert and dmav phases, and
+// the registry counts one conversion and every DMAV gate. A 5-qubit
+// k-operations fusion makes the fused gates heavy enough at n=14 to run
+// on the pool instead of inline.
+func TestFlatPhaseWiring(t *testing.T) {
+	const n = 14
+	c, err := workloads.Build("qv", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	led := obs.NewResourceLedger()
+	root := obs.NewTracer(nil).Root("test", obs.TraceID{}, obs.SpanID{})
+	s := New(n, Options{Threads: 2, ForceConvertAfter: 5, Fusion: KOps, K: 5, Metrics: reg, Ledger: led})
+	st, err := s.RunContext(obs.ContextWithSpan(context.Background(), root), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ConvertedAtGate != 5 {
+		t.Fatalf("ConvertedAtGate = %d, want 5", st.ConvertedAtGate)
+	}
+	root.End()
+	recs, _ := root.Collected()
+	ids := map[string]string{} // phase span name -> span ID
+	for _, r := range recs {
+		if r.Name == "phase.convert" || r.Name == "phase.dmav" {
+			ids[r.Name] = r.Span
+		}
+	}
+	children := map[string]map[string]int{} // parent name -> child name -> count
+	for _, r := range recs {
+		for name, id := range ids {
+			if r.Parent == id {
+				if children[name] == nil {
+					children[name] = map[string]int{}
+				}
+				children[name][r.Name]++
+			}
+		}
+	}
+	if children["phase.convert"]["convert.batch"] == 0 {
+		t.Errorf("phase.convert children = %v, want a convert.batch", children["phase.convert"])
+	}
+	dm := children["phase.dmav"]
+	if dm["dmav.rows"]+dm["dmav.chunks"]+dm["dmav.sum"] == 0 {
+		t.Errorf("phase.dmav children = %v, want a dmav.rows, dmav.chunks or dmav.sum batch", dm)
+	}
+
+	cpu := map[string]int64{}
+	for _, p := range led.Snapshot().Phases {
+		cpu[p.Phase] += p.CPUNs
+	}
+	if cpu["convert"] <= 0 || cpu["dmav"] <= 0 {
+		t.Errorf("ledger CPU: convert=%d dmav=%d, want both > 0", cpu["convert"], cpu["dmav"])
+	}
+
+	snap := reg.Snapshot()
+	if got := snap.Counters["convert.runs"]; got != 1 {
+		t.Errorf("convert.runs = %d, want 1", got)
+	}
+	if got := snap.Counters["dmav.gates"]; got != int64(st.DMAVStats.Gates) || got == 0 {
+		t.Errorf("dmav.gates = %d, want the %d DMAV gates", got, st.DMAVStats.Gates)
 	}
 }
