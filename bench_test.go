@@ -19,6 +19,7 @@ import (
 	"flatdd/internal/fusion"
 	"flatdd/internal/harness"
 	"flatdd/internal/obs"
+	"flatdd/internal/sched"
 	"flatdd/internal/statevec"
 	"flatdd/internal/workloads"
 )
@@ -171,10 +172,12 @@ func BenchmarkFig13ConversionSequential(b *testing.B) {
 func BenchmarkFig13ConversionParallelT4(b *testing.B) {
 	e, _, n := fig13State(b)
 	out := make([]complex128, 1<<uint(n))
+	pool := sched.New(4)
+	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(out)
-		convert.ParallelInto(e, n, 4, out)
+		convert.ParallelIntoPool(e, n, pool, out, nil)
 	}
 }
 
@@ -254,10 +257,12 @@ func benchConversionState(b *testing.B) (dd.VEdge, int) {
 func BenchmarkAblationConversionFig4(b *testing.B) {
 	e, n := benchConversionState(b)
 	out := make([]complex128, 1<<uint(n))
+	pool := sched.New(4)
+	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(out)
-		convert.ParallelInto(e, n, 4, out)
+		convert.ParallelIntoPool(e, n, pool, out, nil)
 	}
 }
 
@@ -317,12 +322,12 @@ func benchObsOverhead(b *testing.B, r *obs.Registry, led *obs.ResourceLedger) {
 	V[0] = 1
 	W := make([]complex128, len(V))
 	e := dmav.New(m, n, 4, dmav.Auto)
-	e.SetMetrics(r)
+	defer e.Close()
 	if led != nil {
 		led.Begin("dmav")
 		defer led.End()
-		e.SetLedger(led)
 	}
+	e.SetEnv(sched.Env{Metrics: r, Ledger: led})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Apply(M, V, W)

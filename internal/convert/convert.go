@@ -3,7 +3,7 @@
 // FlatDD paper).
 //
 // Sequential is the DDSIM-style baseline: a depth-first traversal writing
-// one amplitude per nonzero path. Parallel adds the paper's two
+// one amplitude per nonzero path. ParallelIntoEnv adds the paper's two
 // optimizations:
 //
 //   - load balancing (Figure 4a): when one outgoing edge of a node is
@@ -21,9 +21,9 @@
 // region-sized leaf tasks plus an ordered list of scale operations, the
 // tasks run as one batch on an internal/sched work-stealing pool, and
 // the scales follow innermost-first (an outer scale reads regions an
-// inner scale fills). ParallelIntoPool is the primary entry point; the
-// Parallel/ParallelInto/ParallelIntoObs wrappers keep the old
-// signatures and run on a transient pool.
+// inner scale fills). ParallelIntoEnv runs it in a run's environment
+// (pool, cancellation, span, ledger, metrics); ParallelIntoPool is the
+// same walk on a bare pool.
 package convert
 
 import (
@@ -40,29 +40,29 @@ import (
 // it, scheduling overhead beats the parallelism.
 const minLeaf = 128
 
-// Metrics holds the conversion counters (see DESIGN.md, "Observability").
-// A nil *Metrics disables instrumentation at the cost of one pointer check
+// metrics holds the conversion counters (see DESIGN.md, "Observability").
+// A nil *metrics disables instrumentation at the cost of one pointer check
 // per task creation.
-type Metrics struct {
-	Runs         *obs.Counter    // conversions performed
-	WallNs       *obs.Counter    // total wall time across conversions
-	WorkerBusyNs *obs.Counter    // summed busy time of conversion tasks
-	Tasks        *obs.Counter    // conversion tasks scheduled
-	Efficiency   *obs.FloatGauge // busy/(threads*wall) of the last conversion
+type metrics struct {
+	runs         *obs.Counter    // conversions performed
+	wallNs       *obs.Counter    // total wall time across conversions
+	workerBusyNs *obs.Counter    // summed busy time of conversion tasks
+	tasks        *obs.Counter    // conversion tasks scheduled
+	efficiency   *obs.FloatGauge // busy/(threads*wall) of the last conversion
 }
 
-// NewMetrics returns the conversion handles of a registry (nil for a nil
+// newMetrics returns the conversion handles of a registry (nil for a nil
 // registry, keeping the disabled path allocation-free).
-func NewMetrics(r *obs.Registry) *Metrics {
+func newMetrics(r *obs.Registry) *metrics {
 	if r == nil {
 		return nil
 	}
-	return &Metrics{
-		Runs:         r.Counter("convert.runs"),
-		WallNs:       r.Counter("convert.wall_ns"),
-		WorkerBusyNs: r.Counter("convert.worker_busy_ns"),
-		Tasks:        r.Counter("convert.tasks"),
-		Efficiency:   r.FloatGauge("convert.efficiency"),
+	return &metrics{
+		runs:         r.Counter("convert.runs"),
+		wallNs:       r.Counter("convert.wall_ns"),
+		workerBusyNs: r.Counter("convert.worker_busy_ns"),
+		tasks:        r.Counter("convert.tasks"),
+		efficiency:   r.FloatGauge("convert.efficiency"),
 	}
 }
 
@@ -72,85 +72,46 @@ func Sequential(m *dd.Manager, e dd.VEdge, n int) []complex128 {
 	return m.ToArray(e, n)
 }
 
-// Parallel converts a state DD to a freshly allocated flat array using
-// `threads` workers.
-func Parallel(e dd.VEdge, n, threads int) []complex128 {
-	out := make([]complex128, uint64(1)<<uint(n))
-	ParallelInto(e, n, threads, out)
-	return out
-}
-
-// ParallelInto converts a state DD into out, which must have length 2^n
-// and be zeroed (freshly allocated or cleared) — entries under zero edges
-// are skipped, exactly like the sequential algorithm. A wrong output
-// length is a caller error and returned as one.
-func ParallelInto(e dd.VEdge, n, threads int, out []complex128) error {
-	return ParallelIntoObs(e, n, threads, out, nil)
-}
-
-// ParallelIntoObs is ParallelInto with optional instrumentation (see
-// ParallelIntoPool). It runs on a transient pool; callers that convert
-// as part of a longer simulation should hold a pool and use
-// ParallelIntoPool instead.
-func ParallelIntoObs(e dd.VEdge, n, threads int, out []complex128, m *Metrics) error {
-	if threads < 1 {
-		threads = 1
-	}
-	p := sched.New(threads)
-	defer p.Close()
-	return ParallelIntoPool(e, n, p, out, m)
-}
-
-// ParallelIntoPool converts a state DD into out on an existing
-// scheduler pool. out must have length 2^n and be zeroed — a wrong
-// length is a caller error and returned as one. When m is non-nil it
-// records wall time, task count and busy time, and a parallelism-
-// efficiency gauge (busy/(threads·wall); 1.0 means every worker was
-// busy for the whole conversion).
-func ParallelIntoPool(e dd.VEdge, n int, p *sched.Pool, out []complex128, m *Metrics) error {
-	_, err := ParallelIntoPoolCancel(e, n, p, out, m, nil)
+// ParallelIntoPool is ParallelIntoEnv on a bare pool, recording into the
+// registry r when it is non-nil.
+func ParallelIntoPool(e dd.VEdge, n int, p *sched.Pool, out []complex128, r *obs.Registry) error {
+	_, err := ParallelIntoEnv(e, n, out, &sched.Env{Pool: p, Metrics: r})
 	return err
 }
 
-// ParallelIntoPoolCancel is ParallelIntoPool with cooperative
-// cancellation: when cancel is non-nil it is polled once per leaf task
-// and once per scale operation, and a firing probe makes the remaining
-// work return immediately (each leaf covers at most ~len(out)/(8·threads)
-// amplitudes, so the abort latency is a small fraction of one
-// conversion). It reports whether the conversion ran to completion;
-// after a false return, out holds a partial, unusable state and must be
-// discarded. A nil cancel keeps the leaf tasks probe-free.
-func ParallelIntoPoolCancel(e dd.VEdge, n int, p *sched.Pool, out []complex128, m *Metrics, cancel func() bool) (bool, error) {
-	return ParallelIntoPoolSpan(e, n, p, out, m, cancel, nil)
-}
-
-// ParallelIntoPoolSpan is ParallelIntoPoolCancel under a tracing span:
-// when span is non-nil the leaf-task batch runs as a "convert.batch"
-// child carrying the scheduler's per-batch attribution, and the span
-// itself receives the plan shape (task and scale-op counts). A nil span
-// is exactly ParallelIntoPoolCancel.
-func ParallelIntoPoolSpan(e dd.VEdge, n int, p *sched.Pool, out []complex128, m *Metrics, cancel func() bool, span *obs.Span) (bool, error) {
-	return ParallelIntoPoolTracked(e, n, p, out, m, cancel, span, nil)
-}
-
-// ParallelIntoPoolTracked is ParallelIntoPoolSpan plus resource
-// attribution: when led is non-nil the scheduler credits each batch's
-// worker busy-ns to the ledger's open phase, so the conversion's CPU
-// cost lands on the convert phase of the job that ran it. A nil led is
-// exactly ParallelIntoPoolSpan.
-func ParallelIntoPoolTracked(e dd.VEdge, n int, p *sched.Pool, out []complex128, m *Metrics, cancel func() bool, span *obs.Span, led *obs.ResourceLedger) (bool, error) {
+// ParallelIntoEnv converts a state DD into out on env.Pool, which must be
+// set. out must have length 2^n and be zeroed (freshly allocated or
+// cleared): entries under zero edges are skipped, exactly like the
+// sequential algorithm. A wrong length is a caller error and returned as
+// one. The rest of env is optional:
+//
+//   - Cancel is polled once per leaf task and once per scale operation;
+//     a firing probe makes the remaining work return immediately (each
+//     leaf covers at most ~len(out)/(8·threads) amplitudes). A nil probe
+//     keeps the leaf tasks probe-free;
+//   - Span receives the plan shape (task and scale-op counts) and parents
+//     the leaf batch as a "convert.batch" child;
+//   - Ledger is credited with the conversion's worker CPU time;
+//   - Metrics records wall time, task count, busy time and a parallelism
+//     efficiency gauge (busy/(threads·wall); 1.0 means every worker was
+//     busy for the whole conversion).
+//
+// It reports whether the conversion ran to completion; after a false
+// return, out holds a partial, unusable state and must be discarded.
+func ParallelIntoEnv(e dd.VEdge, n int, out []complex128, env *sched.Env) (bool, error) {
 	if uint64(len(out)) != uint64(1)<<uint(n) {
 		return false, fmt.Errorf("convert: output length %d, want %d", len(out), uint64(1)<<uint(n))
 	}
 	if e.IsZero() {
 		return true, nil
 	}
-	threads := p.Threads()
+	m := newMetrics(env.Metrics)
+	threads := env.Pool.Threads()
 	var start time.Time
 	var busyBefore int64
 	if m != nil {
 		start = time.Now()
-		busyBefore = m.WorkerBusyNs.Value()
+		busyBefore = m.workerBusyNs.Value()
 	}
 	minChunk := len(out) / (8 * threads)
 	if minChunk < minLeaf {
@@ -159,43 +120,38 @@ func ParallelIntoPoolTracked(e dd.VEdge, n int, p *sched.Pool, out []complex128,
 	var tasks []sched.Task
 	var scales []scaleOp
 	planConv(e.N, e.W, out, minChunk, &tasks, &scales, m)
-	if cancel != nil {
+	if env.Cancel != nil {
 		for i, t := range tasks {
-			t := t
 			tasks[i] = func() {
-				if !cancel() {
+				if !env.Canceled() {
 					t()
 				}
 			}
 		}
 	}
-	if span != nil {
-		span.SetAttr("tasks", len(tasks))
-		span.SetAttr("scales", len(scales))
-	}
-	p.RunTracked(span, "convert.batch", led, tasks)
-	completed := cancel == nil || !cancel()
+	env.Span.SetAttr("tasks", len(tasks))
+	env.Span.SetAttr("scales", len(scales))
+	env.Run("convert.batch", tasks)
+	completed := !env.Canceled()
 	// Innermost-first: a scale discovered later lies inside the source
 	// region of one discovered earlier (DFS order), never the other way
 	// round, so the reverse order guarantees every source is complete
 	// before it is read.
 	for i := len(scales) - 1; i >= 0 && completed; i-- {
-		runScale(p, scales[i], m, led)
-		if cancel != nil && cancel() {
-			completed = false
-		}
+		runScale(env, scales[i], m)
+		completed = !env.Canceled()
 	}
 	if m != nil {
 		wall := time.Since(start).Nanoseconds()
-		m.Runs.Inc()
-		m.WallNs.Add(wall)
+		m.runs.Inc()
+		m.wallNs.Add(wall)
 		if wall > 0 {
-			busy := m.WorkerBusyNs.Value() - busyBefore
+			busy := m.workerBusyNs.Value() - busyBefore
 			eff := float64(busy) / (float64(threads) * float64(wall))
 			if eff > 1 {
 				eff = 1
 			}
-			m.Efficiency.Set(eff)
+			m.efficiency.Set(eff)
 		}
 	}
 	return completed, nil
@@ -213,7 +169,7 @@ type scaleOp struct {
 // the region (load balancing: no task is ever created for a zero
 // sub-tree), and the e0.N == e1.N shortcut is recorded as a scaleOp
 // instead of descending twice.
-func planConv(nd *dd.VNode, w complex128, out []complex128, minChunk int, tasks *[]sched.Task, scales *[]scaleOp, m *Metrics) {
+func planConv(nd *dd.VNode, w complex128, out []complex128, minChunk int, tasks *[]sched.Task, scales *[]scaleOp, m *metrics) {
 	for {
 		if len(out) <= minChunk || nd.Level == dd.TerminalLevel {
 			nd, w, out := nd, w, out
@@ -248,35 +204,28 @@ func planConv(nd *dd.VNode, w complex128, out []complex128, minChunk int, tasks 
 }
 
 // timedTask wraps a task with busy-time accounting when metrics are on.
-func timedTask(m *Metrics, f func()) sched.Task {
+func timedTask(m *metrics, f func()) sched.Task {
 	if m == nil {
 		return f
 	}
-	m.Tasks.Inc()
+	m.tasks.Inc()
 	return func() {
 		t0 := time.Now()
 		f()
-		m.WorkerBusyNs.Add(time.Since(t0).Nanoseconds())
+		m.workerBusyNs.Add(time.Since(t0).Nanoseconds())
 	}
 }
 
 // runScale executes one scaleOp, split across the pool when the region
-// is large enough to be worth it.
-func runScale(p *sched.Pool, s scaleOp, m *Metrics, led *obs.ResourceLedger) {
+// is large enough to be worth it. Scale batches carry no span of their
+// own: their cost shows in the enclosing phase span.
+func runScale(env *sched.Env, s scaleOp, m *metrics) {
 	n := len(s.dst)
-	threads := p.Threads()
-	if threads > n {
-		threads = n
-	}
+	threads := min(env.Pool.Threads(), n)
 	if threads <= 1 || n < 1024 {
-		t := timedTask(m, func() { scalarMul(s.dst, s.src, s.f) })
-		if led != nil {
-			t0 := time.Now()
-			t()
-			led.AddCPU(time.Since(t0).Nanoseconds())
-		} else {
-			t()
-		}
+		t0 := time.Now()
+		timedTask(m, func() { scalarMul(s.dst, s.src, s.f) })()
+		env.Ledger.AddCPU(time.Since(t0).Nanoseconds())
 		return
 	}
 	tasks := make([]sched.Task, 0, threads)
@@ -289,7 +238,9 @@ func runScale(p *sched.Pool, s scaleOp, m *Metrics, led *obs.ResourceLedger) {
 		}
 		tasks = append(tasks, timedTask(m, func() { scalarMul(s.dst[lo:hi], s.src[lo:hi], s.f) }))
 	}
-	p.RunTracked(nil, "", led, tasks)
+	untraced := *env
+	untraced.Span = nil
+	untraced.Run("", tasks)
 }
 
 // convSeq is the single-threaded conversion of a sub-tree: no goroutines,
@@ -326,7 +277,7 @@ func convSeq(nd *dd.VNode, w complex128, out []complex128) {
 	}
 }
 
-// ParallelNaiveInto is the ablation variant of ParallelInto: threads are
+// ParallelNaiveInto is the ablation variant of ParallelIntoEnv: threads are
 // divided blindly across both outgoing edges of every node (threads routed
 // to a zero edge idle, Figure 4a's problem) and the scalar-multiplication
 // shortcut is disabled. It quantifies what the two optimizations buy.

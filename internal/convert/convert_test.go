@@ -9,11 +9,24 @@ import (
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
+	"flatdd/internal/obs"
+	"flatdd/internal/sched"
 )
 
 const eps = 1e-9
 
 func approx(a, b complex128) bool { return cmplx.Abs(a-b) < eps }
+
+// parallel converts e on a transient pool of the given worker count.
+func parallel(e dd.VEdge, n, threads int) []complex128 {
+	p := sched.New(threads)
+	defer p.Close()
+	out := make([]complex128, uint64(1)<<uint(n))
+	if err := ParallelIntoPool(e, n, p, out, nil); err != nil {
+		panic(err)
+	}
+	return out
+}
 
 func randAmps(rng *rand.Rand, n int) []complex128 {
 	amps := make([]complex128, 1<<uint(n))
@@ -33,7 +46,7 @@ func checkAgainst(t *testing.T, name string, m *dd.Manager, e dd.VEdge, n int) {
 	t.Helper()
 	want := Sequential(m, e, n)
 	for _, threads := range []int{1, 2, 3, 4, 8, 16} {
-		got := Parallel(e, n, threads)
+		got := parallel(e, n, threads)
 		for i := range want {
 			if !approx(got[i], want[i]) {
 				t.Fatalf("%s threads=%d: amplitude %d = %v, want %v", name, threads, i, got[i], want[i])
@@ -121,7 +134,7 @@ func popcount(x uint) int {
 
 func TestParallelZeroEdge(t *testing.T) {
 	m := dd.New(4)
-	out := Parallel(m.VZeroEdge(), 4, 4)
+	out := parallel(m.VZeroEdge(), 4, 4)
 	for i, v := range out {
 		if v != 0 {
 			t.Fatalf("zero edge produced nonzero at %d", i)
@@ -131,11 +144,44 @@ func TestParallelZeroEdge(t *testing.T) {
 
 func TestParallelIntoValidatesLength(t *testing.T) {
 	m := dd.New(3)
-	if err := ParallelInto(m.ZeroState(3), 3, 2, make([]complex128, 4)); err == nil {
-		t.Fatal("ParallelInto accepted short output")
+	p := sched.New(2)
+	defer p.Close()
+	if err := ParallelIntoPool(m.ZeroState(3), 3, p, make([]complex128, 4), nil); err == nil {
+		t.Fatal("ParallelIntoPool accepted short output")
 	}
-	if err := ParallelInto(m.ZeroState(3), 3, 2, make([]complex128, 8)); err != nil {
+	if err := ParallelIntoPool(m.ZeroState(3), 3, p, make([]complex128, 8), nil); err != nil {
 		t.Fatalf("correct length rejected: %v", err)
+	}
+}
+
+// TestParallelIntoEnvCancelAndMetrics: a probe that has already fired
+// leaves the conversion incomplete, and a completed conversion reports
+// itself and its tasks to the environment's registry.
+func TestParallelIntoEnvCancelAndMetrics(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 12
+	m := dd.New(n)
+	e := m.VectorFromAmplitudes(randAmps(rng, n))
+	p := sched.New(2)
+	defer p.Close()
+	out := make([]complex128, 1<<uint(n))
+	if ok, err := ParallelIntoEnv(e, n, out, &sched.Env{Pool: p, Cancel: func() bool { return true }}); ok || err != nil {
+		t.Fatalf("canceled conversion returned (%v, %v), want (false, nil)", ok, err)
+	}
+	reg := obs.New()
+	clear(out)
+	if ok, err := ParallelIntoEnv(e, n, out, &sched.Env{Pool: p, Metrics: reg}); !ok || err != nil {
+		t.Fatalf("conversion returned (%v, %v), want (true, nil)", ok, err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["convert.runs"] != 1 || snap.Counters["convert.tasks"] == 0 {
+		t.Fatalf("convert.runs = %d, convert.tasks = %d", snap.Counters["convert.runs"], snap.Counters["convert.tasks"])
+	}
+	want := Sequential(m, e, n)
+	for i := range want {
+		if !approx(out[i], want[i]) {
+			t.Fatalf("amplitude %d = %v, want %v", i, out[i], want[i])
+		}
 	}
 }
 
@@ -146,7 +192,7 @@ func TestParallelRoundTripProperty(t *testing.T) {
 		m := dd.New(n)
 		amps := randAmps(rng, n)
 		e := m.VectorFromAmplitudes(amps)
-		got := Parallel(e, n, 1+rng.Intn(8))
+		got := parallel(e, n, 1+rng.Intn(8))
 		for i := range amps {
 			if !approx(got[i], amps[i]) {
 				t.Fatalf("trial %d n=%d: round trip failed at %d", trial, n, i)
@@ -159,7 +205,7 @@ func TestThreadsClampedToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := dd.New(5)
 	e := m.VectorFromAmplitudes(randAmps(rng, 5))
-	got := Parallel(e, 5, -3)
+	got := parallel(e, 5, -3)
 	want := Sequential(m, e, 5)
 	for i := range want {
 		if !approx(got[i], want[i]) {
@@ -186,7 +232,7 @@ func BenchmarkParallel16T4(b *testing.B) {
 	e, _ := benchState(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Parallel(e, 16, 4)
+		parallel(e, 16, 4)
 	}
 }
 

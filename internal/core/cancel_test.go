@@ -156,26 +156,9 @@ func TestContextDeadlineMapsToSentinel(t *testing.T) {
 	}
 }
 
-func TestDeprecatedOptionsDeadline(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	n := 8
-	c := randomCircuit(rng, n, 40)
-	s := New(n, Options{Deadline: time.Now().Add(-time.Second)})
-	st, err := s.RunContext(context.Background(), c)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	if !st.TimedOut {
-		t.Fatal("deprecated Options.Deadline no longer sets TimedOut")
-	}
-
-	// The error-free Run wrapper still surfaces the abort through Stats.
-	s2 := New(n, Options{Deadline: time.Now().Add(-time.Second)})
-	if st2 := s2.Run(c); !st2.TimedOut {
-		t.Fatal("Run with an expired Options.Deadline must report TimedOut")
-	}
-}
-
+// TestPoolAuthoritativeOverThreads: with Options.Pool set, the pool's
+// worker count drives both execution and the DMAV cost model, whatever
+// Threads says.
 func TestPoolAuthoritativeOverThreads(t *testing.T) {
 	pool := sched.New(4)
 	defer pool.Close()
@@ -183,15 +166,26 @@ func TestPoolAuthoritativeOverThreads(t *testing.T) {
 	n := 6
 	c := randomCircuit(rng, n, 40)
 	s := New(n, Options{Threads: 1, Pool: pool, ForceConvertAfter: 5})
-	if got := s.EffectiveThreads(); got != 4 {
-		t.Fatalf("EffectiveThreads() = %d, want the pool's 4", got)
-	}
 	st := s.Run(c)
 	if st.ConvertedAtGate < 0 {
 		t.Fatal("forced conversion did not happen")
 	}
 	if p := norm(s); math.Abs(p-1) > eps {
 		t.Fatalf("norm %v with injected pool", p)
+	}
+	var tasks int64
+	for _, w := range pool.Stats() {
+		tasks += w.Tasks
+	}
+	if tasks == 0 {
+		t.Fatal("the run executed no task on Options.Pool")
+	}
+	// The cost model divides by the thread count: the run must model the
+	// pool's four workers, not the one Threads asks for.
+	four := New(n, Options{Threads: 4, ForceConvertAfter: 5}).Run(c)
+	one := New(n, Options{Threads: 1, ForceConvertAfter: 5}).Run(c)
+	if st.ModeledCost != four.ModeledCost || st.ModeledCost == one.ModeledCost {
+		t.Fatalf("modeled cost %v, want the 4-thread %v (1-thread: %v)", st.ModeledCost, four.ModeledCost, one.ModeledCost)
 	}
 }
 

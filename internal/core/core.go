@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -42,9 +41,8 @@ var (
 	// simulator stays queryable: its state is the one left by the last
 	// fully applied gate (a partially applied gate is discarded).
 	ErrCanceled = fmt.Errorf("core: simulation canceled: %w", context.Canceled)
-	// ErrDeadlineExceeded reports that the run's deadline passed (either
-	// the context's deadline or the deprecated Options.Deadline). It plays
-	// the role of the paper's 24-hour cutoff.
+	// ErrDeadlineExceeded reports that the run context's deadline passed.
+	// It plays the role of the paper's 24-hour cutoff.
 	ErrDeadlineExceeded = fmt.Errorf("core: simulation deadline exceeded: %w", context.DeadlineExceeded)
 	// ErrEngineFault is the sentinel every *EngineFault unwraps to:
 	// errors.Is(err, ErrEngineFault) identifies a run terminated by a
@@ -210,37 +208,21 @@ type Options struct {
 	// conversion instead of the parallel algorithm (Figure 13 ablation).
 	SequentialConversion bool
 	// Trace, when non-nil, receives one event per gate. It is backed by the
-	// same per-gate event stream as TraceJSONL; both may be set.
+	// same per-gate event stream as TraceWriter; both may be set.
 	Trace func(TraceEvent)
-	// TraceJSONL, when non-nil, receives the per-gate event stream as JSON
-	// Lines: one {"event":"gate",...} object per gate and a final
+	// TraceWriter, when non-nil, receives the per-gate event stream as
+	// JSON Lines: one {"event":"gate",...} object per gate and a final
 	// {"event":"run",...} summary. The schema is documented in DESIGN.md
-	// ("Observability"). The writer is flushed when Run returns; closing
-	// the underlying file stays the caller's job.
-	TraceJSONL io.Writer
-	// TraceWriter, when non-nil, receives the per-gate event stream on an
-	// existing shared writer instead of wrapping TraceJSONL in a private
-	// one. Use it when the same sink also carries request spans (the
+	// ("Observability"). The writer may be shared with request spans (the
 	// serve layer, or a CLI tracing whole runs): one writer means one
-	// buffer and no interleaving corruption. Takes precedence over
-	// TraceJSONL; flushing on run end still happens, closing stays the
-	// owner's job.
+	// buffer and no interleaving corruption. It is flushed when the run
+	// ends; closing the underlying sink stays the owner's job.
 	TraceWriter *obs.TraceWriter
 	// Metrics, when non-nil, wires every engine layer (dd unique/compute
 	// tables, cnum, conversion, DMAV, the EWMA controller and this
 	// simulator's phase loop) into the registry. When nil, the hot paths
 	// pay one pointer check per instrumentation site and nothing else.
 	Metrics *obs.Registry
-	// Deadline, when non-zero, aborts the run once exceeded.
-	//
-	// Deprecated: pass a deadline on RunContext's context instead
-	// (context.WithDeadline / context.WithTimeout). The field is kept for
-	// compatibility and mapped onto the run context internally; a run
-	// whose deadline passes returns ErrDeadlineExceeded and sets
-	// Stats.TimedOut.
-	Deadline time.Time
-	// GCThreshold overrides the DD manager's node-count GC trigger.
-	GCThreshold int
 	// ApproxBudget, when positive, enables DD state approximation [97]
 	// during the DD phase: whenever the state DD exceeds ApproxThreshold
 	// nodes, edges carrying up to ApproxBudget probability mass are pruned.
@@ -259,14 +241,10 @@ type Options struct {
 	// instead of an allocation the host cannot afford.
 	MemoryBudget uint64
 	// IntegrityEvery, when positive, runs a numerical-integrity sweep
-	// (NaN/Inf scan + norm check) over the flat state every IntegrityEvery
-	// DMAV gates. A failing sweep aborts the run with ErrNumericalDrift.
+	// (NaN/Inf scan + norm check within integrityTol) over the flat state
+	// every IntegrityEvery DMAV gates. A failing sweep aborts the run with
+	// ErrNumericalDrift.
 	IntegrityEvery int
-	// IntegrityTol is the allowed |norm−1| deviation for the sweep
-	// (default 1e-6). The norm check is skipped when ApproxBudget > 0,
-	// since approximation legitimately sheds probability mass; NaN/Inf
-	// detection stays on.
-	IntegrityTol float64
 	// Faults, when non-nil, arms the run's fault-injection hooks
 	// (tests only; production runs leave it nil and pay one pointer
 	// check per hook site).
@@ -304,11 +282,13 @@ func (o *Options) withDefaults() Options {
 	if v.ApproxBudget > 0 && v.ApproxThreshold <= 0 {
 		v.ApproxThreshold = 256
 	}
-	if v.IntegrityEvery > 0 && v.IntegrityTol <= 0 {
-		v.IntegrityTol = 1e-6
-	}
 	return v
 }
+
+// integrityTol is the allowed |norm−1| deviation of the integrity sweep.
+// The norm check is skipped when ApproxBudget > 0, since approximation
+// legitimately sheds probability mass; NaN/Inf detection stays on.
+const integrityTol = 1e-6
 
 // TraceEvent records the execution of one gate (Figures 3 and 11).
 type TraceEvent struct {
@@ -400,11 +380,10 @@ type Simulator struct {
 
 	stats Stats
 
-	// Observability (nil when Options.Metrics / Options.TraceJSONL are
-	// unset). led is never nil: New falls back to a private ledger so
-	// resource attribution is always available in Stats.Resources.
+	// Observability (met is nil when Options.Metrics is unset). led is
+	// never nil: New falls back to a private ledger so resource
+	// attribution is always available in Stats.Resources.
 	met *coreMetrics
-	tw  *obs.TraceWriter
 	led *obs.ResourceLedger
 }
 
@@ -454,9 +433,6 @@ type runRecord struct {
 func New(n int, opts Options) *Simulator {
 	o := opts.withDefaults()
 	m := dd.New(n)
-	if o.GCThreshold > 0 {
-		m.SetGCThreshold(o.GCThreshold)
-	}
 	s := &Simulator{
 		n:    n,
 		opts: o,
@@ -488,11 +464,6 @@ func New(n int, opts Options) *Simulator {
 	if s.led == nil {
 		s.led = obs.NewResourceLedger()
 	}
-	if o.TraceWriter != nil {
-		s.tw = o.TraceWriter
-	} else if o.TraceJSONL != nil {
-		s.tw = obs.NewTraceWriter(o.TraceJSONL)
-	}
 	return s
 }
 
@@ -502,8 +473,8 @@ func (s *Simulator) emitTrace(ev TraceEvent) {
 	if s.opts.Trace != nil {
 		s.opts.Trace(ev)
 	}
-	if s.tw != nil {
-		s.tw.Emit(traceRecord{
+	if s.opts.TraceWriter != nil {
+		s.opts.TraceWriter.Emit(traceRecord{
 			Event:      "gate",
 			Gate:       ev.GateIndex,
 			Phase:      ev.Phase.String(),
@@ -516,15 +487,10 @@ func (s *Simulator) emitTrace(ev TraceEvent) {
 }
 
 // tracing reports whether per-gate events need to be materialized.
-func (s *Simulator) tracing() bool { return s.opts.Trace != nil || s.tw != nil }
+func (s *Simulator) tracing() bool { return s.opts.Trace != nil || s.opts.TraceWriter != nil }
 
 // Qubits returns the register size.
 func (s *Simulator) Qubits() int { return s.n }
-
-// EffectiveThreads returns the thread count the engines and the DMAV cost
-// model actually use: Options.Pool's worker count when a pool was
-// injected, otherwise max(1, Options.Threads).
-func (s *Simulator) EffectiveThreads() int { return s.opts.Threads }
 
 // Phase returns the current engine phase.
 func (s *Simulator) Phase() Phase { return s.phase }
@@ -533,9 +499,8 @@ func (s *Simulator) Phase() Phase { return s.phase }
 func (s *Simulator) Stats() Stats { return s.stats }
 
 // Run simulates the circuit from |0...0> and returns the final statistics.
-// Run may be called once per Simulator. It is a thin compatibility wrapper
-// around RunContext: a run aborted by the deprecated Options.Deadline is
-// reported through Stats.TimedOut, exactly as before.
+// Run may be called once per Simulator. It is RunContext on a background
+// context, which never aborts.
 func (s *Simulator) Run(c *circuit.Circuit) Stats {
 	st, _ := s.RunContext(context.Background(), c)
 	return st
@@ -583,12 +548,6 @@ func (s *Simulator) RunContext(ctx context.Context, c *circuit.Circuit) (st Stat
 // runContext is RunContext's body; the split keeps the containment
 // barrier (and the deferred recover's cost) out of the phase loops.
 func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start time.Time) (Stats, error) {
-	if !s.opts.Deadline.IsZero() {
-		// Deprecated Options.Deadline maps onto the run context.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, s.opts.Deadline)
-		defer cancel()
-	}
 	done := ctx.Done()
 	check := func() bool {
 		select {
@@ -598,9 +557,9 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 			return false
 		}
 	}
-	// taskCheck is handed to the conversion planner and the DMAV engine.
-	// It is nil for a context that can never be canceled, which lets the
-	// hot paths skip the per-task probe entirely.
+	// taskCheck is the flat phase's cancellation probe. It is nil for a
+	// context that can never be canceled, which lets the conversion and
+	// DMAV hot paths skip the per-task probe entirely.
 	var taskCheck func() bool
 	if done != nil {
 		taskCheck = check
@@ -701,15 +660,11 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 	}
 
 	// Phase 2: convert the state DD to a flat array.
-	// One scheduler pool serves the whole flat-array phase — conversion
-	// and every DMAV gate — instead of per-gate goroutine churn.
-	pool := s.opts.Pool
-	if pool == nil {
-		pool = sched.New(s.opts.Threads)
-		pool.SetMetrics(s.opts.Metrics)
-		pool.SetFaults(s.opts.Faults)
-		defer pool.Close()
-	}
+	// One environment serves the whole flat-array phase — conversion and
+	// every DMAV gate run on one pool, under their phase's span.
+	env, release := s.flatEnv(taskCheck)
+	defer release()
+	env.Ledger = s.led
 	convSpan := span.Child("phase.convert")
 	if convSpan != nil {
 		convSpan.SetAttr("amps", uint64(1)<<uint(s.n))
@@ -725,8 +680,9 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 		converted = !check()
 		s.led.AddCPU(time.Since(convStart).Nanoseconds())
 	} else {
-		ok, cerr := convert.ParallelIntoPoolTracked(s.sim.State(), s.n, pool, s.state,
-			convert.NewMetrics(s.opts.Metrics), taskCheck, convSpan, s.led)
+		convEnv := env
+		convEnv.Span = convSpan
+		ok, cerr := convert.ParallelIntoEnv(s.sim.State(), s.n, s.state, &convEnv)
 		if cerr != nil {
 			// Internal invariant (we sized the array ourselves), but
 			// contain rather than crash: surface it as an engine fault.
@@ -763,11 +719,6 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 	s.buf = make([]complex128, len(s.state))
 	s.led.AddFlat(int64(len(s.buf)) * 16)
 	s.eng = dmav.New(s.m, s.n, s.opts.Threads, s.opts.CacheMode)
-	s.eng.SetMetrics(s.opts.Metrics)
-	s.eng.SetPool(pool)
-	s.eng.SetCancel(taskCheck)
-	s.eng.SetFaults(s.opts.Faults)
-	s.eng.SetLedger(s.led)
 
 	// Release the DD state: only gate matrices stay live from here on.
 	s.sim.SetState(s.m.VZeroEdge())
@@ -836,7 +787,8 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 
 	// Phase 4: DMAV over the flat state.
 	dmavSpan := span.Child("phase.dmav")
-	s.eng.SetSpan(dmavSpan)
+	env.Span = dmavSpan
+	s.eng.SetEnv(env)
 	s.led.Begin("dmav")
 	dmavStart := time.Now()
 	gateIdx := i
@@ -935,7 +887,7 @@ func (s *Simulator) degrade(reason string) {
 }
 
 // integritySweep scans the flat state for NaN/Inf amplitudes and checks
-// the norm against 1 within IntegrityTol. The norm check is skipped when
+// the norm against 1 within integrityTol. The norm check is skipped when
 // approximation is on (pruning legitimately sheds probability mass);
 // NaN/Inf amplitudes are excluded from the norm and counted separately.
 func (s *Simulator) integritySweep(gate int) error {
@@ -957,7 +909,7 @@ func (s *Simulator) integritySweep(gate int) error {
 		}
 		norm += re*re + im*im
 	}
-	normOK := s.opts.ApproxBudget > 0 || math.Abs(norm-1) <= s.opts.IntegrityTol
+	normOK := s.opts.ApproxBudget > 0 || math.Abs(norm-1) <= integrityTol
 	if nans == 0 && infs == 0 && normOK {
 		return nil
 	}
@@ -968,9 +920,8 @@ func (s *Simulator) integritySweep(gate int) error {
 }
 
 // abort finalizes the statistics of a context-terminated run and maps the
-// context's cause onto the package sentinels. Stats.TimedOut is kept in
-// sync for deadline aborts (compatibility with the deprecated
-// Options.Deadline flow).
+// context's cause onto the package sentinels. Stats.TimedOut is set for
+// deadline aborts.
 func (s *Simulator) abort(ctx context.Context, start time.Time) (Stats, error) {
 	err := ErrCanceled
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -1004,8 +955,8 @@ func (s *Simulator) finishStats(start time.Time) {
 	s.led.End()
 	snap := s.led.Snapshot()
 	s.stats.Resources = &snap
-	if s.tw != nil {
-		s.tw.Emit(runRecord{
+	if tw := s.opts.TraceWriter; tw != nil {
+		tw.Emit(runRecord{
 			Event:       "run",
 			Gates:       s.stats.Gates,
 			ConvertedAt: s.stats.ConvertedAtGate,
@@ -1015,7 +966,7 @@ func (s *Simulator) finishStats(start time.Time) {
 			TimedOut:    s.stats.TimedOut,
 			Fidelity:    s.stats.Fidelity,
 		})
-		s.tw.Flush() //nolint:errcheck // trace output is best-effort
+		tw.Flush() //nolint:errcheck // trace output is best-effort
 	}
 }
 
@@ -1028,20 +979,31 @@ func (s *Simulator) Amplitude(idx uint64) complex128 {
 }
 
 // Amplitudes returns the full final state vector. In the DD phase the
-// state is converted on demand (parallel algorithm).
+// state is converted on demand with the parallel algorithm, in the same
+// environment as a run's conversion (Options.Pool when set).
 func (s *Simulator) Amplitudes() []complex128 {
 	if s.phase == PhaseDMAV {
 		return s.state
 	}
-	return convert.Parallel(s.sim.State(), s.n, s.opts.Threads)
+	env, release := s.flatEnv(nil)
+	defer release()
+	out := make([]complex128, uint64(1)<<uint(s.n))
+	convert.ParallelIntoEnv(s.sim.State(), s.n, out, &env) //nolint:errcheck // out is sized 2^n
+	return out
 }
 
-// StateDDSize returns the node count of the state DD (0 after conversion).
-func (s *Simulator) StateDDSize() int {
-	if s.phase == PhaseDMAV {
-		return 0
+// flatEnv returns the environment the flat phase runs in: Options.Pool
+// when set, otherwise a transient pool of Threads workers attached to the
+// run's metrics and faults, which release closes.
+func (s *Simulator) flatEnv(cancel func() bool) (env sched.Env, release func()) {
+	env = sched.Env{Pool: s.opts.Pool, Cancel: cancel, Metrics: s.opts.Metrics, Faults: s.opts.Faults}
+	if env.Pool != nil {
+		return env, func() {}
 	}
-	return s.sim.StateSize()
+	env.Pool = sched.New(s.opts.Threads)
+	env.Pool.SetMetrics(s.opts.Metrics)
+	env.Pool.SetFaults(s.opts.Faults)
+	return env, env.Pool.Close
 }
 
 // ProbabilityOfQubit returns P(qubit q = 1) of the current state,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"flatdd/internal/circuit"
 	"flatdd/internal/obs"
+	"flatdd/internal/sched"
 	"flatdd/internal/statevec"
 	"flatdd/internal/workloads"
 )
@@ -83,7 +85,7 @@ func normalizeTrace(b []byte) []byte {
 // Regenerate with `go test ./internal/core/ -run GoldenGHZ -update`.
 func TestJSONLTraceGoldenGHZ(t *testing.T) {
 	var buf bytes.Buffer
-	s := New(4, Options{TraceJSONL: &buf})
+	s := New(4, Options{TraceWriter: obs.NewTraceWriter(&buf)})
 	s.Run(ghz(4))
 	got := normalizeTrace(buf.Bytes())
 
@@ -118,7 +120,7 @@ func TestJSONLTracePhaseFlip(t *testing.T) {
 	callbacks := 0
 	s := New(n, Options{
 		ForceConvertAfter: 10,
-		TraceJSONL:        &buf,
+		TraceWriter:       obs.NewTraceWriter(&buf),
 		Trace:             func(TraceEvent) { callbacks++ },
 	})
 	st := s.Run(c)
@@ -305,5 +307,26 @@ func TestFlatPhaseWiring(t *testing.T) {
 	}
 	if got := snap.Counters["dmav.gates"]; got != int64(st.DMAVStats.Gates) || got == 0 {
 		t.Errorf("dmav.gates = %d, want the %d DMAV gates", got, st.DMAVStats.Gates)
+	}
+}
+
+// TestAmplitudesConvertsOnOptionsPool: a DD-phase result is converted on
+// the run's pool when one is given, so it shows up in that pool's
+// scheduler counters.
+func TestAmplitudesConvertsOnOptionsPool(t *testing.T) {
+	pool := sched.New(2)
+	defer pool.Close()
+	reg := obs.New()
+	pool.SetMetrics(reg)
+	n := 12
+	s := New(n, Options{Pool: pool, DisableConversion: true})
+	s.Run(ghz(n))
+	before := reg.Snapshot().Counters["sched.batches"]
+	amps := s.Amplitudes()
+	if after := reg.Snapshot().Counters["sched.batches"]; after <= before {
+		t.Fatalf("sched.batches %d -> %d: Amplitudes did not convert on Options.Pool", before, after)
+	}
+	if !approx(amps[0], complex(1/math.Sqrt2, 0)) || !approx(amps[len(amps)-1], complex(1/math.Sqrt2, 0)) {
+		t.Fatalf("GHZ amplitudes %v, %v", amps[0], amps[len(amps)-1])
 	}
 }

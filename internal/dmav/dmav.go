@@ -241,10 +241,13 @@ type Engine struct {
 
 	buffers [][]complex128 // partial-output buffers 1, 2, … (0 is W), grown on demand
 
-	// pool executes chunk batches. Either injected via SetPool (caller
-	// owns its lifetime) or created lazily on the first multi-threaded
-	// Apply (released by Close).
-	pool     *sched.Pool
+	// env is the run environment: env.Pool executes chunk batches under
+	// env.Span, crediting env.Ledger, and env.Cancel is polled once per
+	// chunk (row chunks, cached column chunks, and buffer-sum ranges). The
+	// pool is either injected via SetEnv/SetPool (caller owns its
+	// lifetime) or created lazily on the first multi-threaded Apply
+	// (ownPool; released by Close).
+	env      sched.Env
 	ownPool  bool
 	sumTasks []sched.Task // the buffer-sum batch, built once
 
@@ -260,22 +263,6 @@ type Engine struct {
 	// Algorithm 2 (every chunk gets a private buffer); used by the
 	// ablation experiments.
 	noBufferShare bool
-
-	// cancel, when non-nil, is a cooperative cancellation probe polled
-	// once per chunk (row chunks, cached column chunks, and buffer-sum
-	// ranges). A firing probe makes the rest of the Apply a no-op; the
-	// output vector is then partial and must be discarded by the caller.
-	cancel func() bool
-
-	// span, when non-nil, parents the engine's pool batches so the
-	// scheduler attributes per-batch steal/idle deltas to this gate
-	// stream. Nil (the default) keeps the batches span-free.
-	span *obs.Span
-
-	// led, when non-nil, receives the engine's resource attribution:
-	// pool-batch busy-ns via the scheduler and partial-buffer bytes as
-	// they are allocated. Nil (the default) keeps batches ledger-free.
-	led *obs.ResourceLedger
 
 	stats Stats
 
@@ -365,24 +352,60 @@ func (e *Engine) CacheChunks() int { return e.cchunks }
 // Mode returns the caching policy.
 func (e *Engine) Mode() Mode { return e.mode }
 
-// SetPool injects a shared scheduler pool (core.Run uses this so one
-// pool serves conversion and every DMAV gate). The caller keeps
-// ownership of the pool's lifetime. Passing nil reverts to a lazily
-// created engine-owned pool.
+// SetPool injects a shared scheduler pool, leaving the rest of the
+// environment as it is. The caller keeps ownership of the pool's
+// lifetime. Passing nil reverts to a lazily created engine-owned pool.
 func (e *Engine) SetPool(p *sched.Pool) {
 	if e.ownPool {
-		e.pool.Close()
+		e.env.Pool.Close()
 		e.ownPool = false
 	}
-	e.pool = p
+	e.env.Pool = p
+}
+
+// SetEnv installs the run environment (core.RunContext wires one per run;
+// every field may be nil, which is the production default for all but
+// the pool). It must be called before Apply.
+//
+//   - Pool is installed as by SetPool.
+//   - Cancel is polled at chunk granularity inside Apply: cheap enough to
+//     leave no trace on the kernels (one call per ~8×threads chunks per
+//     gate), frequent enough that an abort is observed well within one
+//     gate. Once it fires, Apply returns early with a partial output
+//     vector and without updating Stats; the caller discards the output
+//     and stops applying gates.
+//   - Span parents the pool batches, which appear as "dmav.rows" /
+//     "dmav.chunks" / "dmav.sum" children carrying the scheduler's
+//     per-batch attribution.
+//   - Ledger receives the pool batches' worker busy-ns, the wall time of
+//     a gate that runs inline, and the cached path's shared partial-output
+//     buffers as live flat-array bytes when (re)allocated.
+//   - Metrics shows aggregate load as dmav.tasks (border tasks executed),
+//     dmav.chunks (schedulable chunks built) and dmav.macs.executed
+//     (multiply-accumulates performed: the exact path count of each
+//     executed sub-tree, plus one scalar multiply per cached element on
+//     reuse); per-worker attribution lives with the scheduler
+//     (sched.worker.<i>.*).
+//   - Faults wires the engine's injection points.
+func (e *Engine) SetEnv(env sched.Env) {
+	e.SetPool(env.Pool)
+	e.env = env
+	e.met = newEngMetrics(env.Metrics)
+	e.fts = engFaults{}
+	if r := env.Faults; r != nil {
+		e.fts = engFaults{
+			cacheCorrupt:   r.Point(faults.DMAVCacheCorrupt),
+			computeCorrupt: r.Point(faults.DMAVComputeCorrupt),
+		}
+	}
 }
 
 // Close releases the engine-owned pool, if one was created. Engines
-// given a pool via SetPool are not affected.
+// given a pool via SetEnv or SetPool are not affected.
 func (e *Engine) Close() {
 	if e.ownPool {
-		e.pool.Close()
-		e.pool = nil
+		e.env.Pool.Close()
+		e.env.Pool = nil
 		e.ownPool = false
 	}
 }
@@ -390,40 +413,14 @@ func (e *Engine) Close() {
 // ensurePool lazily creates an engine-owned pool for engines not wired
 // into a shared one.
 func (e *Engine) ensurePool() {
-	if e.pool == nil {
-		e.pool = sched.New(e.threads)
+	if e.env.Pool == nil {
+		e.env.Pool = sched.New(e.threads)
 		e.ownPool = true
 	}
 }
 
-// SetCancel installs a cooperative cancellation probe (nil removes it).
-// The probe is polled at chunk granularity inside Apply — cheap enough to
-// leave no trace on the kernels (one call per ~8×threads chunks per
-// gate), frequent enough that an abort is observed well within one gate.
-// Once the probe fires, Apply returns early with a partial output vector
-// and without updating Stats; the caller is expected to discard the
-// output and stop applying gates. core.RunContext wires the run context's
-// doneness in here.
-func (e *Engine) SetCancel(f func() bool) { e.cancel = f }
-
-// cancelled reports whether the installed probe has fired.
-func (e *Engine) cancelled() bool { return e.cancel != nil && e.cancel() }
-
-// SetSpan installs the tracing span under which the engine's pool
-// batches run (nil removes it — the production default). Batches appear
-// as "dmav.rows" / "dmav.chunks" / "dmav.sum" children carrying the
-// scheduler's per-batch attribution; the span collector's cap bounds
-// how many are retained per trace. Like SetCancel, it is set per run,
-// not per gate.
-func (e *Engine) SetSpan(s *obs.Span) { e.span = s }
-
-// SetLedger installs the resource ledger the engine reports into (nil
-// removes it — the production default). Pool batches credit their
-// worker busy-ns to the ledger's open phase, a gate that runs inline
-// credits its wall time, and the cached path's shared partial-output
-// buffers are counted as live flat-array bytes when (re)allocated. Like
-// SetSpan, it is set per run, not per gate.
-func (e *Engine) SetLedger(l *obs.ResourceLedger) { e.led = l }
+// cancelled reports whether the environment's probe has fired.
+func (e *Engine) cancelled() bool { return e.env.Canceled() }
 
 // SetBufferSharing enables or disables the shared partial-output buffers
 // of Algorithm 2 (enabled by default; disabling is for ablation studies).
@@ -435,19 +432,13 @@ func (e *Engine) SetBufferSharing(on bool) {
 // Stats returns the accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// SetMetrics attaches the engine to a registry (nil detaches). Aggregate
-// load shows up as dmav.tasks (border tasks executed), dmav.chunks
-// (schedulable chunks built) and dmav.macs.executed (multiply-
-// accumulates performed: the exact path count of each executed sub-tree,
-// plus one scalar multiply per cached element on reuse); per-worker
-// attribution lives with the scheduler (sched.worker.<i>.*). It must be
-// called before Apply.
-func (e *Engine) SetMetrics(r *obs.Registry) {
+// newEngMetrics returns the engine's handles of a registry (nil for a nil
+// registry).
+func newEngMetrics(r *obs.Registry) *engMetrics {
 	if r == nil {
-		e.met = nil
-		return
+		return nil
 	}
-	e.met = &engMetrics{
+	return &engMetrics{
 		gates:         r.Counter("dmav.gates"),
 		cachedGates:   r.Counter("dmav.gates.cached"),
 		uncachedGates: r.Counter("dmav.gates.uncached"),
@@ -458,20 +449,6 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 		tasks:         r.Counter("dmav.tasks"),
 		chunks:        r.Counter("dmav.chunks"),
 		applyNs:       r.Histogram("dmav.apply_ns", obs.DurationBuckets()),
-	}
-}
-
-// SetFaults wires the engine's injection points to a fault registry
-// (nil detaches; production engines never call this). Must be called
-// before Apply, like SetMetrics.
-func (e *Engine) SetFaults(r *faults.Registry) {
-	if r == nil {
-		e.fts = engFaults{}
-		return
-	}
-	e.fts = engFaults{
-		cacheCorrupt:   r.Point(faults.DMAVCacheCorrupt),
-		computeCorrupt: r.Point(faults.DMAVComputeCorrupt),
 	}
 }
 
@@ -506,7 +483,7 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 	// invisible to the ledger's batch-level busy accounting; credit the
 	// apply wall time instead (single-threaded, so wall == CPU).
 	var ledStart time.Time
-	if e.led != nil && g.inline {
+	if e.env.Ledger != nil && g.inline {
 		ledStart = time.Now()
 	}
 	e.cur.V, e.cur.W, e.cur.f, e.cur.g = V, W, M.W, g
@@ -516,7 +493,7 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 		e.applyUncached(g)
 	}
 	if !ledStart.IsZero() {
-		e.led.AddCPU(time.Since(ledStart).Nanoseconds())
+		e.env.Ledger.AddCPU(time.Since(ledStart).Nanoseconds())
 	}
 	cost := g.cost
 	if e.cancelled() {
@@ -652,7 +629,7 @@ func (e *Engine) applyUncached(g *gatePlan) {
 		return
 	}
 	e.ensurePool()
-	e.pool.RunTracked(e.span, "dmav.rows", e.led, g.batch)
+	e.env.Run("dmav.rows", g.batch)
 }
 
 // runRow executes one row chunk of the multiplication in flight. The
@@ -740,7 +717,7 @@ func (e *Engine) buildRows(g *gatePlan, root *dd.MNode) {
 func (e *Engine) applyCached(g *gatePlan) {
 	for len(e.buffers) < g.cost.Buffers-1 {
 		e.buffers = append(e.buffers, make([]complex128, e.dim))
-		e.led.AddFlat(int64(e.dim) * 16)
+		e.env.Ledger.AddFlat(int64(e.dim) * 16)
 	}
 	// Every task writes its whole segment; only the segments no task
 	// owns must be cleared before the sum.
@@ -753,7 +730,7 @@ func (e *Engine) applyCached(g *gatePlan) {
 		}
 	} else {
 		e.ensurePool()
-		e.pool.RunTracked(e.span, "dmav.chunks", e.led, g.batch)
+		e.env.Run("dmav.chunks", g.batch)
 	}
 	if g.cost.Buffers > 1 {
 		e.sumBuffers(g)
@@ -863,7 +840,7 @@ func (e *Engine) sumBuffers(g *gatePlan) {
 		}
 	}
 	e.ensurePool()
-	e.pool.RunTracked(e.span, "dmav.sum", e.led, e.sumTasks)
+	e.env.Run("dmav.sum", e.sumTasks)
 }
 
 // sumRange completes rows [lo, hi) of the multiplication in flight.

@@ -10,6 +10,7 @@ import (
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
 	"flatdd/internal/dmav"
+	"flatdd/internal/sched"
 	"flatdd/internal/workloads"
 )
 
@@ -112,6 +113,9 @@ func ablationConversion(cfg Config) {
 	}
 	tbl := NewTable(fmt.Sprintf("Ablation C: DD-to-array conversion optimizations (n=%d, threads=%d)", n, cfg.Threads),
 		"State", "Sequential", "Naive parallel split", "Fig.4 parallel (load bal. + scalar)")
+	// The scheduled conversion runs on a persistent pool, as in a run.
+	pool := sched.New(cfg.Threads)
+	defer pool.Close()
 	for _, p := range preps {
 		s := ddsim.New(n)
 		p.build(s)
@@ -120,7 +124,7 @@ func ablationConversion(cfg Config) {
 
 		seq := timeIt(func() { clear(out); s.Manager().FillArray(e, n, out) })
 		naive := timeIt(func() { clear(out); convert.ParallelNaiveInto(e, n, cfg.Threads, out) })
-		opt := timeIt(func() { clear(out); convert.ParallelInto(e, n, cfg.Threads, out) })
+		opt := timeIt(func() { clear(out); convert.ParallelIntoPool(e, n, pool, out, nil) })
 		tbl.AddRow(p.name, seq, naive, opt)
 	}
 	emit(cfg, "ablation-conversion", tbl)

@@ -295,19 +295,45 @@ func (p *Pool) Stats() []WorkerStats {
 // the next batch — essential when one Pool is shared across jobs.
 func (p *Pool) Run(tasks []Task) { p.run(nil, "", nil, tasks) }
 
-// RunTracked is Run with scheduler and resource attribution. When parent
-// is non-nil the batch executes under a child span named name, carrying
-// the batch's task count, worker count, and the steal/idle/busy deltas
-// measured across exactly this batch (the per-worker lifetime totals are
-// snapshotted before and after, under the batch mutex, so concurrent
-// batches cannot bleed into each other's attribution). When led is
-// non-nil, the batch's worker busy-ns delta (wall time the workers spent
-// inside task bodies, summed across workers — CPU participation, not
-// elapsed time) is credited to the ledger's open phase via AddCPU. Both
-// parent and led may be nil independently; with both nil it is exactly
-// Run, and the tracing-off cost is one pointer check.
-func (p *Pool) RunTracked(parent *obs.Span, name string, led *obs.ResourceLedger, tasks []Task) {
-	p.run(parent, name, led, tasks)
+// Env is the run environment of the flat phase: the pool its batches run
+// on plus the run-scoped concerns that ride along with them. core builds
+// one per run and hands it to the conversion and the DMAV engine. Every
+// field may be nil, and a nil field costs its user one pointer check.
+type Env struct {
+	Pool *Pool
+	// Cancel is the cooperative cancellation probe, polled at task
+	// granularity; a firing probe turns the rest of the work into no-ops.
+	Cancel func() bool
+	// Span parents every batch Run executes: each appears as a named
+	// child carrying the batch's task, worker, steal, idle and busy
+	// figures.
+	Span *obs.Span
+	// Ledger receives each batch's worker busy-ns (CPU participation,
+	// summed across workers) on its open phase.
+	Ledger *obs.ResourceLedger
+	// Metrics and Faults are the registries the engines attach their
+	// counters and injection points to.
+	Metrics *obs.Registry
+	Faults  *faults.Registry
+}
+
+// Canceled reports whether the cancellation probe has fired (false for a
+// nil Env or a nil probe).
+func (e *Env) Canceled() bool { return e != nil && e.Cancel != nil && e.Cancel() }
+
+// Run executes tasks as one batch on e.Pool (see Pool.Run) under a child
+// span of e.Span called name, crediting the batch's busy time to e.Ledger.
+// The steal/idle/busy deltas are measured under the batch mutex, so
+// concurrent batches never bleed into each other's attribution. A nil Env
+// or Pool runs the tasks inline on the caller.
+func (e *Env) Run(name string, tasks []Task) {
+	if e == nil || e.Pool == nil {
+		for _, t := range tasks {
+			t()
+		}
+		return
+	}
+	e.Pool.run(e.Span, name, e.Ledger, tasks)
 }
 
 func (p *Pool) run(parent *obs.Span, name string, led *obs.ResourceLedger, tasks []Task) {

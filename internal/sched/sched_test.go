@@ -345,12 +345,12 @@ func TestFaultHookSlowTask(t *testing.T) {
 	}
 }
 
-// TestRunTrackedCreditsBusyNs: a tracked batch credits the workers'
+// TestEnvRunCreditsBusyNs: a batch run through an Env credits the workers'
 // busy-ns delta to the ledger's open phase and publishes a non-zero
 // sched.busy_ns counter. The credited CPU time must be at least the
 // single-task spin time (work happened) and bounded by workers × wall
 // time (it is participation, not elapsed time).
-func TestRunTrackedCreditsBusyNs(t *testing.T) {
+func TestEnvRunCreditsBusyNs(t *testing.T) {
 	r := obs.New()
 	p := New(2)
 	defer p.Close()
@@ -363,7 +363,8 @@ func TestRunTrackedCreditsBusyNs(t *testing.T) {
 		tasks[i] = func() { time.Sleep(time.Millisecond) }
 	}
 	t0 := time.Now()
-	p.RunTracked(nil, "batch", led, tasks)
+	env := &Env{Pool: p, Ledger: led}
+	env.Run("batch", tasks)
 	wall := time.Since(t0)
 	led.End()
 
@@ -377,6 +378,11 @@ func TestRunTrackedCreditsBusyNs(t *testing.T) {
 	if got := r.Snapshot().Counters["sched.busy_ns"]; got <= 0 {
 		t.Errorf("sched.busy_ns = %d, want > 0", got)
 	}
-	// Nil ledger and nil parent stay valid no-ops.
-	p.RunTracked(nil, "batch", nil, tasks[:1])
+	// A nil ledger and span stay valid no-ops, and a nil Env runs inline.
+	(&Env{Pool: p}).Run("batch", tasks[:1])
+	ran := false
+	(*Env)(nil).Run("batch", []Task{func() { ran = true }})
+	if !ran || (*Env)(nil).Canceled() {
+		t.Error("a nil Env must run its batch inline and never report canceled")
+	}
 }
