@@ -61,17 +61,6 @@ func (c *Circuit) Depth() int {
 	return depth
 }
 
-// TwoQubitGateCount returns the number of gates touching 2+ qubits.
-func (c *Circuit) TwoQubitGateCount() int {
-	n := 0
-	for i := range c.Gates {
-		if len(c.Gates[i].Qubits()) >= 2 {
-			n++
-		}
-	}
-	return n
-}
-
 // Validate re-checks every gate against the register size.
 func (c *Circuit) Validate() error {
 	for i := range c.Gates {

@@ -79,28 +79,6 @@ func (g *Gate) Validate(n int) error {
 	return nil
 }
 
-// IsUnitary reports whether U†U = I within tol. Used by tests and the QASM
-// front end to reject malformed custom gates.
-func (g *Gate) IsUnitary(tol float64) bool {
-	d := g.Dim()
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			var s complex128
-			for k := 0; k < d; k++ {
-				s += cmplx.Conj(g.U[k][i]) * g.U[k][j]
-			}
-			want := complex128(0)
-			if i == j {
-				want = 1
-			}
-			if cmplx.Abs(s-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func m2(a, b, c, d complex128) [][]complex128 {
 	return [][]complex128{{a, b}, {c, d}}
 }

@@ -108,9 +108,6 @@ func NewTable(tol float64) *Table {
 	return t
 }
 
-// Tolerance reports the snapping tolerance of the table.
-func (t *Table) Tolerance() float64 { return t.tol }
-
 // Lookup returns the canonical representative of c. Components are snapped
 // to their tolerance-grid bucket (seeded constants keep their exact
 // values). Lookup(Lookup(c)) == Lookup(c) for every c, and the result is a
@@ -139,16 +136,6 @@ func (t *Table) LookupFloat(x float64) float64 {
 	}
 	return v
 }
-
-// ApproxEqual reports whether a and b are within tol of each other in both
-// components. It is the comparison the rest of the simulator uses when
-// checking numerical results against references.
-func ApproxEqual(a, b complex128, tol float64) bool {
-	return math.Abs(real(a)-real(b)) <= tol && math.Abs(imag(a)-imag(b)) <= tol
-}
-
-// IsZero reports whether c is exactly the canonical zero.
-func IsZero(c complex128) bool { return c == 0 }
 
 // Key packs a canonical complex value into a comparable, hashable key.
 // It must only be used on values returned by Lookup, where bit equality

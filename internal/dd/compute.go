@@ -71,11 +71,3 @@ func (c *ctable[K, V]) put(k K, v V) {
 func (c *ctable[K, V]) clear() {
 	clear(c.entries)
 }
-
-// ComputeTableStats reports lifetime lookup/hit counters aggregated across
-// the manager's four compute tables, for diagnostics and tests.
-func (m *Manager) ComputeTableStats() (lookups, hits uint64) {
-	lookups = m.addCT.lookups + m.maddCT.lookups + m.mvCT.lookups + m.mmCT.lookups
-	hits = m.addCT.hits + m.maddCT.hits + m.mvCT.hits + m.mmCT.hits
-	return lookups, hits
-}

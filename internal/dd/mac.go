@@ -1,20 +1,5 @@
 package dd
 
-// MACCount returns the number of multiply-accumulate operations a DMAV with
-// the matrix rooted at e would execute (Section 3.2.3, Figure 8): the
-// terminal contributes one MAC, and every node contributes the sum of the
-// counts of its nonzero outgoing edges. Identical nodes are counted once in
-// the memo table but contribute each time they are reached through a
-// different edge — the count equals the number of nonzero root-to-terminal
-// paths, i.e. the number of nonzero matrix entries touched by Run.
-func MACCount(e MEdge) int64 {
-	if e.IsZero() {
-		return 0
-	}
-	memo := make(map[*MNode]int64)
-	return macRec(e.N, memo)
-}
-
 // MACCountNode is MACCount for a bare node reached with nonzero weight,
 // sharing the caller's memo table. It is used by the DMAV cost model, which
 // needs per-subtree counts for the border-level tasks.
@@ -37,31 +22,4 @@ func macRec(n *MNode, memo map[*MNode]int64) int64 {
 	}
 	memo[n] = sum
 	return sum
-}
-
-// NNZ returns the number of nonzero entries of the vector DD rooted at e —
-// each is one root-to-terminal path with nonzero weight product.
-func NNZ(e VEdge) int64 {
-	if e.IsZero() {
-		return 0
-	}
-	memo := make(map[*VNode]int64)
-	var rec func(n *VNode) int64
-	rec = func(n *VNode) int64 {
-		if n.Level == TerminalLevel {
-			return 1
-		}
-		if v, ok := memo[n]; ok {
-			return v
-		}
-		var sum int64
-		for _, c := range n.E {
-			if !c.IsZero() {
-				sum += rec(c.N)
-			}
-		}
-		memo[n] = sum
-		return sum
-	}
-	return rec(e.N)
 }

@@ -108,12 +108,6 @@ func NewWithTolerance(nQubits int, tol float64) *Manager {
 // Qubits returns the number of qubits this manager was created for.
 func (m *Manager) Qubits() int { return m.nQubits }
 
-// VTerminal returns the shared vector terminal node.
-func (m *Manager) VTerminal() *VNode { return m.vTerminal }
-
-// MTerminal returns the shared matrix terminal node.
-func (m *Manager) MTerminal() *MNode { return m.mTerminal }
-
 // VZeroEdge returns the canonical zero vector edge.
 func (m *Manager) VZeroEdge() VEdge { return VEdge{0, m.vTerminal} }
 

@@ -146,47 +146,3 @@ func (m *Manager) MultiQubitGate(n int, u [][]complex128, qubits []int) MEdge {
 	}
 	return sum
 }
-
-// ToDense expands the matrix DD to a dense 2^n x 2^n array. For tests and
-// tiny operators only.
-func (m *Manager) ToDense(e MEdge, n int) [][]complex128 {
-	dim := 1 << uint(n)
-	out := make([][]complex128, dim)
-	for i := range out {
-		out[i] = make([]complex128, dim)
-	}
-	var fill func(e MEdge, level int, r, c int, w complex128)
-	fill = func(e MEdge, level int, r, c int, w complex128) {
-		if e.IsZero() {
-			return
-		}
-		w *= e.W
-		if level < 0 {
-			out[r][c] = w
-			return
-		}
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				fill(e.N.Child(i, j), level-1, r|i<<uint(level), c|j<<uint(level), w)
-			}
-		}
-	}
-	fill(MEdge{1, e.N}, n-1, 0, 0, e.W)
-	return out
-}
-
-// MatrixEntry returns entry (row, col) of the matrix DD on n qubits.
-func (m *Manager) MatrixEntry(e MEdge, n int, row, col uint64) complex128 {
-	w := e.W
-	for level := n - 1; level >= 0; level-- {
-		if w == 0 {
-			return 0
-		}
-		i := int(row >> uint(level) & 1)
-		j := int(col >> uint(level) & 1)
-		c := e.N.Child(i, j)
-		e = c
-		w *= c.W
-	}
-	return w
-}

@@ -30,9 +30,6 @@ func (m *Manager) scaleM(e MEdge, w complex128) MEdge {
 // ScaleV returns e scaled by the scalar w (canonicalized).
 func (m *Manager) ScaleV(e VEdge, w complex128) VEdge { return m.scaleV(e, w) }
 
-// ScaleM returns e scaled by the scalar w (canonicalized).
-func (m *Manager) ScaleM(e MEdge, w complex128) MEdge { return m.scaleM(e, w) }
-
 // Add returns the sum of two vector DDs. Operands must stem from this
 // manager and describe vectors of the same dimension.
 func (m *Manager) Add(a, b VEdge) VEdge {

@@ -113,15 +113,3 @@ func (m *Manager) Reorder(e VEdge, n int, perm []int) VEdge {
 	}
 	return e
 }
-
-// PermuteIndexBits computes the amplitude-index gather of Reorder: bit i
-// of the result is bit perm[i] of idx... inverse direction: the returned
-// index is the ORIGINAL index holding the amplitude that Reorder places at
-// position idx.
-func PermuteIndexBits(idx uint64, perm []int) uint64 {
-	var out uint64
-	for i, p := range perm {
-		out |= (idx >> uint(i) & 1) << uint(p)
-	}
-	return out
-}

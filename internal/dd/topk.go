@@ -2,7 +2,6 @@ package dd
 
 import (
 	"container/heap"
-	"fmt"
 	"math/cmplx"
 )
 
@@ -79,16 +78,6 @@ func (m *Manager) TopAmplitudes(e VEdge, n, k int) []AmpEntry {
 		}
 	}
 	return out
-}
-
-// MaxAmplitude returns the single largest-magnitude amplitude and its
-// basis index.
-func (m *Manager) MaxAmplitude(e VEdge, n int) (AmpEntry, error) {
-	top := m.TopAmplitudes(e, n, 1)
-	if len(top) == 0 {
-		return AmpEntry{}, fmt.Errorf("dd: zero state has no maximum amplitude")
-	}
-	return top[0], nil
 }
 
 type pathItem struct {

@@ -138,31 +138,6 @@ func (m *Manager) VSize(e VEdge) int {
 	return len(seen)
 }
 
-// MSize returns the number of unique matrix nodes reachable from e,
-// excluding the terminal.
-func (m *Manager) MSize(e MEdge) int {
-	seen := make(map[*MNode]struct{})
-	var walk func(n *MNode)
-	walk = func(n *MNode) {
-		if n.Level == TerminalLevel {
-			return
-		}
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		for _, c := range n.E {
-			if !c.IsZero() {
-				walk(c.N)
-			}
-		}
-	}
-	if !e.IsZero() {
-		walk(e.N)
-	}
-	return len(seen)
-}
-
 // Norm returns the 2-norm of the vector DD, computed by a memoized upward
 // pass over the unique nodes (O(nodes)). With division-based node
 // normalization sub-trees are not unit vectors, so the norm is
@@ -205,28 +180,4 @@ func (m *Manager) subtreeNorm2(n *VNode, memo map[*VNode]float64) float64 {
 	}
 	memo[n] = s
 	return s
-}
-
-// InnerProduct computes <a|b> for two vector DDs of the same dimension.
-func (m *Manager) InnerProduct(a, b VEdge, n int) complex128 {
-	return m.ipRec(a, b, n-1)
-}
-
-func (m *Manager) ipRec(a, b VEdge, level int) complex128 {
-	if a.IsZero() || b.IsZero() {
-		return 0
-	}
-	if level < 0 {
-		return cmplx.Conj(a.W) * b.W
-	}
-	var sum complex128
-	for i := 0; i < 2; i++ {
-		ea := a.N.E[i]
-		eb := b.N.E[i]
-		if ea.IsZero() || eb.IsZero() {
-			continue
-		}
-		sum += cmplx.Conj(a.W) * b.W * m.ipRec(VEdge{ea.W, ea.N}, VEdge{eb.W, eb.N}, level-1)
-	}
-	return sum
 }

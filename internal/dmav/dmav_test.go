@@ -106,7 +106,7 @@ func TestApplyMatchesOracleAllModes(t *testing.T) {
 func fusedAbove(rng *rand.Rand, m *dd.Manager, n int, macs int64) (dd.MEdge, []circuit.Gate) {
 	M := m.Identity(n)
 	var gates []circuit.Gate
-	for dd.MACCount(M) < macs {
+	for dd.MACCountNode(M.N, map[*dd.MNode]int64{}) < macs {
 		g := randomGate(rng, n)
 		gates = append(gates, g)
 		M = m.MulMM(ddsim.BuildGateDD(m, n, &g), M)

@@ -80,12 +80,3 @@ func (c *Controller) Observe(size int) bool {
 
 // Average returns the current EWMA value v_i.
 func (c *Controller) Average() float64 { return c.v }
-
-// Observations returns the number of sizes observed.
-func (c *Controller) Observations() int { return c.i }
-
-// Reset clears the controller state.
-func (c *Controller) Reset() {
-	c.v = 0
-	c.i = 0
-}

@@ -205,16 +205,6 @@ func (p *Point) Hits() int64 {
 	return p.hits
 }
 
-// Fires returns how many times the point actually fired.
-func (p *Point) Fires() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fires
-}
-
 // Fire records one hit and returns the injected fault if the trigger
 // fires, nil otherwise. This is the primitive the typed helpers below
 // build on; hook sites that need custom behaviour can use it directly.

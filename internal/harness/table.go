@@ -139,12 +139,3 @@ func GeoMean(vals []float64) float64 {
 	}
 	return math.Exp(sum / float64(n))
 }
-
-// GeoMeanDurations is GeoMean over durations in seconds.
-func GeoMeanDurations(ds []time.Duration) float64 {
-	vals := make([]float64, len(ds))
-	for i, d := range ds {
-		vals[i] = d.Seconds()
-	}
-	return GeoMean(vals)
-}

@@ -52,16 +52,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return float64(h.Bounds[len(h.Bounds)-1])
 }
 
-// Quantiles estimates several quantiles in one call (one pass per
-// quantile; the snapshot is already detached so this is cheap).
-func (h HistogramSnapshot) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}
-
 // Snapshot freezes one live histogram (the per-registry Snapshot does
 // this for every metric; this is the single-histogram form for callers
 // that need quantiles of one series without copying the whole registry).

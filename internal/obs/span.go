@@ -113,13 +113,6 @@ func NewTracer(tw *TraceWriter) *Tracer {
 	}
 }
 
-// SetMaxSpans overrides the per-trace collection cap (tests).
-func (t *Tracer) SetMaxSpans(n int) {
-	if t != nil && n > 0 {
-		t.max = n
-	}
-}
-
 func (t *Tracer) randTraceID() TraceID {
 	var id TraceID
 	t.mu.Lock()

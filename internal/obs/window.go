@@ -59,14 +59,6 @@ func newHistogram(bounds []int64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// Window returns the configured epoch duration (0 for a nil receiver).
-func (w *WindowedHistogram) Window() time.Duration {
-	if w == nil {
-		return 0
-	}
-	return w.window
-}
-
 // Observe records one value into the current epoch. No-op on nil.
 func (w *WindowedHistogram) Observe(v int64) {
 	if w == nil {

@@ -32,15 +32,6 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 	return err
 }
 
-// ToString renders a circuit to OpenQASM 2.0 source.
-func ToString(c *circuit.Circuit) (string, error) {
-	var b strings.Builder
-	if err := Write(&b, c); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
 func writeGate(b *strings.Builder, g *circuit.Gate) error {
 	// Negative controls: conjugate with X on those controls.
 	var negs []int

@@ -502,9 +502,6 @@ func New(cfg Config) *Server {
 // Registry returns the metrics registry the server instruments.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Flight returns the job flight recorder backing /debug/jobs.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
 // admissionError is a submit-time rejection with an HTTP status, a
 // machine-readable reason for the JSON error body, and an optional
 // Retry-After hint in seconds (429/503 — the retryable rejections).
@@ -1282,13 +1279,6 @@ func (s *Server) Shutdown() {
 		s.pool.Close()
 	}
 	s.tw.Flush() //nolint:errcheck // trace output is best-effort
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // sampleShots draws measurement shots from the final state with a seeded

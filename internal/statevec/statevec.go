@@ -73,23 +73,8 @@ func (s *State) Qubits() int { return s.n }
 // Threads returns the worker count.
 func (s *State) Threads() int { return s.threads }
 
-// SetThreads changes the worker count.
-func (s *State) SetThreads(t int) {
-	if t < 1 {
-		t = 1
-	}
-	s.threads = t
-}
-
 // Amplitudes returns the backing array (not a copy).
 func (s *State) Amplitudes() []complex128 { return s.amps }
-
-// Clone returns a deep copy of the state.
-func (s *State) Clone() *State {
-	amps := make([]complex128, len(s.amps))
-	copy(amps, s.amps)
-	return &State{n: s.n, amps: amps, threads: s.threads}
-}
 
 // MemoryBytes returns the size of the amplitude array in bytes.
 func (s *State) MemoryBytes() uint64 { return uint64(len(s.amps)) * 16 }
