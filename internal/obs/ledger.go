@@ -82,7 +82,7 @@ type PhaseCost struct {
 	// CPUNs is attributed worker CPU time: scheduler-pool busy time for
 	// the pooled phases (convert, dmav), wall time for the sequential
 	// ones (dd, fuse) where the run goroutine is the only worker. Pool
-	// batches attribute through sched.RunTracked.
+	// batches attribute through sched.Env.Run.
 	CPUNs int64 `json:"cpu_ns"`
 	// AllocBytes/Mallocs/GCCycles are process-wide runtime/metrics
 	// deltas sampled at the phase boundaries. With concurrent jobs on
