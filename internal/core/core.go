@@ -988,7 +988,9 @@ func (s *Simulator) Amplitudes() []complex128 {
 	env, release := s.flatEnv(nil)
 	defer release()
 	out := make([]complex128, uint64(1)<<uint(s.n))
-	convert.ParallelIntoEnv(s.sim.State(), s.n, out, &env) //nolint:errcheck // out is sized 2^n
+	// Neither result can report a failure: out has length 2^n and the
+	// environment has no cancellation probe.
+	_, _ = convert.ParallelIntoEnv(s.sim.State(), s.n, out, &env)
 	return out
 }
 
