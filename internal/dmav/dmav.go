@@ -391,12 +391,9 @@ func (e *Engine) SetEnv(env sched.Env) {
 	e.SetPool(env.Pool)
 	e.env = env
 	e.met = newEngMetrics(env.Metrics)
-	e.fts = engFaults{}
-	if r := env.Faults; r != nil {
-		e.fts = engFaults{
-			cacheCorrupt:   r.Point(faults.DMAVCacheCorrupt),
-			computeCorrupt: r.Point(faults.DMAVComputeCorrupt),
-		}
+	e.fts = engFaults{
+		cacheCorrupt:   env.Faults.Point(faults.DMAVCacheCorrupt),
+		computeCorrupt: env.Faults.Point(faults.DMAVComputeCorrupt),
 	}
 }
 
@@ -418,9 +415,6 @@ func (e *Engine) ensurePool() {
 		e.ownPool = true
 	}
 }
-
-// cancelled reports whether the environment's probe has fired.
-func (e *Engine) cancelled() bool { return e.env.Canceled() }
 
 // SetBufferSharing enables or disables the shared partial-output buffers
 // of Algorithm 2 (enabled by default; disabling is for ablation studies).
@@ -496,7 +490,7 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 		e.env.Ledger.AddCPU(time.Since(ledStart).Nanoseconds())
 	}
 	cost := g.cost
-	if e.cancelled() {
+	if e.env.Canceled() {
 		// Aborted mid-gate: W is partial and the caller discards it, so
 		// neither Stats nor the metrics count this Apply.
 		return cost, nil
@@ -636,7 +630,7 @@ func (e *Engine) applyUncached(g *gatePlan) {
 // chunk's first sub-block writes its rows, the rest accumulate, so W is
 // never zeroed beforehand.
 func (e *Engine) runRow(c *rowChunk) {
-	if e.cancelled() {
+	if e.env.Canceled() {
 		return
 	}
 	x := &e.cur
@@ -747,7 +741,7 @@ func (e *Engine) partial(b int) []complex128 {
 
 // runCol executes one column chunk of the multiplication in flight.
 func (e *Engine) runCol(c *colChunk) {
-	if e.cancelled() {
+	if e.env.Canceled() {
 		return
 	}
 	x := mul{V: e.cur.V, W: e.partial(c.buf)}
@@ -845,7 +839,7 @@ func (e *Engine) sumBuffers(g *gatePlan) {
 
 // sumRange completes rows [lo, hi) of the multiplication in flight.
 func (e *Engine) sumRange(lo, hi uint64) {
-	if e.cancelled() {
+	if e.env.Canceled() {
 		return
 	}
 	W := e.cur.W[lo:hi]
