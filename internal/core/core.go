@@ -342,6 +342,7 @@ type Stats struct {
 	Approximations int
 	// Degraded reports that the run suppressed its DD→flat conversion and
 	// completed DD-only (graceful degradation); DegradedReason says why:
+	// "register_too_wide" (more than dmav.MaxQubits qubits),
 	// "memory_budget" (flat working set over Options.MemoryBudget) or
 	// "alloc_failed" (flat-array allocation failure, injected or real).
 	Degraded       bool
@@ -862,10 +863,16 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 
 // conversionBlocked decides, at the moment the controller fires, whether
 // the DD→flat conversion may proceed. It returns "" to allow it, or the
-// degradation reason: "alloc_failed" when the (injected) flat-array
-// allocation fails, "memory_budget" when the flat working set would
-// exceed Options.MemoryBudget.
+// degradation reason: "register_too_wide" when the register is above the
+// DMAV engine's ceiling (a flat array that size cannot be allocated, and
+// the allocation failure would be fatal, not a recoverable error),
+// "alloc_failed" when the (injected) flat-array allocation fails,
+// "memory_budget" when the flat working set would exceed
+// Options.MemoryBudget.
 func (s *Simulator) conversionBlocked() string {
+	if s.n > dmav.MaxQubits {
+		return "register_too_wide"
+	}
 	if s.convertAlloc.Err() != nil {
 		return "alloc_failed"
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"flatdd/internal/circuit"
@@ -106,6 +107,19 @@ func TestGHZStaysInDDPhase(t *testing.T) {
 	want := complex(1/math.Sqrt2, 0)
 	if !approx(s.Amplitude(0), want) || !approx(s.Amplitude(1<<16-1), want) {
 		t.Fatal("GHZ amplitudes wrong")
+	}
+}
+
+// TestNewAllocatesLittle pins a simulator's fixed cost: the DD tables
+// grow with use, so a DD-phase job does not pay for them at their cap.
+func TestNewAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(20, Options{})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 512<<10 {
+		t.Fatalf("New(20, Options{}) allocated %d B, want < 512 KiB", got)
 	}
 }
 

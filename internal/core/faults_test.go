@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"flatdd/internal/faults"
 	"flatdd/internal/obs"
 	"flatdd/internal/statevec"
+	"flatdd/internal/workloads"
 )
 
 // faultCircuit is a pooled-size workload: n=12 gives a 4096-amplitude
@@ -147,6 +150,36 @@ func TestDegradedBudgetAllowsConversionWhenSufficient(t *testing.T) {
 	}
 	if st.Degraded || st.ConvertedAtGate != 5 {
 		t.Fatalf("sufficient budget degraded: %+v", st)
+	}
+}
+
+// TestDegradedRegisterTooWide fires the conversion on a register above
+// the DMAV ceiling: the run must stay in the DD phase with its exact
+// answer instead of attempting a 16·2^40-byte allocation.
+func TestDegradedRegisterTooWide(t *testing.T) {
+	const n = 40
+	r := obs.New()
+	s := New(n, Options{ForceConvertAfter: 5, Metrics: r})
+	st, err := s.RunContext(context.Background(), workloads.GHZ(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Degraded || st.DegradedReason != "register_too_wide" || st.ConvertedAtGate != -1 {
+		t.Fatalf("Degraded=%v reason=%q converted at %d, want true/register_too_wide/-1",
+			st.Degraded, st.DegradedReason, st.ConvertedAtGate)
+	}
+	if got := r.Gauge("core.degraded").Value(); got != 1 {
+		t.Fatalf("core.degraded = %d, want 1", got)
+	}
+	top := s.TopAmplitudes(2)
+	want := []uint64{0, 1<<n - 1}
+	if len(top) != 2 {
+		t.Fatalf("TopAmplitudes(2) = %v", top)
+	}
+	for i, e := range top {
+		if e.Index != want[i] || cmplx.Abs(e.Amplitude-complex(1/math.Sqrt2, 0)) > 1e-12 {
+			t.Fatalf("TopAmplitudes(2)[%d] = %+v, want index %d at 1/√2", i, e, want[i])
+		}
 	}
 }
 

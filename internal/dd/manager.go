@@ -74,8 +74,8 @@ type mmKey struct {
 }
 
 // uniqueInitCap pre-sizes each unique table so small runs never rehash
-// during their first few thousand node constructions.
-const uniqueInitCap = 4096
+// during their first few hundred node constructions.
+const uniqueInitCap = 256
 
 // New returns a Manager for circuits of up to nQubits qubits with the
 // default weight tolerance.
@@ -121,7 +121,7 @@ func (m *Manager) MZeroEdge() MEdge { return MEdge{0, m.mTerminal} }
 func (m *Manager) MOneEdge() MEdge { return MEdge{1, m.mTerminal} }
 
 // NodeBytes is the modeled per-node footprint used for DD-engine memory
-// estimates (vector nodes ~64 B, matrix nodes ~112 B; blended). Every
+// estimates (vector nodes 56 B, matrix nodes 104 B; blended). Every
 // layer that converts node counts to bytes — core's peak-memory stats,
 // the harness's reported footprint, the resource ledger — multiplies by
 // this one constant so the estimates agree.

@@ -296,6 +296,10 @@ type engMetrics struct {
 	applyNs       *obs.Histogram
 }
 
+// MaxQubits is the largest register the engine simulates: its state and
+// scratch vectors take 32·2^n bytes, 512 GiB at n = 34.
+const MaxQubits = 34
+
 // New returns a DMAV engine for n qubits running max(1, threads)
 // workers, capped at 2^n. Any positive thread count is supported: the
 // uncached path sizes its row chunks by the MAC cost model, and the
@@ -303,7 +307,7 @@ type engMetrics struct {
 // threads, with the work-stealing pool re-balancing either shape across
 // the actual workers.
 func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
-	if n < 1 || n > 34 {
+	if n < 1 || n > MaxQubits {
 		panic(fmt.Sprintf("dmav: unsupported qubit count %d", n))
 	}
 	if threads < 1 {

@@ -62,10 +62,6 @@ const (
 	CacheCoalesced = "coalesced"
 )
 
-// maxSimQubits is the engine's hard register-size ceiling (the DMAV
-// engine rejects larger registers); Config.MaxQubits is clamped to it.
-const maxSimQubits = 34
-
 // Config parameterizes a Server. The zero value is usable: every field
 // falls back to the default documented on it.
 type Config struct {
@@ -88,7 +84,7 @@ type Config struct {
 	// rejected with 413 before it is queued.
 	MemoryBudget uint64
 	// MaxQubits caps the register size regardless of budget (default 30,
-	// clamped to the engine ceiling of 34).
+	// clamped to the engine ceiling dmav.MaxQubits).
 	MaxQubits int
 	// DefaultTimeout is the per-job deadline when the submission does not
 	// name one (default 2m); MaxTimeout caps requested deadlines
@@ -205,8 +201,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQubits < 1 {
 		c.MaxQubits = 30
 	}
-	if c.MaxQubits > maxSimQubits {
-		c.MaxQubits = maxSimQubits
+	if c.MaxQubits > dmav.MaxQubits {
+		c.MaxQubits = dmav.MaxQubits
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Minute
