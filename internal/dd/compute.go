@@ -14,9 +14,8 @@ import (
 //
 // A table is sized from its use. It starts at 2^ctMinBits slots and
 // doubles each time more than half of its slots hold an entry, up to
-// 2^ctMaxBits. A job that stays small (most DD-phase jobs put about a
-// thousand entries per table) never pays for the full table; a DD-heavy
-// run ends up at the cap.
+// 2^ctMaxBits. A job that puts few entries never pays for the full
+// table; a DD-heavy run ends up at the cap.
 const (
 	ctMinBits = 10
 	ctMaxBits = 17
