@@ -126,7 +126,8 @@ func newEngineFault(r any) *EngineFault {
 // n-qubit register: state plus scratch vector, 16 bytes per amplitude
 // each. This is the figure Options.MemoryBudget is compared against at
 // conversion time (the DD-phase node memory is comparatively small and
-// already spent by then).
+// already spent by then). Registers above dmav.MaxQubits never reach that
+// comparison, which matters because the shift wraps to 0 from n = 59.
 func FlatWorkingSetBytes(n int) uint64 { return 32 << uint(n) }
 
 // Phase identifies which engine produced a result or trace event.
