@@ -1,7 +1,7 @@
 package flatdd
 
-// The exported-API gate: every exported top-level function, method and
-// type under internal/ and cmd/ must be referenced from at least one
+// The exported-API gate: every exported top-level function, method, type,
+// constant and variable under internal/ and cmd/ must be referenced from at least one
 // non-test file of the module (bench/ and examples/ count). A name that
 // only tests reach belongs in its package's _test.go files, or on the
 // allowlist below with the reason it stays.
@@ -173,8 +173,8 @@ func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
 	}
 }
 
-// exportedDecls lists the exported top-level functions, methods and types
-// of one file.
+// exportedDecls lists the exported top-level functions, methods, types,
+// constants and variables of one file.
 func exportedDecls(fset *token.FileSet, gf goFile) []apiDecl {
 	var out []apiDecl
 	for _, decl := range gf.f.Decls {
@@ -193,8 +193,17 @@ func exportedDecls(fset *token.FileSet, gf goFile) []apiDecl {
 			out = append(out, ad)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-					out = append(out, apiDecl{pkg: gf.pkg, name: ts.Name.Name, pos: fset.Position(ts.Pos())})
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						out = append(out, apiDecl{pkg: gf.pkg, name: sp.Name.Name, pos: fset.Position(sp.Pos())})
+					}
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						if id.IsExported() {
+							out = append(out, apiDecl{pkg: gf.pkg, name: id.Name, pos: fset.Position(id.Pos())})
+						}
+					}
 				}
 			}
 		}

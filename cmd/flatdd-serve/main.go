@@ -3,7 +3,7 @@
 // named-workload circuits, admits them against memory budgets and
 // per-tenant quotas, serves repeats from a canonical-circuit result
 // cache (coalescing identical in-flight submissions), and executes the
-// rest on one shared work-stealing pool via a weighted-fair queue with
+// rest on one shared worker pool via a weighted-fair queue with
 // per-job deadlines and cancellation.
 //
 //	flatdd-serve -listen :8080 -threads 8 -inflight 2 -mem-budget-mb 4096 \

@@ -19,7 +19,7 @@
 //
 // The parallel walk is planned, not spawned: planConv cuts the DD into
 // region-sized leaf tasks plus an ordered list of scale operations, the
-// tasks run as one batch on an internal/sched work-stealing pool, and
+// tasks run as one batch on an internal/sched worker pool, and
 // the scales follow innermost-first (an outer scale reads regions an
 // inner scale fills). ParallelIntoEnv runs it in a run's environment
 // (pool, cancellation, span, ledger, metrics); ParallelIntoPool is the
@@ -79,12 +79,14 @@ func ParallelIntoPool(e dd.VEdge, n int, p *sched.Pool, out []complex128, r *obs
 	return err
 }
 
-// ParallelIntoEnv converts a state DD into out on env.Pool, which must be
-// set. out must have length 2^n and be zeroed (freshly allocated or
-// cleared): entries under zero edges are skipped, exactly like the
-// sequential algorithm. A wrong length is a caller error and returned as
-// one. The rest of env is optional:
+// ParallelIntoEnv converts a state DD into out on env.Pool. out must have
+// length 2^n and be zeroed (freshly allocated or cleared): entries under
+// zero edges are skipped, exactly like the sequential algorithm. A wrong
+// length is a caller error and returned as one. Every field of env is
+// optional:
 //
+//   - Pool runs the leaf tasks and large scale operations; without one
+//     they run inline on the caller;
 //   - Cancel is polled once per leaf task and once per scale operation;
 //     a firing probe makes the remaining work return immediately (each
 //     leaf covers at most ~len(out)/(8·threads) amplitudes). A nil probe

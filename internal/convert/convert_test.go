@@ -105,6 +105,28 @@ func TestParallelGHZ(t *testing.T) {
 	checkAgainst(t, "ghz", m, s.State(), n)
 }
 
+// TestParallelIntoEmptyEnv: every Env field is optional, the pool too; an
+// empty Env converts inline on the caller.
+func TestParallelIntoEmptyEnv(t *testing.T) {
+	n := 6
+	m := dd.New(n)
+	s := ddsim.NewWithManager(m, n)
+	g := circuit.H(0)
+	s.ApplyGate(&g)
+	for q := 1; q < n; q++ {
+		cx := circuit.CX(q-1, q)
+		s.ApplyGate(&cx)
+	}
+	out := make([]complex128, 1<<uint(n))
+	if ok, err := ParallelIntoEnv(s.State(), n, out, &sched.Env{}); !ok || err != nil {
+		t.Fatalf("conversion returned (%v, %v), want (true, nil)", ok, err)
+	}
+	want := complex(1/math.Sqrt2, 0)
+	if !approx(out[0], want) || !approx(out[len(out)-1], want) {
+		t.Fatalf("GHZ amplitudes %v, %v, want %v", out[0], out[len(out)-1], want)
+	}
+}
+
 func TestParallelAlternatingSignState(t *testing.T) {
 	// (H Z H)-style states with negative-weight shared children exercise
 	// scalar factors different from 1.

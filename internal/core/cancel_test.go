@@ -173,11 +173,7 @@ func TestPoolAuthoritativeOverThreads(t *testing.T) {
 	if p := norm(s); math.Abs(p-1) > eps {
 		t.Fatalf("norm %v with injected pool", p)
 	}
-	var tasks int64
-	for _, w := range pool.Stats() {
-		tasks += w.Tasks
-	}
-	if tasks == 0 {
+	if poolTasks(pool) == 0 {
 		t.Fatal("the run executed no task on Options.Pool")
 	}
 	// The cost model divides by the thread count: the run must model the

@@ -1002,17 +1002,15 @@ func (s *Simulator) Amplitudes() []complex128 {
 	return out
 }
 
-// flatEnv returns the environment the flat phase runs in: Options.Pool
-// when set, otherwise a transient pool of Threads workers attached to the
-// run's metrics and faults, which release closes.
+// flatEnv returns the environment the flat phase runs in, carrying the
+// run's metrics and faults: Options.Pool when set, otherwise a transient
+// pool of Threads workers, which release closes.
 func (s *Simulator) flatEnv(cancel func() bool) (env sched.Env, release func()) {
 	env = sched.Env{Pool: s.opts.Pool, Cancel: cancel, Metrics: s.opts.Metrics, Faults: s.opts.Faults}
 	if env.Pool != nil {
 		return env, func() {}
 	}
 	env.Pool = sched.New(s.opts.Threads)
-	env.Pool.SetMetrics(s.opts.Metrics)
-	env.Pool.SetFaults(s.opts.Faults)
 	return env, env.Pool.Close
 }
 

@@ -311,22 +311,31 @@ func TestFlatPhaseWiring(t *testing.T) {
 }
 
 // TestAmplitudesConvertsOnOptionsPool: a DD-phase result is converted on
-// the run's pool when one is given, so it shows up in that pool's
-// scheduler counters.
+// the run's pool when one is given, so it shows up in that pool's task
+// totals and in the run's scheduler counters.
 func TestAmplitudesConvertsOnOptionsPool(t *testing.T) {
 	pool := sched.New(2)
 	defer pool.Close()
 	reg := obs.New()
-	pool.SetMetrics(reg)
 	n := 12
-	s := New(n, Options{Pool: pool, DisableConversion: true})
+	s := New(n, Options{Pool: pool, Metrics: reg, DisableConversion: true})
 	s.Run(ghz(n))
-	before := reg.Snapshot().Counters["sched.batches"]
+	before, tasksBefore := reg.Snapshot().Counters["sched.batches"], poolTasks(pool)
 	amps := s.Amplitudes()
 	if after := reg.Snapshot().Counters["sched.batches"]; after <= before {
-		t.Fatalf("sched.batches %d -> %d: Amplitudes did not convert on Options.Pool", before, after)
+		t.Fatalf("sched.batches %d -> %d: Amplitudes did not convert in the run's environment", before, after)
+	}
+	if after := poolTasks(pool); after <= tasksBefore {
+		t.Fatalf("pool tasks %d -> %d: Amplitudes did not convert on Options.Pool", tasksBefore, after)
 	}
 	if !approx(amps[0], complex(1/math.Sqrt2, 0)) || !approx(amps[len(amps)-1], complex(1/math.Sqrt2, 0)) {
 		t.Fatalf("GHZ amplitudes %v, %v", amps[0], amps[len(amps)-1])
 	}
+}
+
+func poolTasks(p *sched.Pool) (n int64) {
+	for _, w := range p.Stats() {
+		n += w.Tasks
+	}
+	return n
 }

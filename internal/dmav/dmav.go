@@ -1,6 +1,6 @@
 // Package dmav implements DMAV, the paper's core contribution:
 // multiplication of a DD-represented gate matrix with a flat-array state
-// vector, parallelized over a persistent work-stealing pool
+// vector, parallelized over a persistent worker pool
 // (internal/sched).
 //
 // Two execution modes exist, selected per gate by the MAC-operation cost
@@ -51,7 +51,7 @@ const DefaultSIMDWidth = 4
 
 // chunksPerThread is the target over-decomposition factor: the uncached
 // path aims for about this many row chunks per worker so the
-// work-stealing pool has slack to re-balance a skewed MAC distribution.
+// pool has slack to re-balance a skewed MAC distribution.
 const chunksPerThread = 8
 
 // inlineBelowMACs is the planned work — multiply-accumulates of the chosen
@@ -304,7 +304,7 @@ const MaxQubits = 34
 // workers, capped at 2^n. Any positive thread count is supported: the
 // uncached path sizes its row chunks by the MAC cost model, and the
 // cached path partitions column space into the next power of two ≥
-// threads, with the work-stealing pool re-balancing either shape across
+// threads, with the pool re-balancing either shape across
 // the actual workers.
 func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 	if n < 1 || n > MaxQubits {
@@ -388,8 +388,8 @@ func (e *Engine) SetPool(p *sched.Pool) {
 //     dmav.chunks (schedulable chunks built) and dmav.macs.executed
 //     (multiply-accumulates performed: the exact path count of each
 //     executed sub-tree, plus one scalar multiply per cached element on
-//     reuse); per-worker attribution lives with the scheduler
-//     (sched.worker.<i>.*).
+//     reuse); the pool batches add the scheduler's sched.* figures, and
+//     per-worker totals are the pool's Stats.
 //   - Faults wires the engine's injection points.
 func (e *Engine) SetEnv(env sched.Env) {
 	e.SetPool(env.Pool)

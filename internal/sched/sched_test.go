@@ -206,7 +206,7 @@ func TestMetricsPublish(t *testing.T) {
 	r := obs.New()
 	p := New(3)
 	defer p.Close()
-	p.SetMetrics(r)
+	env := &Env{Pool: p, Metrics: r}
 	const n = 200
 	tasks := make([]Task, n)
 	var sink atomic.Int64
@@ -217,8 +217,8 @@ func TestMetricsPublish(t *testing.T) {
 			}
 		}
 	}
-	p.Run(tasks)
-	p.Run(tasks)
+	env.Run("batch", tasks)
+	env.Run("batch", tasks)
 	snap := r.Snapshot()
 	if got := snap.Counters["sched.tasks"]; got != 2*n {
 		t.Fatalf("sched.tasks = %d, want %d", got, 2*n)
@@ -229,25 +229,85 @@ func TestMetricsPublish(t *testing.T) {
 	if got := snap.Gauges["sched.workers"]; got != 3 {
 		t.Fatalf("sched.workers = %d, want 3", got)
 	}
-	var perWorker int64
-	for i := 0; i < 3; i++ {
-		perWorker += snap.Counters["sched.worker."+string(rune('0'+i))+".tasks"]
-	}
-	if perWorker != 2*n {
-		t.Fatalf("per-worker task counters sum to %d, want %d", perWorker, 2*n)
-	}
-	if snap.Counters["sched.steals"] != snapSumWorkers(snap, "steals") {
-		t.Fatalf("aggregate steals %d != per-worker sum %d",
-			snap.Counters["sched.steals"], snapSumWorkers(snap, "steals"))
+	if got, want := snap.Counters["sched.steals"], steals(p); got != want {
+		t.Fatalf("sched.steals %d != the workers' steals %d", got, want)
 	}
 }
 
-func snapSumWorkers(s obs.Snapshot, suffix string) int64 {
-	var sum int64
-	for i := 0; i < 3; i++ {
-		sum += s.Counters["sched.worker."+string(rune('0'+i))+"."+suffix]
+func steals(p *Pool) (n int64) {
+	for _, ws := range p.Stats() {
+		n += ws.Steals
 	}
-	return sum
+	return n
+}
+
+// TestEnvMetricsAreRunScoped: two runs share one pool but not a registry.
+// Each registry counts exactly its own run's batches and tasks, however
+// the batches interleave on the pool.
+func TestEnvMetricsAreRunScoped(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	const batches = 50
+	sizes := []int{3, 7}
+	regs := []*obs.Registry{obs.New(), obs.New()}
+	var wg sync.WaitGroup
+	for g := range regs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := &Env{Pool: p, Metrics: regs[g]}
+			tasks := make([]Task, sizes[g])
+			for i := range tasks {
+				tasks[i] = func() { spin(50) }
+			}
+			for b := 0; b < batches; b++ {
+				env.Run("batch", tasks)
+			}
+		}()
+	}
+	wg.Wait()
+	for g, r := range regs {
+		snap := r.Snapshot()
+		if got, want := snap.Counters["sched.tasks"], int64(batches*sizes[g]); got != want {
+			t.Errorf("run %d: sched.tasks = %d, want %d", g, got, want)
+		}
+		if got := snap.Counters["sched.batches"]; got != batches {
+			t.Errorf("run %d: sched.batches = %d, want %d", g, got, batches)
+		}
+	}
+}
+
+// TestIdleWorkerClaimsFromAnotherSlice: worker 0's two tasks each wait
+// for the other to start, so the batch can finish only if worker 1, done
+// with its own slice, claims from worker 0's.
+func TestIdleWorkerClaimsFromAnotherSlice(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(goMaxName(procs), func(t *testing.T) {
+			p := New(2)
+			defer p.Close()
+			started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+			var timedOut atomic.Bool
+			rendezvous := func(me int) Task {
+				return func() {
+					close(started[me])
+					select {
+					case <-started[1-me]:
+					case <-time.After(5 * time.Second):
+						timedOut.Store(true)
+					}
+				}
+			}
+			p.Run([]Task{rendezvous(0), rendezvous(1), func() {}, func() {}})
+			if timedOut.Load() {
+				t.Fatal("worker 0's tasks never ran together: no worker claimed from another's slice")
+			}
+			if got := steals(p); got < 1 {
+				t.Fatalf("steals = %d, want >= 1", got)
+			}
+		})
+	}
 }
 
 func TestTaskPanicContained(t *testing.T) {
@@ -302,7 +362,7 @@ func TestFaultHookPanicsWorker(t *testing.T) {
 	defer p.Close()
 	reg := faults.New(1)
 	reg.Arm(faults.SchedWorkerPanic, faults.Trigger{Nth: 5, Transient: true})
-	p.SetFaults(reg)
+	env := &Env{Pool: p, Faults: reg}
 	tasks := make([]Task, 20)
 	var ran atomic.Int32
 	for i := range tasks {
@@ -311,7 +371,7 @@ func TestFaultHookPanicsWorker(t *testing.T) {
 	var rec any
 	func() {
 		defer func() { rec = recover() }()
-		p.Run(tasks)
+		env.Run("batch", tasks)
 	}()
 	tp, ok := rec.(*TaskPanic)
 	if !ok {
@@ -324,9 +384,8 @@ func TestFaultHookPanicsWorker(t *testing.T) {
 	if got := ran.Load(); got != 19 {
 		t.Fatalf("%d sibling tasks ran, want 19", got)
 	}
-	// Disable hooks: the pool runs clean again.
-	p.SetFaults(nil)
-	p.Run(tasks)
+	// A batch on an Env without the registry runs clean again.
+	(&Env{Pool: p}).Run("batch", tasks)
 	if got := ran.Load(); got != 39 {
 		t.Fatalf("post-disarm batch: ran=%d, want 39", got)
 	}
@@ -337,9 +396,8 @@ func TestFaultHookSlowTask(t *testing.T) {
 	defer p.Close()
 	reg := faults.New(1)
 	reg.Arm(faults.SchedTaskSlow, faults.Trigger{Nth: 1, Delay: 30 * time.Millisecond})
-	p.SetFaults(reg)
 	t0 := time.Now()
-	p.Run([]Task{func() {}})
+	(&Env{Pool: p, Faults: reg}).Run("batch", []Task{func() {}})
 	if d := time.Since(t0); d < 20*time.Millisecond {
 		t.Fatalf("slow-task fault did not delay: batch took %v", d)
 	}
@@ -354,7 +412,6 @@ func TestEnvRunCreditsBusyNs(t *testing.T) {
 	r := obs.New()
 	p := New(2)
 	defer p.Close()
-	p.SetMetrics(r)
 
 	led := obs.NewResourceLedger()
 	led.Begin("dmav")
@@ -363,7 +420,7 @@ func TestEnvRunCreditsBusyNs(t *testing.T) {
 		tasks[i] = func() { time.Sleep(time.Millisecond) }
 	}
 	t0 := time.Now()
-	env := &Env{Pool: p, Ledger: led}
+	env := &Env{Pool: p, Ledger: led, Metrics: r}
 	env.Run("batch", tasks)
 	wall := time.Since(t0)
 	led.End()

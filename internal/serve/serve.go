@@ -1,10 +1,10 @@
 // Package serve implements a long-lived, multi-tenant simulation job
 // service on top of the FlatDD engine: circuits are submitted over
 // HTTP/JSON, admitted against memory and per-tenant quotas, scheduled by
-// a weighted-fair queue, executed on one shared work-stealing scheduler
-// pool, and driven through the context-first core.RunContext API so
-// per-job deadlines and client cancellations propagate into the engine
-// within one gate.
+// a weighted-fair queue, executed on one shared scheduler pool, and
+// driven through the context-first core.RunContext API so per-job
+// deadlines and client cancellations propagate into the engine within one
+// gate.
 //
 // The lifecycle is queued → running → done | failed | canceled. Admission
 // control happens at submit time: a job whose 2^n-amplitude flat-array
@@ -69,9 +69,6 @@ type Config struct {
 	// run on (default: GOMAXPROCS). The pool is authoritative for the
 	// engine's cost model — see core.Options.Pool.
 	Threads int
-	// Pool, when non-nil, is used instead of creating one (the caller
-	// keeps ownership of its lifetime; Threads is then ignored).
-	Pool *sched.Pool
 	// QueueDepth caps the number of admitted-but-not-yet-running jobs
 	// (default 64). A full queue rejects submissions with 429.
 	QueueDepth int
@@ -368,7 +365,6 @@ type serveMetrics struct {
 type Server struct {
 	cfg     Config
 	pool    *sched.Pool
-	ownPool bool
 	reg     *obs.Registry
 	met     serveMetrics
 	log     *slog.Logger
@@ -416,12 +412,13 @@ type Server struct {
 	runWG sync.WaitGroup // the MaxInFlight runner goroutines
 }
 
-// New starts a Server: the shared pool is created (unless injected) and
-// MaxInFlight runner goroutines begin waiting on the queue.
+// New starts a Server: the shared pool is created and MaxInFlight runner
+// goroutines begin waiting on the queue.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
+		pool:    sched.New(cfg.Threads),
 		reg:     cfg.Metrics,
 		log:     cfg.Logger,
 		started: time.Now(),
@@ -437,18 +434,6 @@ func New(cfg Config) *Server {
 	}
 	s.tracer = obs.NewTracer(s.tw)
 	s.fq = newFairQueue(cfg.TenantMaxInFlight, s.tenantWeight)
-	if cfg.Pool != nil {
-		s.pool = cfg.Pool
-	} else {
-		s.pool = sched.New(cfg.Threads)
-		s.ownPool = true
-	}
-	s.pool.SetMetrics(s.reg)
-	if cfg.Faults != nil {
-		// Only arm, never clear: an injected pool may carry its owner's
-		// fault wiring.
-		s.pool.SetFaults(cfg.Faults)
-	}
 	r := s.reg
 	s.met = serveMetrics{
 		submitted:     r.Counter("serve.jobs.submitted"),
@@ -1271,9 +1256,7 @@ func (s *Server) Shutdown() {
 		s.mu.Unlock()
 		<-done
 	}
-	if s.ownPool {
-		s.pool.Close()
-	}
+	s.pool.Close()
 	s.tw.Flush() //nolint:errcheck // trace output is best-effort
 }
 
