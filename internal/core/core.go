@@ -11,6 +11,7 @@ package core
 import (
 	"container/heap"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -153,7 +154,8 @@ type FusionMode int
 const (
 	// NoFusion applies the remaining gates one DMAV at a time.
 	NoFusion FusionMode = iota
-	// DMAVAware is the paper's Algorithm 3.
+	// DMAVAware is the paper's Algorithm 3, with merges priced at the
+	// one-thread MAC count K1, so the plan does not depend on Threads.
 	DMAVAware
 	// KOps is the k-operations baseline [100].
 	KOps
@@ -547,6 +549,48 @@ func (s *Simulator) RunContext(ctx context.Context, c *circuit.Circuit) (st Stat
 	return s.runContext(ctx, c, start)
 }
 
+// gateMemo memoizes ddsim.BuildGateDD for one run. The key is what the
+// DD depends on: the bits of the gate's matrix, its targets in order, and
+// each control's qubit and polarity. The gate's name is not in it, so two
+// spellings of one matrix share an entry, and two matrices that differ in
+// one bit do not.
+type gateMemo struct {
+	byKey map[string]dd.MEdge
+	key   []byte
+}
+
+// build returns the gate's DD and whether this call built it.
+func (b *gateMemo) build(m *dd.Manager, n int, g *circuit.Gate) (dd.MEdge, bool) {
+	k := binary.AppendUvarint(b.key[:0], uint64(len(g.Targets)))
+	for _, t := range g.Targets {
+		k = binary.AppendUvarint(k, uint64(t))
+	}
+	k = binary.AppendUvarint(k, uint64(len(g.Controls)))
+	for _, c := range g.Controls {
+		q := uint64(c.Qubit) << 1
+		if c.Negative {
+			q |= 1
+		}
+		k = binary.AppendUvarint(k, q)
+	}
+	for _, row := range g.U {
+		for _, u := range row {
+			k = binary.LittleEndian.AppendUint64(k, math.Float64bits(real(u)))
+			k = binary.LittleEndian.AppendUint64(k, math.Float64bits(imag(u)))
+		}
+	}
+	b.key = k
+	if e, ok := b.byKey[string(k)]; ok {
+		return e, false
+	}
+	e := ddsim.BuildGateDD(m, n, g)
+	if b.byKey == nil {
+		b.byKey = map[string]dd.MEdge{}
+	}
+	b.byKey[string(k)] = e
+	return e, true
+}
+
 // runContext is RunContext's body; the split keeps the containment
 // barrier (and the deferred recover's cost) out of the phase loops.
 func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start time.Time) (Stats, error) {
@@ -747,6 +791,8 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 		fuseSpan.SetAttr("alloc_bytes", pc.AllocBytes)
 		fuseSpan.End()
 	}
+	// Only distinct roots are GC roots: memo entries stay live with them.
+	built := gateMemo{}
 	roots := dd.Roots{}
 	for j := i; j < len(c.Gates); j++ {
 		if check() {
@@ -754,14 +800,19 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 			endFuse()
 			return s.abort(ctx, start)
 		}
-		g := ddsim.BuildGateDD(s.m, s.n, &c.Gates[j])
+		g, fresh := built.build(s.m, s.n, &c.Gates[j])
 		remaining = append(remaining, g)
+		if !fresh {
+			continue
+		}
 		roots.M = append(roots.M, g)
 		s.m.CollectIfNeeded(roots)
 		nc := s.m.NodeCount()
 		s.led.ObserveDD(int64(nc), uint64(nc)*dd.NodeBytes)
 	}
-	costFn := func(g dd.MEdge) float64 { return s.eng.EvaluateCost(g).Cost() }
+	// Priced at K1, not at the engine's min(C1, C2): fusion.Fuse's skip
+	// is exact for it, and the plan does not depend on the thread count.
+	costFn := fusion.MACCost()
 	switch s.opts.Fusion {
 	case DMAVAware:
 		res := fusion.Fuse(s.m, remaining, costFn)

@@ -10,6 +10,7 @@ import (
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
 	"flatdd/internal/dmav"
+	"flatdd/internal/workloads"
 )
 
 const eps = 1e-9
@@ -134,10 +135,10 @@ func TestFuseMergesDiagonalGates(t *testing.T) {
 }
 
 func TestFuseAvoidsHarmfulFusion(t *testing.T) {
-	// Hadamards on all qubits: fusing them all yields a dense 2^n x 2^n
-	// matrix with 4^n MACs; sequential costs n·2^(n+1)... wait, each
-	// H(q) has 2^(n+1) MACs. Algorithm 3 must stop fusing well before the
-	// full dense product.
+	// Hadamards on all qubits: each H(q) has 2^(n+1) MACs, and fusing two
+	// of them gives a 4·2^n-MAC block, a tie with running them apart.
+	// Ties do not merge, and the supports are disjoint, so Algorithm 3
+	// must keep all n gates and never multiply.
 	n := 8
 	m := dd.New(n)
 	c := circuit.New("hwall", n)
@@ -145,15 +146,117 @@ func TestFuseAvoidsHarmfulFusion(t *testing.T) {
 		c.Append(circuit.H(q))
 	}
 	gates := gateDDs(m, c)
+	nodes := m.NodeCount()
 	res := Fuse(m, gates, costFn(m, n))
-	if res.CostAfter > res.CostBefore {
-		t.Fatalf("fusion increased cost: %v -> %v", res.CostBefore, res.CostAfter)
+	if len(res.Gates) != n || res.Fusions != 0 {
+		t.Fatalf("%d disjoint H gates became %d gates with %d fusions, want %d and 0", n, len(res.Gates), res.Fusions, n)
 	}
-	// The full fusion of all n Hadamards costs 4^n/t; the algorithm must
-	// keep the output cost far below that.
-	full := math.Pow(4, float64(n)) / 2
-	if res.CostAfter >= full {
-		t.Fatalf("fusion produced a dense product: cost %v >= %v", res.CostAfter, full)
+	if res.CostAfter != res.CostBefore {
+		t.Fatalf("cost moved without a fusion: %v -> %v", res.CostBefore, res.CostAfter)
+	}
+	if got := m.NodeCount(); got != nodes {
+		t.Fatalf("Fuse built %d nodes for merges it could rule out", got-nodes)
+	}
+}
+
+func TestFuseTieRule(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct {
+		name  string
+		gates []circuit.Gate
+		merge bool
+	}{
+		{"U3·RY on one qubit", []circuit.Gate{circuit.U3(0.3, 0.2, 0.1, 1), circuit.RY(0.7, 1)}, true},
+		{"U3·CX sharing a qubit", []circuit.Gate{circuit.U3(0.3, 0.2, 0.1, 1), circuit.CX(1, 2)}, true},
+		{"U3·U3 on two qubits", []circuit.Gate{circuit.U3(0.3, 0.2, 0.1, 0), circuit.U3(0.4, 0.5, 0.6, 1)}, false},
+	} {
+		m := dd.New(n)
+		c := circuit.New(tc.name, n)
+		c.Append(tc.gates...)
+		res := Fuse(m, gateDDs(m, c), MACCost())
+		if merged := res.Fusions == 1 && len(res.Gates) == 1; merged != tc.merge {
+			t.Errorf("%s: %d gates, %d fusions; want merged=%v", tc.name, len(res.Gates), res.Fusions, tc.merge)
+		}
+	}
+}
+
+// fuseAlwaysMultiply is Algorithm 3 without the disjoint-support skip: it
+// multiplies every candidate and keeps the product on a strict win.
+func fuseAlwaysMultiply(m *dd.Manager, G []dd.MEdge, cost CostFunc) Result {
+	var res Result
+	mp, cp := G[0], cost(G[0])
+	for _, mi := range G[1:] {
+		ci := cost(mi)
+		mip := m.MulMM(mi, mp)
+		if cip := cost(mip); cip < ci+cp {
+			mp, cp = mip, cip
+			res.Fusions++
+			continue
+		}
+		res.Gates = append(res.Gates, mp)
+		mp, cp = mi, ci
+	}
+	res.Gates = append(res.Gates, mp)
+	return res
+}
+
+// boundCircuit draws the gate mix the skip's bound must hold on: dense
+// and diagonal single-qubit gates, positive and negative controls, and a
+// two-qubit diagonal.
+func boundCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
+	c := circuit.New("bound", n)
+	for len(c.Gates) < gates {
+		a, b := rng.Intn(n), rng.Intn(n)
+		switch rng.Intn(8) {
+		case 0:
+			c.Append(circuit.U3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), a))
+		case 1:
+			c.Append(circuit.RY(rng.NormFloat64(), a))
+		case 2:
+			c.Append(circuit.RZ(rng.NormFloat64(), a))
+		case 3:
+			c.Append(circuit.H(a))
+		case 4:
+			if a != b {
+				c.Append(circuit.CX(a, b))
+			}
+		case 5:
+			if a != b {
+				c.Append(circuit.CZ(a, b))
+			}
+		case 6:
+			if a != b {
+				g := circuit.CRY(rng.NormFloat64(), a, b)
+				g.Controls[0].Negative = true
+				c.Append(g)
+			}
+		default:
+			if a != b {
+				c.Append(circuit.RZZ(rng.NormFloat64(), a, b))
+			}
+		}
+	}
+	return c
+}
+
+func TestFuseSkipNeverDeclinesAWinningMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 24; trial++ {
+		n := 3 + trial%6
+		m := dd.New(n)
+		gates := gateDDs(m, boundCircuit(rng, n, 40))
+		cost := MACCost()
+		got := Fuse(m, gates, cost)
+		want := fuseAlwaysMultiply(m, gates, cost)
+		if got.Fusions != want.Fusions || len(got.Gates) != len(want.Gates) {
+			t.Fatalf("trial %d (n=%d): %d gates / %d fusions, reference %d / %d",
+				trial, n, len(got.Gates), got.Fusions, len(want.Gates), want.Fusions)
+		}
+		for i := range want.Gates {
+			if got.Gates[i] != want.Gates[i] {
+				t.Fatalf("trial %d (n=%d): gate %d differs from the reference", trial, n, i)
+			}
+		}
 	}
 }
 
@@ -221,5 +324,29 @@ func TestFuseBeatsKOperationsOnMixedCircuit(t *testing.T) {
 	kops := KOperations(m, gates, 4, cf)
 	if aware.CostAfter > kops.CostAfter*1.05 {
 		t.Fatalf("DMAV-aware fusion cost %v worse than k-operations %v", aware.CostAfter, kops.CostAfter)
+	}
+}
+
+// BenchmarkFusePhase is the engine's fuse phase on the benchmark's two
+// engine gate lists: build every gate's DD, then run Algorithm 3 priced
+// as core prices it.
+func BenchmarkFusePhase(b *testing.B) {
+	for _, w := range []struct {
+		family string
+		n      int
+	}{{"dnn", 15}, {"supremacy", 14}} {
+		c, err := workloads.Build(w.family, w.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var out int
+			for i := 0; i < b.N; i++ {
+				m := dd.New(c.Qubits)
+				out = len(Fuse(m, gateDDs(m, c), MACCost()).Gates)
+			}
+			b.ReportMetric(float64(out), "gates_out")
+		})
 	}
 }
