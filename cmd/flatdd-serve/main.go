@@ -1,12 +1,12 @@
 // Command flatdd-serve runs the FlatDD simulation job service: a
 // long-lived, multi-tenant HTTP/JSON server that accepts OpenQASM or
-// named-workload circuits, admits them against memory budgets and
+// named-workload circuits, admits them against one memory budget and
 // per-tenant quotas, serves repeats from a canonical-circuit result
 // cache (coalescing identical in-flight submissions), and executes the
 // rest on one shared worker pool via a weighted-fair queue with
 // per-job deadlines and cancellation.
 //
-//	flatdd-serve -listen :8080 -threads 8 -inflight 2 -mem-budget-mb 4096 \
+//	flatdd-serve -listen :8080 -threads 8 -inflight 2 -mem-budget-mb 8192 \
 //	    -cache-budget-mb 64 -tenant-weights gold=4,bronze=1
 //
 //	curl -s localhost:8080/v1/jobs -H 'X-Tenant: gold' -d '{"circuit":"ghz","n":20,"shots":100}'
@@ -43,34 +43,25 @@ func main() {
 		threads   = flag.Int("threads", 0, "shared scheduler pool workers (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "max queued jobs (FIFO depth)")
 		inflight  = flag.Int("inflight", 2, "max concurrently running jobs")
-		budgetMB  = flag.Int("mem-budget-mb", 4096, "per-job flat-array memory budget in MiB (admission control)")
+		budgetMB  = flag.Int("mem-budget-mb", 8192, "process-wide flat-array memory budget in MiB. An n-qubit job needs (1+c)*16*2^n bytes, c the next power of two >= -threads (c = 1 with cache=never); a job over the budget is rejected (413), and running jobs together stay within it")
 		maxQ      = flag.Int("max-qubits", 30, "hard register-size cap")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "default per-job deadline")
 		maxTO     = flag.Duration("max-timeout", 10*time.Minute, "cap on requested per-job deadlines")
 		grace     = flag.Duration("grace", 10*time.Second, "drain grace for in-flight jobs on SIGTERM")
-		engMB     = flag.Int("memory-budget", 0, "engine flat-array budget in MiB: over-budget jobs complete DD-only in degraded mode (0 = off)")
 		retries   = flag.Int("retries", 2, "max re-queues of a job that fails with a transient engine fault (0 = off)")
 		integrity = flag.Int("integrity-every", 0, "NaN/Inf/norm-sweep job states every N DMAV gates (0 = off)")
 		traceOut  = flag.String("trace-out", "", "append span + per-gate trace events as JSONL to this file (empty = off)")
 		flight    = flag.Int("flight", 64, "flight recorder capacity: last N job span trees kept at /debug/jobs")
 		logFormat = flag.String("log-format", "text", "request log format on stderr: text, json, or off")
-		admission = flag.String("admission", serve.AdmissionWorstCase,
-			"dispatch-gate accounting: worstcase holds each job's static worst case; ledger releases down to the observed/projected footprint (higher concurrency under the same budget)")
-		totalMB = flag.Int("total-mem-budget-mb", 0, "process-wide concurrent-memory budget in MiB for the dispatch gate (0 = inflight x mem-budget-mb)")
-		cacheMB = flag.Int("cache-budget-mb", 64, "result cache budget in MiB: repeat submissions of a circuit complete without an engine run (0 = off)")
-		tenantQ = flag.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = the global queue depth)")
-		tenantI = flag.Int("tenant-inflight", 0, "per-tenant running-job cap (0 = the global inflight cap)")
-		tenantW = flag.String("tenant-weights", "", "comma-separated fair-scheduling weights, e.g. gold=4,bronze=1 (unlisted tenants weigh 1)")
+		cacheMB   = flag.Int("cache-budget-mb", 64, "result cache budget in MiB: repeat submissions of a circuit complete without an engine run (0 = off)")
+		tenantQ   = flag.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = the global queue depth)")
+		tenantI   = flag.Int("tenant-inflight", 0, "per-tenant running-job cap (0 = the global inflight cap)")
+		tenantW   = flag.String("tenant-weights", "", "comma-separated fair-scheduling weights, e.g. gold=4,bronze=1 (unlisted tenants weigh 1)")
 	)
 	flag.Parse()
 	weights, err := parseWeights(*tenantW)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flatdd-serve:", err)
-		os.Exit(2)
-	}
-	if *admission != serve.AdmissionWorstCase && *admission != serve.AdmissionLedger {
-		fmt.Fprintf(os.Stderr, "flatdd-serve: unknown -admission %q (want %s or %s)\n",
-			*admission, serve.AdmissionWorstCase, serve.AdmissionLedger)
 		os.Exit(2)
 	}
 
@@ -106,14 +97,11 @@ func main() {
 		DefaultTimeout:     *timeout,
 		MaxTimeout:         *maxTO,
 		DrainGrace:         *grace,
-		EngineMemoryBudget: uint64(*engMB) << 20,
 		MaxRetries:         normRetries(*retries),
 		IntegrityEvery:     *integrity,
 		TraceJSONL:         traceW,
 		FlightRecorderSize: *flight,
 		Logger:             logger,
-		AdmissionMode:      *admission,
-		TotalMemoryBudget:  uint64(*totalMB) << 20,
 		ResultCacheBudget:  normCacheBudget(*cacheMB),
 		TenantMaxQueued:    *tenantQ,
 		TenantMaxInFlight:  *tenantI,

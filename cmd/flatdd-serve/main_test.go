@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"flatdd/internal/dmav"
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
 	"flatdd/internal/testproc"
@@ -33,9 +34,12 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	// 256 MiB budget: WorstCaseBytes admits up to 22 qubits.
+	// Two workers pin the flat-array footprint to dmav.FlatBytes(n, 2, ·)
+	// whatever the host's CPU count.
+	const budget = 256 << 20
 	cmd := exec.Command(bin,
 		"-listen", "127.0.0.1:0",
+		"-threads", "2",
 		"-mem-budget-mb", "256",
 		"-queue", "8",
 		"-inflight", "2",
@@ -88,14 +92,23 @@ func TestServeSmoke(t *testing.T) {
 		return nil
 	}
 
-	// Over-budget job: 26 qubits needs 3 GiB, budget is 256 MiB. The
-	// rejection arrives as the typed envelope error.
-	_, err = c.Submit(ctx, &serve.SubmitRequest{Circuit: "ghz", N: 26})
+	// The smallest register whose flat arrays exceed the budget is
+	// rejected as the typed envelope error; one qubit less is admitted.
+	over := 1
+	for dmav.FlatBytes(over, 2, dmav.Auto) <= budget {
+		over++
+	}
+	_, err = c.Submit(ctx, &serve.SubmitRequest{Circuit: "ghz", N: over})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge ||
 		apiErr.Code != serve.CodePayloadTooLarge || apiErr.Reason != "memory_budget" {
-		t.Fatalf("over-budget submit: %v, want 413 payload_too_large/memory_budget", err)
+		t.Fatalf("over-budget ghz-%d submit: %v, want 413 payload_too_large/memory_budget", over, err)
 	}
+	fits, err := c.Submit(ctx, &serve.SubmitRequest{Circuit: "ghz", N: over - 1})
+	if err != nil {
+		t.Fatalf("ghz-%d submit at the budget: %v", over-1, err)
+	}
+	wait(fits.Job.ID, serve.StateDone)
 
 	// A bell pair from QASM runs to completion with correct results.
 	bellReq := &serve.SubmitRequest{
@@ -207,8 +220,8 @@ func TestServeSmoke(t *testing.T) {
 		if tv.Weight != 4 {
 			t.Errorf("gold weight = %d, want 4 (-tenant-weights)", tv.Weight)
 		}
-		if tv.Submitted < 7 || tv.CacheHits < 1 {
-			t.Errorf("gold accounting = %+v, want >=7 submitted, >=1 cache hit", tv)
+		if tv.Submitted < 8 || tv.CacheHits < 1 {
+			t.Errorf("gold accounting = %+v, want >=8 submitted, >=1 cache hit", tv)
 		}
 	}
 	if !foundGold {

@@ -123,14 +123,6 @@ func newEngineFault(r any) *EngineFault {
 	return ef
 }
 
-// FlatWorkingSetBytes returns the flat-array phase's working set for an
-// n-qubit register: state plus scratch vector, 16 bytes per amplitude
-// each. This is the figure Options.MemoryBudget is compared against at
-// conversion time (the DD-phase node memory is comparatively small and
-// already spent by then). Registers above dmav.MaxQubits never reach that
-// comparison, which matters because the shift wraps to 0 from n = 59.
-func FlatWorkingSetBytes(n int) uint64 { return 32 << uint(n) }
-
 // Phase identifies which engine produced a result or trace event.
 type Phase int
 
@@ -237,11 +229,11 @@ type Options struct {
 	// (default 256 when ApproxBudget > 0).
 	ApproxThreshold int
 	// MemoryBudget, when positive, caps the flat-array working set in
-	// bytes. If FlatWorkingSetBytes(n) exceeds the budget when the
-	// conversion controller fires, the conversion is suppressed and the
-	// run completes in the DD phase — graceful degradation: correct
-	// results, recorded in Stats.Degraded and the core.degraded metric,
-	// instead of an allocation the host cannot afford.
+	// bytes. If dmav.FlatBytes(n, Threads, CacheMode) exceeds the budget
+	// when the conversion controller fires, the conversion is suppressed
+	// and the run completes in the DD phase — graceful degradation:
+	// correct results, recorded in Stats.Degraded and the core.degraded
+	// metric, instead of an allocation the host cannot afford.
 	MemoryBudget uint64
 	// IntegrityEvery, when positive, runs a numerical-integrity sweep
 	// (NaN/Inf scan + norm check within integrityTol) over the flat state
@@ -258,7 +250,7 @@ type Options struct {
 	// boundaries, peak DD node count, and live flat-array bytes. When
 	// nil, the run creates a private ledger so Stats.Resources is always
 	// populated; pass one to observe phase costs live (the serve layer's
-	// ledger-based admission does).
+	// memory gauges do).
 	Ledger *obs.ResourceLedger
 }
 
@@ -825,17 +817,6 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 	}
 	s.stats.FusionTime = time.Since(fuseStart)
 	s.stats.FusedGates = len(remaining)
-	// Projection for admission release: from here to the end of the run
-	// the job needs the state+scratch arrays, the DMAV cached path's
-	// partial buffers (one register's worth when caching is possible),
-	// and the surviving gate-matrix DDs — far below the 48·2^n worst
-	// case for most circuits.
-	proj := uint64(32) << uint(s.n)
-	if s.opts.CacheMode != dmav.NeverCache {
-		proj += uint64(16) << uint(s.n)
-	}
-	proj += uint64(s.m.NodeCount()) * dd.NodeBytes
-	s.led.SetProjection(proj)
 	endFuse()
 
 	// Phase 4: DMAV over the flat state.
@@ -928,7 +909,7 @@ func (s *Simulator) conversionBlocked() string {
 	if s.convertAlloc.Err() != nil {
 		return "alloc_failed"
 	}
-	if b := s.opts.MemoryBudget; b > 0 && FlatWorkingSetBytes(s.n) > b {
+	if b := s.opts.MemoryBudget; b > 0 && dmav.FlatBytes(s.n, s.opts.Threads, s.opts.CacheMode) > b {
 		return "memory_budget"
 	}
 	return ""
@@ -1004,16 +985,18 @@ func (s *Simulator) finishStats(start time.Time) {
 		s.stats.Fidelity = c * c
 	}
 	s.stats.PeakDDNodes = s.m.PeakNodeCount()
-	// Working-set estimate: DD nodes at the blended per-node footprint
-	// (dd.NodeBytes) plus the flat arrays of the DMAV phase.
-	mem := uint64(s.stats.PeakDDNodes) * dd.NodeBytes
-	if s.phase == PhaseDMAV {
-		mem += uint64(len(s.state)) * 16 * 2 // state + scratch
-	}
-	s.stats.MemoryBytes = mem
 	s.led.End()
 	snap := s.led.Snapshot()
 	s.stats.Resources = &snap
+	// Working-set estimate: DD nodes at the blended per-node footprint
+	// (dd.NodeBytes) plus the flat arrays' high-water — state, scratch
+	// and the DMAV partial-output buffers, as the ledger saw them.
+	s.stats.MemoryBytes = uint64(s.stats.PeakDDNodes) * dd.NodeBytes
+	var flat uint64
+	for _, pc := range snap.Phases {
+		flat = max(flat, pc.PeakFlatBytes)
+	}
+	s.stats.MemoryBytes += flat
 	if tw := s.opts.TraceWriter; tw != nil {
 		tw.Emit(runRecord{
 			Event:       "run",

@@ -140,16 +140,21 @@ func TestDegradedAllocFailure(t *testing.T) {
 func TestDegradedBudgetAllowsConversionWhenSufficient(t *testing.T) {
 	n, gates := faultCircuit(t)
 	c := randomCircuit(rand.New(rand.NewSource(8)), n, gates)
-	s := New(n, Options{
-		Threads: 4, ForceConvertAfter: 5,
-		MemoryBudget: FlatWorkingSetBytes(n),
-	})
-	st, err := s.RunContext(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Degraded || st.ConvertedAtGate != 5 {
-		t.Fatalf("sufficient budget degraded: %+v", st)
+	// The budget check prices the partial buffers of Threads 4: one byte
+	// less than dmav.FlatBytes degrades, the figure itself converts.
+	need := dmav.FlatBytes(n, 4, dmav.Auto)
+	for _, tc := range []struct {
+		budget   uint64
+		degraded bool
+	}{{need - 1, true}, {need, false}} {
+		s := New(n, Options{Threads: 4, ForceConvertAfter: 5, MemoryBudget: tc.budget})
+		st, err := s.RunContext(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Degraded != tc.degraded || (st.ConvertedAtGate == 5) == tc.degraded {
+			t.Fatalf("budget %d of %d: degraded=%v converted at %d", tc.budget, need, st.Degraded, st.ConvertedAtGate)
+		}
 	}
 }
 

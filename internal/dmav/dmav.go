@@ -300,6 +300,31 @@ type engMetrics struct {
 // scratch vectors take 32·2^n bytes, 512 GiB at n = 34.
 const MaxQubits = 34
 
+// cacheChunks is the cached path's column-space chunk count for n
+// qubits and threads workers: the next power of two ≥ threads, capped at
+// 2^n. It is also the most partial-output buffers a gate can use.
+func cacheChunks(n, threads int) int {
+	c := 1
+	for c < threads && c < 1<<uint(n) {
+		c <<= 1
+	}
+	return c
+}
+
+// FlatBytes is the most the flat-array phase of an n-qubit run on
+// threads workers allocates under mode: the state and scratch vectors,
+// plus, when caching is possible, up to CacheChunks()−1 partial-output
+// buffers (W itself is buffer 0), 16 B per amplitude each. It is the one
+// figure memory budgets compare: core's degradation check and the serve
+// layer's admission and dispatch. n must be at most MaxQubits.
+func FlatBytes(n, threads int, mode Mode) uint64 {
+	arrays := uint64(2)
+	if mode != NeverCache {
+		arrays = 1 + uint64(cacheChunks(n, threads))
+	}
+	return arrays * 16 << uint(n)
+}
+
 // New returns a DMAV engine for n qubits running max(1, threads)
 // workers, capped at 2^n. Any positive thread count is supported: the
 // uncached path sizes its row chunks by the MAC cost model, and the
@@ -310,21 +335,12 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 	if n < 1 || n > MaxQubits {
 		panic(fmt.Sprintf("dmav: unsupported qubit count %d", n))
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	dim := uint64(1) << uint(n)
-	if uint64(threads) > dim {
-		threads = int(dim)
-	}
-	cchunks := 1
-	for cchunks < threads {
-		cchunks <<= 1
-	}
+	threads = min(max(threads, 1), 1<<uint(n))
+	cchunks := cacheChunks(n, threads)
 	e := &Engine{
 		m:       m,
 		n:       n,
-		dim:     dim,
+		dim:     uint64(1) << uint(n),
 		mode:    mode,
 		threads: threads,
 		cchunks: cchunks,

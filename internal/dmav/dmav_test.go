@@ -198,6 +198,26 @@ func TestThreadsArbitraryCount(t *testing.T) {
 	}
 }
 
+// TestFlatBytesMatchesEngineChunks: FlatBytes counts state, scratch and
+// CacheChunks()−1 partial buffers, for every thread count New accepts.
+func TestFlatBytesMatchesEngineChunks(t *testing.T) {
+	m := dd.New(5)
+	for _, n := range []int{1, 2, 5} {
+		for _, threads := range []int{-3, 0, 1, 3, 8, 100} {
+			chunks := uint64(New(m, n, threads, AlwaysCache).CacheChunks())
+			for mode, want := range map[Mode]uint64{
+				NeverCache:  32 << n,
+				Auto:        (1 + chunks) * 16 << n,
+				AlwaysCache: (1 + chunks) * 16 << n,
+			} {
+				if got := FlatBytes(n, threads, mode); got != want {
+					t.Errorf("FlatBytes(%d, %d, %v) = %d, want %d", n, threads, mode, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestThreadsThreeCorrect exercises the previously-illegal odd thread
 // count end to end against the statevec oracle, in every caching mode.
 func TestThreadsThreeCorrect(t *testing.T) {

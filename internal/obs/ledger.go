@@ -10,10 +10,8 @@ import (
 // simulation actually consumed, per engine phase (dd, convert, fuse,
 // dmav): wall time, worker CPU time, allocation deltas, GC cycles, and
 // the high-water footprint of the DD node pool and the flat arrays. The
-// serve layer feeds the ledger back into admission control — jobs
-// reserve their static worst case and release down to the ledger's
-// live projection as phases complete — and the snapshot rides on the
-// job result, the flight recorder and /debug/ledger.
+// serve layer reads it for its observed-memory gauges, and the snapshot
+// rides on the job result, the flight recorder and /debug/ledger.
 //
 // The nil *ResourceLedger is a valid no-op, like every other obs handle.
 
@@ -114,16 +112,10 @@ type LedgerSnapshot struct {
 	PeakDDNodes int64 `json:"peak_dd_nodes"`
 	// PeakBytes is the high-water of the combined footprint estimate
 	// (DD bytes + flat bytes) over the run — the observed counterpart of
-	// the admission layer's static worst case.
+	// the admission layer's reservation.
 	PeakBytes uint64 `json:"peak_bytes"`
 	// CurrentBytes is the latest combined footprint estimate.
 	CurrentBytes uint64 `json:"current_bytes"`
-	// ProjectedBytes is the engine's ceiling on the footprint for the
-	// remainder of the run (set once conversion and fusion are done and
-	// the flat working set is known exactly); 0 until then. Admission in
-	// ledger mode releases reservations down to
-	// max(CurrentBytes, ProjectedBytes).
-	ProjectedBytes uint64 `json:"projected_bytes,omitempty"`
 }
 
 // ResourceLedger accumulates one run's resource bill. Methods are safe
@@ -143,7 +135,6 @@ type ResourceLedger struct {
 
 	peakDDNodes int64
 	peakBytes   uint64
-	projected   uint64
 
 	onUpdate func(LedgerSnapshot)
 }
@@ -152,8 +143,8 @@ type ResourceLedger struct {
 func NewResourceLedger() *ResourceLedger { return &ResourceLedger{} }
 
 // OnUpdate installs a hook called with a fresh snapshot whenever a phase
-// ends or the projection changes — the serve layer's release trigger.
-// The hook runs outside the ledger's lock (it may snapshot again).
+// ends — the serve layer's observed-gauge refresh. The hook runs outside
+// the ledger's lock (it may snapshot again).
 func (l *ResourceLedger) OnUpdate(f func(LedgerSnapshot)) {
 	if l == nil {
 		return
@@ -283,22 +274,6 @@ func (l *ResourceLedger) AddFlat(delta int64) {
 	l.mu.Unlock()
 }
 
-// SetProjection publishes the engine's remaining-footprint ceiling and
-// fires the OnUpdate hook — the signal the admission layer releases
-// reservations on.
-func (l *ResourceLedger) SetProjection(bytes uint64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.projected = bytes
-	hook, snap := l.hookLocked(true)
-	l.mu.Unlock()
-	if hook != nil {
-		hook(snap)
-	}
-}
-
 // bumpPeakLocked raises the combined high-water. Caller holds l.mu.
 func (l *ResourceLedger) bumpPeakLocked() {
 	if cur := l.ddBytes + l.flatBytes; cur > l.peakBytes {
@@ -330,11 +305,10 @@ func (l *ResourceLedger) Snapshot() LedgerSnapshot {
 
 func (l *ResourceLedger) snapshotLocked() LedgerSnapshot {
 	s := LedgerSnapshot{
-		Phases:         make([]PhaseCost, len(l.phases)),
-		PeakDDNodes:    l.peakDDNodes,
-		PeakBytes:      l.peakBytes,
-		CurrentBytes:   l.ddBytes + l.flatBytes,
-		ProjectedBytes: l.projected,
+		Phases:       make([]PhaseCost, len(l.phases)),
+		PeakDDNodes:  l.peakDDNodes,
+		PeakBytes:    l.peakBytes,
+		CurrentBytes: l.ddBytes + l.flatBytes,
 	}
 	copy(s.Phases, l.phases)
 	if l.open && len(s.Phases) > 0 {

@@ -90,7 +90,7 @@ func TestLedgerAddCPUOutsidePhaseDropped(t *testing.T) {
 	}
 }
 
-func TestLedgerProjectionFiresHook(t *testing.T) {
+func TestLedgerPhaseEndFiresHook(t *testing.T) {
 	l := NewResourceLedger()
 	var mu sync.Mutex
 	var got []LedgerSnapshot
@@ -102,15 +102,16 @@ func TestLedgerProjectionFiresHook(t *testing.T) {
 		_ = l.Snapshot()
 	})
 	l.Begin("fuse")
-	l.SetProjection(1 << 21)
+	l.AddFlat(1 << 21)
 	l.End()
+	l.End() // no open phase: no hook
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("hook fired %d times, want 2 (projection + phase end)", len(got))
+	if len(got) != 1 {
+		t.Fatalf("hook fired %d times, want 1 (the phase end)", len(got))
 	}
-	if got[0].ProjectedBytes != 1<<21 {
-		t.Errorf("projection in hook snapshot = %d", got[0].ProjectedBytes)
+	if got[0].CurrentBytes != 1<<21 || len(got[0].Phases) != 1 {
+		t.Errorf("hook snapshot = %+v, want the closed fuse phase at 2 MiB", got[0])
 	}
 }
 
@@ -120,7 +121,6 @@ func TestLedgerNilSafe(t *testing.T) {
 	l.AddCPU(1)
 	l.ObserveDD(1, 1)
 	l.AddFlat(1)
-	l.SetProjection(1)
 	l.OnUpdate(func(LedgerSnapshot) {})
 	if _, ok := l.End(); ok {
 		t.Error("nil End() closed a phase")

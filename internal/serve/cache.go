@@ -41,7 +41,7 @@ type cacheKey struct {
 
 // optionsKey renders the result-affecting slice of a job's options.
 func optionsKey(o runOptions) string {
-	return fmt.Sprintf("cache=%d fusion=%d k=%d", o.cache, o.fusion, o.k)
+	return fmt.Sprintf("cache=%d fusion=%d", o.cache, o.fusion)
 }
 
 // cacheEntry is one cached simulation outcome.

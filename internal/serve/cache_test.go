@@ -23,7 +23,6 @@ func TestOptionsKeyIgnoresPerRequestFields(t *testing.T) {
 	for name, o := range map[string]runOptions{
 		"cache":  {cache: 1},
 		"fusion": {fusion: 1},
-		"k":      {k: 3},
 	} {
 		if optionsKey(o) == optionsKey(base) {
 			t.Errorf("engine option %s does not change the cache key", name)

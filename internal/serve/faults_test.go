@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flatdd/internal/dmav"
 	"flatdd/internal/faults"
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
@@ -136,10 +137,13 @@ func TestFaultNumericalDriftFailsWithoutRetry(t *testing.T) {
 }
 
 func TestDegradedJobSurfacedInResultAndHealth(t *testing.T) {
-	h := newTestServer(t, serve.Config{Threads: 4, EngineMemoryBudget: 1})
+	reg := faults.New(1)
+	reg.Arm(faults.CoreConvertAlloc, faults.Trigger{Nth: 1})
+	h := newTestServer(t, serve.Config{Threads: 4, Faults: reg})
 
-	// Degradation triggers at the conversion decision, which any QV size
-	// reaches; a small register keeps the forced DD-only run fast.
+	// The failed flat-array allocation degrades the run at the conversion
+	// decision, which any QV size reaches; a small register keeps the
+	// forced DD-only run fast.
 	v := h.submit(&serve.SubmitRequest{Circuit: "qv", N: 8, Seed: 7, TimeoutMS: 60_000})
 	v = h.waitState(v.ID, serve.StateDone, serve.StateFailed)
 	if v.State != serve.StateDone {
@@ -149,8 +153,8 @@ func TestDegradedJobSurfacedInResultAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("result: %v", err)
 	}
-	if !res.Stats.Degraded || res.Stats.DegradedReason != "memory_budget" {
-		t.Fatalf("stats = %+v, want degraded with memory_budget", res.Stats)
+	if !res.Stats.Degraded || res.Stats.DegradedReason != "alloc_failed" {
+		t.Fatalf("stats = %+v, want degraded with alloc_failed", res.Stats)
 	}
 	if res.Stats.ConvertedAtGate != -1 || res.Stats.FinalPhase != "dd" {
 		t.Fatalf("degraded job left the DD phase: %+v", res.Stats)
@@ -169,7 +173,7 @@ func TestSubmitRejectionsCarryRetryAfterAndReason(t *testing.T) {
 		Threads:      2,
 		MaxInFlight:  1,
 		QueueDepth:   1,
-		MemoryBudget: serve.WorstCaseBytes(16), // admits slowSubmit, rejects 17
+		MemoryBudget: dmav.FlatBytes(16, 2, dmav.Auto), // admits slowSubmit, rejects 17
 	})
 
 	// Occupy the single runner, then the single queue slot. Distinct seeds

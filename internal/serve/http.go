@@ -295,8 +295,7 @@ func (s *Server) handleLedger(w http.ResponseWriter, _ *http.Request) {
 		rows = append(rows, r)
 	}
 	body := map[string]any{
-		"admission_mode":      s.cfg.AdmissionMode,
-		"budget_bytes":        s.cfg.TotalMemoryBudget,
+		"budget_bytes":        s.cfg.MemoryBudget,
 		"reserved_bytes":      s.memReserved,
 		"observed_bytes":      observed,
 		"headroom_bytes":      s.met.memHeadroom.Value(),

@@ -7,11 +7,13 @@
 // gate.
 //
 // The lifecycle is queued → running → done | failed | canceled. Admission
-// control happens at submit time: a job whose 2^n-amplitude flat-array
-// worst case (WorstCaseBytes) exceeds the configured budget is rejected
-// with 413, a full queue (global or per-tenant) rejects with 429, and a
-// draining server with 503. Before a job is queued at all, the service
-// consults the canonical-circuit result cache: a submission whose
+// control happens at submit time: a job whose flat-array footprint
+// (dmav.FlatBytes for the pool's thread count and the job's cache mode)
+// exceeds the process-wide memory budget is rejected with 413, a full
+// queue (global or per-tenant) rejects with 429, and a draining server
+// with 503; dispatch reserves the same figure against the same budget.
+// Before a job is queued at all, the service consults the
+// canonical-circuit result cache: a submission whose
 // (circuit hash, engine options) key matches a cached outcome completes
 // instantly without touching the engine, and one that matches a
 // simulation already in flight coalesces onto it — one engine run, many
@@ -72,13 +74,14 @@ type Config struct {
 	// QueueDepth caps the number of admitted-but-not-yet-running jobs
 	// (default 64). A full queue rejects submissions with 429.
 	QueueDepth int
-	// MaxInFlight caps concurrently executing jobs (default 2). Each
-	// in-flight job owns up to WorstCaseBytes of flat arrays, so the
-	// sustained worst case is MaxInFlight·MemoryBudget.
+	// MaxInFlight caps concurrently executing jobs (default 2).
 	MaxInFlight int
-	// MemoryBudget is the per-job admission budget in bytes (default
-	// 4 GiB): a job with WorstCaseBytes(qubits) > MemoryBudget is
-	// rejected with 413 before it is queued.
+	// MemoryBudget is the process-wide flat-array memory budget in bytes
+	// (default 8 GiB). A job's footprint is dmav.FlatBytes(qubits,
+	// Threads, cache mode): a job whose footprint exceeds the budget is
+	// rejected with 413 before it is queued, and dispatch holds each
+	// running job's footprint against the budget, so the running jobs
+	// together never exceed it.
 	MemoryBudget uint64
 	// MaxQubits caps the register size regardless of budget (default 30,
 	// clamped to the engine ceiling dmav.MaxQubits).
@@ -97,13 +100,6 @@ type Config struct {
 	// Metrics is the registry jobs and the service instrument (default: a
 	// fresh registry; it also backs the handler's /debug/metrics).
 	Metrics *obs.Registry
-	// EngineMemoryBudget, when positive, is handed to every job as
-	// core.Options.MemoryBudget: a job whose flat-array working set would
-	// exceed it completes DD-only in degraded mode (correct but slower)
-	// instead of allocating arrays the host cannot afford. This is the
-	// graceful-degradation lever; MemoryBudget above is the hard
-	// admission reject.
-	EngineMemoryBudget uint64
 	// MaxRetries is how many times a job that fails with a transient
 	// engine fault is re-queued (default 2; negative disables retries).
 	MaxRetries int
@@ -132,25 +128,6 @@ type Config struct {
 	// Logger receives structured job-lifecycle logs keyed by job and
 	// trace ID (default: discard).
 	Logger *slog.Logger
-	// AdmissionMode selects how dispatched jobs count against
-	// TotalMemoryBudget: AdmissionWorstCase (the default) holds each
-	// job's static WorstCaseBytes for its whole run; AdmissionLedger
-	// reserves the same worst case at dispatch but releases the
-	// reservation down to the job's observed/projected footprint as soon
-	// as its resource ledger publishes a projection (end of the fuse
-	// phase), so a burst of jobs whose real footprint undershoots the
-	// worst case achieves higher admitted concurrency under the same
-	// budget.
-	AdmissionMode string
-	// TotalMemoryBudget is the process-wide concurrent-memory budget the
-	// dispatch gate reserves against (default MaxInFlight·MemoryBudget —
-	// exactly the capacity the pre-ledger server implicitly had, so the
-	// default changes nothing).
-	TotalMemoryBudget uint64
-	// LatencyWindow is the rotation window of the /healthz latency
-	// quantile histograms (default 5m). The cumulative Prometheus series
-	// are unaffected.
-	LatencyWindow time.Duration
 
 	// ResultCacheBudget is the total byte budget of the canonical-circuit
 	// result cache (default 64 MiB; negative disables caching and
@@ -176,11 +153,9 @@ type Config struct {
 	TenantWeights map[string]int
 }
 
-// Admission modes (Config.AdmissionMode, the -admission flag).
-const (
-	AdmissionWorstCase = "worstcase"
-	AdmissionLedger    = "ledger"
-)
+// latencyWindow is the rotation window of the /healthz latency quantile
+// histograms. The cumulative Prometheus series are unaffected.
+const latencyWindow = 5 * time.Minute
 
 func (c Config) withDefaults() Config {
 	if c.Threads < 1 {
@@ -193,7 +168,7 @@ func (c Config) withDefaults() Config {
 		c.MaxInFlight = 2
 	}
 	if c.MemoryBudget == 0 {
-		c.MemoryBudget = 4 << 30
+		c.MemoryBudget = 8 << 30
 	}
 	if c.MaxQubits < 1 {
 		c.MaxQubits = 30
@@ -234,15 +209,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	if c.AdmissionMode == "" {
-		c.AdmissionMode = AdmissionWorstCase
-	}
-	if c.TotalMemoryBudget == 0 {
-		c.TotalMemoryBudget = uint64(c.MaxInFlight) * c.MemoryBudget
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 5 * time.Minute
-	}
 	switch {
 	case c.ResultCacheBudget == 0:
 		c.ResultCacheBudget = 64 << 20
@@ -260,14 +226,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// WorstCaseBytes is the admission-control memory formula: the flat-array
-// phase of an n-qubit job allocates a 2^n-amplitude state vector and a
-// scratch vector (16 B per complex128), and the cached DMAV path
-// typically one shared partial-output buffer on top — 3·16·2^n in total.
-// The DD-phase node pool is bounded by the same conversion threshold and
-// is small against the arrays, so it is folded into the factor.
-func WorstCaseBytes(n int) uint64 { return 48 << uint(n) }
 
 // job is the internal record of one submission. All mutable fields are
 // guarded by Server.mu.
@@ -302,7 +260,7 @@ type job struct {
 	queuedSpan *obs.Span
 
 	// reserve is the job's live memory reservation against
-	// TotalMemoryBudget (0 when not dispatched); observed is the last
+	// MemoryBudget (0 when not dispatched); observed is the last
 	// footprint the job's ledger reported. ledger is the per-attempt
 	// resource ledger; resources its frozen snapshot at finish.
 	reserve   uint64
@@ -316,7 +274,6 @@ type runOptions struct {
 	timeout time.Duration
 	cache   dmav.Mode
 	fusion  core.FusionMode
-	k       int
 	top     int
 	shots   int
 	seed    int64
@@ -403,8 +360,8 @@ type Server struct {
 	idem    map[string]string
 
 	// memReserved is the sum of in-flight reservations against
-	// TotalMemoryBudget; memCond is signaled whenever a reservation
-	// shrinks (or a waiter must re-check the world, e.g. on drain).
+	// MemoryBudget; memCond is signaled whenever a reservation is
+	// released (or a waiter must re-check the world, e.g. on drain).
 	// Guarded by mu.
 	memReserved uint64
 	memCond     *sync.Cond
@@ -467,12 +424,12 @@ func New(cfg Config) *Server {
 		rejectQuota:    r.Counter("serve.jobs.rejected.quota"),
 	}
 	r.Gauge("serve.max_inflight").Set(int64(cfg.MaxInFlight))
-	r.Gauge("serve.mem.budget").Set(int64(cfg.TotalMemoryBudget))
-	s.met.memHeadroom.Set(int64(cfg.TotalMemoryBudget))
+	r.Gauge("serve.mem.budget").Set(int64(cfg.MemoryBudget))
+	s.met.memHeadroom.Set(int64(cfg.MemoryBudget))
 	s.memCond = sync.NewCond(&s.mu)
-	s.wLatency = obs.NewWindowedHistogram(obs.DurationBuckets(), cfg.LatencyWindow)
-	s.wQueueWait = obs.NewWindowedHistogram(obs.DurationBuckets(), cfg.LatencyWindow)
-	s.wRun = obs.NewWindowedHistogram(obs.DurationBuckets(), cfg.LatencyWindow)
+	s.wLatency = obs.NewWindowedHistogram(obs.DurationBuckets(), latencyWindow)
+	s.wQueueWait = obs.NewWindowedHistogram(obs.DurationBuckets(), latencyWindow)
+	s.wRun = obs.NewWindowedHistogram(obs.DurationBuckets(), latencyWindow)
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		s.runWG.Add(1)
 		go s.runner()
@@ -521,7 +478,6 @@ func (s *Server) normalize(req *SubmitRequest) (runOptions, error) {
 	o := runOptions{
 		timeout: s.cfg.DefaultTimeout,
 		top:     8,
-		k:       4,
 		seed:    req.Seed,
 	}
 	if req.TimeoutMS < 0 || req.Shots < 0 || req.Top < 0 {
@@ -595,10 +551,10 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 			"circuit has %d qubits, server cap is %d", c.Qubits, s.cfg.MaxQubits),
 			reason: "qubit_cap"}
 	}
-	if w := WorstCaseBytes(c.Qubits); w > s.cfg.MemoryBudget {
+	if w := s.flatBytes(c.Qubits, opts); w > s.cfg.MemoryBudget {
 		s.met.rejectBudget.Inc()
 		return nil, false, &admissionError{status: 413, msg: fmt.Sprintf(
-			"flat-array worst case for %d qubits is %d bytes, over the %d-byte budget",
+			"flat arrays for %d qubits take %d bytes, over the %d-byte budget",
 			c.Qubits, w, s.cfg.MemoryBudget),
 			reason: "memory_budget"}
 	}
@@ -736,6 +692,12 @@ func (s *Server) coalescable(j *job) bool {
 	return probsBytes(j.circ.Qubits) <= s.cfg.ResultCacheMaxEntry
 }
 
+// flatBytes is a job's memory reservation: the flat arrays the engine
+// allocates for it on the shared pool under its cache mode.
+func (s *Server) flatBytes(qubits int, o runOptions) uint64 {
+	return dmav.FlatBytes(qubits, s.cfg.Threads, o.cache)
+}
+
 // probsBytes is the footprint of an n-qubit cumulative distribution.
 func probsBytes(n int) int64 { return 8 << uint(n) }
 
@@ -765,14 +727,12 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	// Dispatch gate: reserve the job's worst-case footprint against the
-	// process-wide budget, waiting on the condition for reservations to
-	// shrink (ledger-mode releases, job completions, cancels). The
-	// memReserved > 0 guard admits an over-budget job when it would run
-	// alone, so a misconfigured budget degrades to serial execution
-	// instead of deadlock.
-	need := WorstCaseBytes(j.circ.Qubits)
-	for s.memReserved > 0 && s.memReserved+need > s.cfg.TotalMemoryBudget {
+	// Dispatch gate: reserve the job's flat-array footprint against the
+	// budget, waiting on the condition for reservations to be released
+	// (job completions, cancels). Submit rejected any job over the whole
+	// budget, so a job alone always fits.
+	need := s.flatBytes(j.circ.Qubits, j.opts)
+	for s.memReserved+need > s.cfg.MemoryBudget {
 		s.memCond.Wait()
 		if j.state != StateQueued {
 			// Canceled (or drain-canceled) while waiting for memory.
@@ -1000,11 +960,7 @@ func (s *Server) updateCacheGaugesLocked() {
 }
 
 // onLedgerUpdate is the per-job ledger hook: it caches the job's live
-// footprint for the observed gauges and, in ledger admission mode,
-// shrinks the job's reservation once the engine publishes a projection
-// (end of the fuse phase) — down to max(projected, current), never up,
-// so the gate stays sound while freeing headroom the worst case
-// over-claimed. Runs outside the ledger's lock.
+// footprint for the observed gauges. Runs outside the ledger's lock.
 func (s *Server) onLedgerUpdate(j *job, snap obs.LedgerSnapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1014,17 +970,6 @@ func (s *Server) onLedgerUpdate(j *job, snap obs.LedgerSnapshot) {
 	j.observed = snap.CurrentBytes
 	if snap.PeakBytes > j.observed {
 		j.observed = snap.PeakBytes
-	}
-	if s.cfg.AdmissionMode == AdmissionLedger && j.reserve > 0 && snap.ProjectedBytes > 0 {
-		target := snap.ProjectedBytes
-		if snap.CurrentBytes > target {
-			target = snap.CurrentBytes
-		}
-		if target < j.reserve {
-			s.memReserved -= j.reserve - target
-			j.reserve = target
-			s.memCond.Broadcast()
-		}
 	}
 	s.updateMemGaugesLocked()
 }
@@ -1046,11 +991,7 @@ func (s *Server) releaseLocked(j *job) {
 // Caller holds s.mu.
 func (s *Server) updateMemGaugesLocked() {
 	s.met.memReserved.Set(int64(s.memReserved))
-	head := int64(s.cfg.TotalMemoryBudget) - int64(s.memReserved)
-	if head < 0 {
-		head = 0
-	}
-	s.met.memHeadroom.Set(head)
+	s.met.memHeadroom.Set(int64(s.cfg.MemoryBudget - s.memReserved))
 	var observed uint64
 	for _, jb := range s.jobs {
 		if jb.state == StateRunning {
@@ -1140,9 +1081,7 @@ func (s *Server) execute(ctx context.Context, j *job) (res *JobResult, entry *ca
 		Pool:           s.pool,
 		CacheMode:      j.opts.cache,
 		Fusion:         j.opts.fusion,
-		K:              j.opts.k,
 		Metrics:        s.reg,
-		MemoryBudget:   s.cfg.EngineMemoryBudget,
 		IntegrityEvery: s.cfg.IntegrityEvery,
 		Faults:         s.cfg.Faults,
 		TraceWriter:    s.tw, // nil without Config.TraceJSONL; shared so gate events and spans interleave safely

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"flatdd/internal/core"
+	"flatdd/internal/dmav"
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
 )
@@ -132,7 +133,7 @@ func (h *testServer) waitState(id string, want ...string) serve.JobView {
 func TestAdmissionRejections(t *testing.T) {
 	h := newTestServer(t, serve.Config{
 		Threads:      2,
-		MemoryBudget: serve.WorstCaseBytes(14), // admits up to 14 qubits
+		MemoryBudget: dmav.FlatBytes(14, 2, dmav.Auto), // admits up to 14 qubits
 		MaxQubits:    20,
 	})
 	cases := []struct {
@@ -176,7 +177,7 @@ func TestErrorEnvelopeOnEveryRejection(t *testing.T) {
 		Threads:      2,
 		MaxInFlight:  1,
 		QueueDepth:   1,
-		MemoryBudget: serve.WorstCaseBytes(16),
+		MemoryBudget: dmav.FlatBytes(16, 2, dmav.Auto),
 	})
 	// Occupy the runner and the queue so 429s are reachable.
 	running := h.submit(slowSubmit(1))
@@ -444,18 +445,6 @@ func TestDrainSemantics(t *testing.T) {
 	health, err := h.c.Health(context.Background())
 	if err != nil || health["status"] != "draining" {
 		t.Fatalf("healthz after drain: %v %v", health["status"], err)
-	}
-}
-
-func TestWorstCaseBytes(t *testing.T) {
-	// 3 arrays of 16-byte amplitudes: state, scratch, shared partial.
-	if got, want := serve.WorstCaseBytes(10), uint64(3*16*1024); got != want {
-		t.Fatalf("WorstCaseBytes(10) = %d, want %d", got, want)
-	}
-	for n := 1; n < 30; n++ {
-		if serve.WorstCaseBytes(n+1) != 2*serve.WorstCaseBytes(n) {
-			t.Fatalf("WorstCaseBytes not doubling at n=%d", n)
-		}
 	}
 }
 
