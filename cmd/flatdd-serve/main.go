@@ -1,13 +1,15 @@
 // Command flatdd-serve runs the FlatDD simulation job service: a
 // long-lived, multi-tenant HTTP/JSON server that accepts OpenQASM or
-// named-workload circuits, admits them against one memory budget and
-// per-tenant quotas, serves repeats from a canonical-circuit result
-// cache (coalescing identical in-flight submissions), and executes the
-// rest on one shared worker pool via a weighted-fair queue with
-// per-job deadlines and cancellation.
+// named-workload circuits, admits them against one memory budget,
+// serves repeats from a canonical-circuit result cache (coalescing
+// identical in-flight submissions), and executes the rest on one shared
+// worker pool, round-robin across tenants, with per-job deadlines and
+// cancellation. The service's fixed limits (1 MiB bodies, a 2 m default
+// and 10 m maximum job deadline, registers up to dmav.MaxQubits, the
+// 64-trace flight recorder) are constants of internal/serve, not flags.
 //
 //	flatdd-serve -listen :8080 -threads 8 -inflight 2 -mem-budget-mb 8192 \
-//	    -cache-budget-mb 64 -tenant-weights gold=4,bronze=1
+//	    -cache-budget-mb 64
 //
 //	curl -s localhost:8080/v1/jobs -H 'X-Tenant: gold' -d '{"circuit":"ghz","n":20,"shots":100}'
 //	curl -s localhost:8080/v1/jobs/j-000001
@@ -29,8 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -41,29 +41,17 @@ func main() {
 	var (
 		listen    = flag.String("listen", ":8080", "HTTP listen address (e.g. :8080, 127.0.0.1:0)")
 		threads   = flag.Int("threads", 0, "shared scheduler pool workers (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "max queued jobs (FIFO depth)")
+		queue     = flag.Int("queue", 64, "max queued jobs across all tenants (a full queue rejects with 429)")
 		inflight  = flag.Int("inflight", 2, "max concurrently running jobs")
 		budgetMB  = flag.Int("mem-budget-mb", 8192, "process-wide flat-array memory budget in MiB. An n-qubit job needs (1+c)*16*2^n bytes, c the next power of two >= -threads (c = 1 with cache=never); a job over the budget is rejected (413), and running jobs together stay within it")
-		maxQ      = flag.Int("max-qubits", 30, "hard register-size cap")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "default per-job deadline")
-		maxTO     = flag.Duration("max-timeout", 10*time.Minute, "cap on requested per-job deadlines")
 		grace     = flag.Duration("grace", 10*time.Second, "drain grace for in-flight jobs on SIGTERM")
 		retries   = flag.Int("retries", 2, "max re-queues of a job that fails with a transient engine fault (0 = off)")
 		integrity = flag.Int("integrity-every", 0, "NaN/Inf/norm-sweep job states every N DMAV gates (0 = off)")
 		traceOut  = flag.String("trace-out", "", "append span + per-gate trace events as JSONL to this file (empty = off)")
-		flight    = flag.Int("flight", 64, "flight recorder capacity: last N job span trees kept at /debug/jobs")
 		logFormat = flag.String("log-format", "text", "request log format on stderr: text, json, or off")
 		cacheMB   = flag.Int("cache-budget-mb", 64, "result cache budget in MiB: repeat submissions of a circuit complete without an engine run (0 = off)")
-		tenantQ   = flag.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = the global queue depth)")
-		tenantI   = flag.Int("tenant-inflight", 0, "per-tenant running-job cap (0 = the global inflight cap)")
-		tenantW   = flag.String("tenant-weights", "", "comma-separated fair-scheduling weights, e.g. gold=4,bronze=1 (unlisted tenants weigh 1)")
 	)
 	flag.Parse()
-	weights, err := parseWeights(*tenantW)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flatdd-serve:", err)
-		os.Exit(2)
-	}
 
 	var traceW io.Writer
 	if *traceOut != "" {
@@ -89,23 +77,16 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Threads:            *threads,
-		QueueDepth:         *queue,
-		MaxInFlight:        *inflight,
-		MemoryBudget:       uint64(*budgetMB) << 20,
-		MaxQubits:          *maxQ,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTO,
-		DrainGrace:         *grace,
-		MaxRetries:         normRetries(*retries),
-		IntegrityEvery:     *integrity,
-		TraceJSONL:         traceW,
-		FlightRecorderSize: *flight,
-		Logger:             logger,
-		ResultCacheBudget:  normCacheBudget(*cacheMB),
-		TenantMaxQueued:    *tenantQ,
-		TenantMaxInFlight:  *tenantI,
-		TenantWeights:      weights,
+		Threads:           *threads,
+		QueueDepth:        *queue,
+		MaxInFlight:       *inflight,
+		MemoryBudget:      uint64(*budgetMB) << 20,
+		DrainGrace:        *grace,
+		MaxRetries:        normRetries(*retries),
+		IntegrityEvery:    *integrity,
+		TraceJSONL:        traceW,
+		Logger:            logger,
+		ResultCacheBudget: normCacheBudget(*cacheMB),
 	})
 
 	ln, err := net.Listen("tcp", *listen)
@@ -145,24 +126,4 @@ func normCacheBudget(mb int) int64 {
 		return -1
 	}
 	return int64(mb) << 20
-}
-
-// parseWeights parses "a=4,b=1" into Config.TenantWeights.
-func parseWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	weights := make(map[string]int)
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -tenant-weights entry %q (want tenant=weight)", pair)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad weight %q for tenant %q (want a positive integer)", val, name)
-		}
-		weights[name] = w
-	}
-	return weights, nil
 }

@@ -43,9 +43,7 @@ func TestServeSmoke(t *testing.T) {
 		"-mem-budget-mb", "256",
 		"-queue", "8",
 		"-inflight", "2",
-		"-timeout", "60s",
 		"-grace", "2s",
-		"-tenant-weights", "gold=4",
 	)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -205,8 +203,8 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal("never saw two jobs in flight")
 	}
 
-	// The tenant view accounts the whole session under "gold" with its
-	// configured weight.
+	// The tenant view accounts every job above under "gold", at the
+	// weight every tenant has.
 	tenants, err := c.Tenants(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +215,8 @@ func TestServeSmoke(t *testing.T) {
 			continue
 		}
 		foundGold = true
-		if tv.Weight != 4 {
-			t.Errorf("gold weight = %d, want 4 (-tenant-weights)", tv.Weight)
+		if tv.Weight != 1 {
+			t.Errorf("gold weight = %d, want 1 (round-robin dispatch)", tv.Weight)
 		}
 		if tv.Submitted < 8 || tv.CacheHits < 1 {
 			t.Errorf("gold accounting = %+v, want >=8 submitted, >=1 cache hit", tv)

@@ -535,3 +535,63 @@ func TestCoordinatorServesTerminalViewsDuringOutage(t *testing.T) {
 		t.Fatalf("tenants view during outage: %v", err)
 	}
 }
+
+// TestCoordinatorReexecutesJobTheReplicaRetired: a replica keeps only
+// its last 1,024 terminal jobs. A job that finished there unobserved and
+// was then pushed out by newer ones answers 404 on the replica; the
+// coordinator's next status poll must re-execute it, not report its
+// last cached state (queued) forever.
+func TestCoordinatorReexecutesJobTheReplicaRetired(t *testing.T) {
+	f := newFleet(t, 1, serveConfigForChaos(), chaosClusterConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	resp, err := f.c.Submit(ctx, &serve.SubmitRequest{Circuit: "ghz", N: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Job.State != serve.StateQueued {
+		t.Fatalf("submission state %q, want queued", resp.Job.State)
+	}
+	// Watch the job on the replica itself, so the coordinator never sees
+	// it finish.
+	rc := client.New(f.replicas[0].ts.URL, client.WithHTTPClient(&http.Client{Timeout: 5 * time.Second}))
+	page, err := rc.Jobs(ctx, client.JobsQuery{Limit: 1})
+	if err != nil || len(page.Jobs) != 1 {
+		t.Fatalf("replica job list: %v, %v", page, err)
+	}
+	remoteID := page.Jobs[0].ID
+	if _, err := rc.Wait(ctx, remoteID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	filler := &serve.SubmitRequest{Circuit: "ghz", N: 9}
+	for i := 0; i <= 1024; i++ {
+		r, err := rc.Submit(ctx, filler)
+		if err != nil {
+			t.Fatalf("filler %d: %v", i, err)
+		}
+		if i == 0 {
+			if _, err := rc.Wait(ctx, r.Job.ID, 5*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var apiErr *client.APIError
+	if _, err := rc.Job(ctx, remoteID); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("replica status of its retired job: %v, want 404", err)
+	}
+
+	v, err := f.c.Wait(ctx, resp.Job.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("coordinator wait on a retired job: %v", err)
+	}
+	if v.State != serve.StateDone {
+		t.Fatalf("job finished %s (%s), want done", v.State, v.Error)
+	}
+	if _, err := f.fetchResult(ctx, resp.Job.ID); err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	if got := f.reg.Counter("cluster.failover.resubmitted").Value(); got < 1 {
+		t.Errorf("cluster.failover.resubmitted = %d, want ≥ 1", got)
+	}
+}

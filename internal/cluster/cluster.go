@@ -566,6 +566,13 @@ func (c *Coordinator) Job(id string) (serve.JobView, bool) {
 		rv, err = r.client.Job(ctx, remoteID)
 		return err
 	})
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+		// The replica no longer knows the job: it restarted, or it retired
+		// the finished job before any poll saw it finish. Re-execute it as
+		// Result does; the re-routed view is returned below.
+		c.reexecute(j, remoteID)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err == nil && j.remoteID == remoteID {
@@ -575,9 +582,8 @@ func (c *Coordinator) Job(id string) (serve.JobView, bool) {
 			j.terminal = true
 		}
 	}
-	// On error (replica unreachable, or the replica lost the job across a
-	// restart) the cached view stands; the prober/failover path is the
-	// one that moves the job, so a poll burst never double-resubmits.
+	// While the replica is unreachable the cached view stands; the
+	// prober/failover path is the one that moves the job.
 	return c.clientViewLocked(j), true
 }
 
@@ -631,9 +637,10 @@ func (c *Coordinator) Result(id string) ([]byte, *client.APIError) {
 }
 
 // reexecute re-routes a job whose replica lost it (a restart wiped the
-// remote state while the result was still owed). The fresh submission
-// replays under the job's idempotency key; the caller gets a retryable
-// 503 and picks the result up after the re-run.
+// remote state, or the replica retired the job, while its result was
+// still owed). The fresh submission replays under the job's idempotency
+// key; the caller gets a retryable 503 and picks the result up after
+// the re-run.
 func (c *Coordinator) reexecute(j *cjob, staleRemoteID string) *client.APIError {
 	c.mu.Lock()
 	if j.remoteID != staleRemoteID || j.result != nil {

@@ -291,8 +291,3 @@ type flight struct {
 	leader *job
 	subs   []*job
 }
-
-// maxCoalesced caps subscribers per flight so one hot circuit cannot
-// accumulate unbounded response state; requests beyond the cap are
-// rejected with 429/coalesce_limit.
-const maxCoalesced = 64

@@ -190,14 +190,11 @@ func TestCacheCoalescing(t *testing.T) {
 func TestCacheCoalesceOntoRetryingLeader(t *testing.T) {
 	freg := faults.New(1)
 	freg.Arm(faults.SchedWorkerPanic, faults.Trigger{Nth: 1, Times: 1, Transient: true})
-	h := newTestServer(t, serve.Config{
-		Threads: 4,
-		// A wide backoff window so the duplicate reliably lands while the
-		// faulted leader is queued for its rerun.
-		RetryBaseDelay: 300 * time.Millisecond,
-		RetryMaxDelay:  300 * time.Millisecond,
-		Faults:         freg,
-	})
+	// Every pool task also sleeps 250ms, so the rerun stays in flight long
+	// after the fixed retry backoff: the duplicate lands while the leader
+	// is queued or rerunning.
+	freg.Arm(faults.SchedTaskSlow, faults.Trigger{Prob: 1, Delay: 250 * time.Millisecond})
+	h := newTestServer(t, serve.Config{Threads: 4, Faults: freg})
 	ctx := context.Background()
 
 	// Same seed twice: identical canonical circuit, one cache key.
@@ -206,14 +203,15 @@ func TestCacheCoalesceOntoRetryingLeader(t *testing.T) {
 		t.Fatalf("leader cache = %q, want miss", leader.Cache)
 	}
 	// Wait for the fault: the leader is back in the queue with one burned
-	// attempt, sitting out its backoff.
+	// attempt, sitting out its backoff, or already rerunning.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		v, err := h.c.Job(ctx, leader.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.State == serve.StateQueued && v.Attempts >= 1 {
+		if (v.State == serve.StateQueued && v.Attempts >= 1) ||
+			(v.State == serve.StateRunning && v.Attempts >= 2) {
 			break
 		}
 		if v.State == serve.StateDone || v.State == serve.StateFailed {

@@ -11,10 +11,18 @@ import (
 //	           "retry_after_ms": 1000}}
 //
 // Code is a closed enum keyed by status class (the Code* constants) —
-// clients switch on it; Reason is the open, fine-grained cause
-// ("queue_full", "tenant_queue_full", "memory_budget", ...) — clients
-// log it. RetryAfterMS mirrors the Retry-After header on retryable
-// rejections (429/503).
+// clients switch on it; Reason is the open, fine-grained cause — clients
+// log it. The server emits these reasons:
+//
+//	400 invalid, invalid_tenant, invalid_cursor
+//	404 unknown_job (never submitted, or evicted after retention)
+//	409 idempotency_mismatch, not_ready, job_failed, job_canceled, job_finished
+//	413 qubit_cap (wider than dmav.MaxQubits), memory_budget
+//	429 queue_full, coalesce_limit
+//	503 draining
+//
+// RetryAfterMS mirrors the Retry-After header on retryable rejections
+// (429/503, and not_ready).
 
 // Error codes of the v1 API, by the status they accompany.
 const (

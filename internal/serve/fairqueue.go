@@ -1,199 +1,68 @@
 package serve
 
-import (
-	"sync"
-)
+import "sync"
 
-// fairQueue is the weighted-fair replacement for the server's former
-// global FIFO: jobs are queued per tenant (FIFO within a tenant) and
-// dispatched by stride scheduling, so tenants drain proportionally to
-// their weights instead of strictly by arrival order. A heavy tenant
-// that floods the queue no longer delays a light tenant's next job by
-// the whole backlog — only by the jobs already in flight plus at most
-// one dispatch round (DESIGN.md §13).
-//
-// Stride scheduling: every tenant carries a pass value; Pop picks the
-// eligible tenant with the smallest pass and advances it by
-// strideScale/weight. A tenant that goes idle and comes back re-enters
-// at the queue's current virtual time (never with banked credit), so it
-// cannot starve the tenants that kept submitting while it was away.
-//
-// The queue also enforces the per-tenant in-flight cap: Pop skips
-// tenants with maxInFlight jobs already running and blocks when no
-// tenant is eligible. Every Pop must be paired with exactly one Done for
-// the popped job's tenant — including jobs the caller discards (e.g.
-// canceled while queued).
+// fairQueue dispatches round-robin across tenants (DESIGN.md §13): jobs
+// wait in one FIFO per tenant, and the tenants with queued jobs wait in a
+// ring. Pop serves the head tenant's oldest job and moves the tenant to
+// the back if it has more, so a flood from one tenant delays another's
+// next job by one job per busy tenant, not by the flood. A tenant that
+// comes back from idle joins at the back: it banks no turns while away.
 type fairQueue struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	tenants map[string]*tenantQueue
-	queued  int // total queued jobs across tenants
-	virt    uint64
-	closed  bool
-
-	maxInFlight int // per-tenant running cap; <=0 disables
-	weightOf    func(tenant string) int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	fifos  map[string][]*job // per-tenant FIFOs; only non-empty ones are kept
+	ring   []string          // tenants with queued jobs, in dispatch order
+	queued int               // total queued jobs across tenants
+	closed bool
 }
 
-// tenantQueue is one tenant's FIFO plus its scheduling state.
-type tenantQueue struct {
-	name    string
-	jobs    []*job
-	running int
-	pass    uint64
-}
-
-// strideScale is the stride numerator: a weight-w tenant advances its
-// pass by strideScale/w per dispatch, so relative dispatch rates are
-// proportional to weights.
-const strideScale = 1 << 20
-
-// passRebaseThreshold triggers a rebase of the pass space long before
-// uint64 wraparound could reorder tenants: once the queue's virtual time
-// crosses it, the minimum pass across tenants (and the virtual time) is
-// subtracted from everything. Ordering — and therefore fairness — is
-// preserved exactly; only the absolute magnitude resets.
-const passRebaseThreshold = 1 << 62
-
-// newFairQueue builds an empty queue. weightOf maps a tenant to its
-// scheduling weight (values < 1 are treated as 1); maxInFlight is the
-// per-tenant running cap (<= 0 for none).
-func newFairQueue(maxInFlight int, weightOf func(string) int) *fairQueue {
-	q := &fairQueue{
-		tenants:     make(map[string]*tenantQueue),
-		maxInFlight: maxInFlight,
-		weightOf:    weightOf,
-	}
+func newFairQueue() *fairQueue {
+	q := &fairQueue{fifos: make(map[string][]*job)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-func (q *fairQueue) tenantLocked(name string) *tenantQueue {
-	tq := q.tenants[name]
-	if tq == nil {
-		tq = &tenantQueue{name: name}
-		q.tenants[name] = tq
-	}
-	return tq
-}
-
-// strideLocked resolves a tenant's current stride. The weight is looked
-// up on every dispatch rather than cached at first sight, so a weight
-// change takes effect from the very next Pop even while the tenant has
-// jobs queued. weightOf must not acquire locks ordered after q.mu (the
-// server's resolver only reads immutable config).
-func (q *fairQueue) strideLocked(tq *tenantQueue) uint64 {
-	w := 1
-	if q.weightOf != nil {
-		if got := q.weightOf(tq.name); got > 0 {
-			w = got
-		}
-	}
-	return strideScale / uint64(w)
-}
-
-// Push appends a job to its tenant's FIFO and wakes one waiter. It never
-// rejects — quota checks happen at admission, before Push. Returns false
-// only after Close.
+// Push appends a job to its tenant's FIFO and wakes one waiter. The
+// queue-depth check happens at admission; Push fails only after Close.
 func (q *fairQueue) Push(j *job) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	tq := q.tenantLocked(j.tenant)
-	if len(tq.jobs) == 0 {
-		// (Re-)activation: enter at the current virtual time so an idle
-		// spell never banks priority.
-		if tq.pass < q.virt {
-			tq.pass = q.virt
-		}
+	if len(q.fifos[j.tenant]) == 0 {
+		q.ring = append(q.ring, j.tenant)
 	}
-	tq.jobs = append(tq.jobs, j)
+	q.fifos[j.tenant] = append(q.fifos[j.tenant], j)
 	q.queued++
 	q.cond.Signal()
 	return true
 }
 
-// Pop blocks until a job is dispatchable and returns it, or returns nil
-// once the queue is closed. The popped job's tenant is accounted as
-// running until Done is called for it.
+// Pop blocks for the next job in round-robin order; nil once closed.
 func (q *fairQueue) Pop() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.closed {
-			return nil
-		}
-		if tq := q.pickLocked(); tq != nil {
-			j := tq.jobs[0]
-			tq.jobs = tq.jobs[1:]
-			q.queued--
-			q.virt = tq.pass
-			tq.pass += q.strideLocked(tq)
-			tq.running++
-			if q.virt >= passRebaseThreshold {
-				q.rebaseLocked()
-			}
-			return j
-		}
+	for len(q.ring) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-}
-
-// rebaseLocked shifts the whole pass space down by its minimum so the
-// counters stay far from uint64 wraparound. At one strideScale per
-// dispatch it takes ~2^42 dispatches to trip, but the behavior at the
-// boundary is defined (and tested) rather than a silent reordering.
-func (q *fairQueue) rebaseLocked() {
-	// Idle tenants carry stale low passes that would pin the base; apply
-	// the reactivation clamp (enter at current virtual time) eagerly —
-	// it is exactly what Push would do, so ordering is unaffected.
-	for _, tq := range q.tenants {
-		if len(tq.jobs) == 0 && tq.pass < q.virt {
-			tq.pass = q.virt
-		}
+	if q.closed {
+		return nil
 	}
-	base := q.virt
-	for _, tq := range q.tenants {
-		if tq.pass < base {
-			base = tq.pass
-		}
+	tenant := q.ring[0]
+	q.ring = q.ring[1:]
+	fifo := q.fifos[tenant]
+	j := fifo[0]
+	fifo[0] = nil
+	if len(fifo) == 1 {
+		delete(q.fifos, tenant)
+	} else {
+		q.fifos[tenant] = fifo[1:]
+		q.ring = append(q.ring, tenant)
 	}
-	q.virt -= base
-	for _, tq := range q.tenants {
-		tq.pass -= base
-	}
-}
-
-// pickLocked returns the eligible tenant with the smallest pass value
-// (non-empty FIFO, under the in-flight cap), or nil.
-func (q *fairQueue) pickLocked() *tenantQueue {
-	var best *tenantQueue
-	for _, tq := range q.tenants {
-		if len(tq.jobs) == 0 {
-			continue
-		}
-		if q.maxInFlight > 0 && tq.running >= q.maxInFlight {
-			continue
-		}
-		if best == nil || tq.pass < best.pass {
-			best = tq
-		}
-	}
-	return best
-}
-
-// Done releases one running slot of a tenant (paired with the Pop that
-// returned its job) and wakes waiters that may now be eligible.
-func (q *fairQueue) Done(tenant string) {
-	q.mu.Lock()
-	if tq := q.tenants[tenant]; tq != nil && tq.running > 0 {
-		tq.running--
-	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
+	q.queued--
+	return j
 }
 
 // Len returns the total number of queued jobs.
@@ -207,25 +76,11 @@ func (q *fairQueue) Len() int {
 func (q *fairQueue) TenantQueued(tenant string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if tq := q.tenants[tenant]; tq != nil {
-		return len(tq.jobs)
-	}
-	return 0
+	return len(q.fifos[tenant])
 }
 
-// TenantRunning returns how many popped-but-not-Done jobs a tenant has.
-func (q *fairQueue) TenantRunning(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if tq := q.tenants[tenant]; tq != nil {
-		return tq.running
-	}
-	return 0
-}
-
-// Close wakes every Pop waiter with nil. Jobs still queued are abandoned
-// in place (the server has already marked them canceled by the time it
-// closes the queue).
+// Close wakes every Pop waiter with nil. Jobs still queued are abandoned;
+// the draining server has already marked them canceled.
 func (q *fairQueue) Close() {
 	q.mu.Lock()
 	q.closed = true

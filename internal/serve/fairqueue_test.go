@@ -5,13 +5,12 @@ import (
 	"time"
 )
 
-// fairness and cap behavior of the stride queue, exercised directly —
-// the e2e counterpart lives in tenants_test.go.
+// dispatch order of the round-robin queue, exercised directly — the e2e
+// counterpart lives in tenants_test.go.
 
 func fqJob(tenant string) *job { return &job{tenant: tenant} }
 
-// popN pops n jobs, releasing each immediately so per-tenant in-flight
-// caps never bite, and returns the dispatch counts per tenant.
+// popN pops n jobs and returns the dispatch counts per tenant.
 func popN(t *testing.T, q *fairQueue, n int) map[string]int {
 	t.Helper()
 	counts := map[string]int{}
@@ -21,105 +20,53 @@ func popN(t *testing.T, q *fairQueue, n int) map[string]int {
 			t.Fatalf("Pop %d returned nil on an open queue", i)
 		}
 		counts[j.tenant]++
-		q.Done(j.tenant)
 	}
 	return counts
 }
 
-func TestFairQueueWeightedShare(t *testing.T) {
-	weights := map[string]int{"gold": 2, "bronze": 1}
-	q := newFairQueue(1, func(name string) int { return weights[name] })
-	for i := 0; i < 30; i++ {
-		q.Push(fqJob("gold"))
-		q.Push(fqJob("bronze"))
-	}
-	counts := popN(t, q, 30)
-	// Stride scheduling gives gold twice bronze's dispatch rate; ties on
-	// equal pass values may fall either way, hence the ±1 slack.
-	if counts["gold"] < 19 || counts["gold"] > 21 {
-		t.Errorf("gold dispatched %d of 30, want 20±1 (bronze %d)", counts["gold"], counts["bronze"])
-	}
-	if counts["gold"]+counts["bronze"] != 30 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
 func TestFairQueueEqualWeightsInterleave(t *testing.T) {
-	q := newFairQueue(1, func(string) int { return 1 })
+	q := newFairQueue()
 	for i := 0; i < 10; i++ {
 		q.Push(fqJob("a"))
+	}
+	for i := 0; i < 10; i++ {
 		q.Push(fqJob("b"))
 	}
-	counts := popN(t, q, 20)
-	if counts["a"] != 10 || counts["b"] != 10 {
-		t.Errorf("equal weights dispatched %v, want 10/10", counts)
+	// b queued all of its jobs behind a's, yet the two alternate.
+	for i := 0; i < 20; i++ {
+		want := []string{"a", "b"}[i%2]
+		if j := q.Pop(); j.tenant != want {
+			t.Fatalf("pop %d = %q, want %q", i, j.tenant, want)
+		}
 	}
 }
 
 // TestFairQueueReactivationNoBurst pins the re-activation rule: a tenant
-// that was idle while others ran re-enters at the current virtual time
-// instead of replaying its missed share as a burst.
+// that was idle while others ran joins the back of the ring instead of
+// replaying its missed turns as a burst.
 func TestFairQueueReactivationNoBurst(t *testing.T) {
-	q := newFairQueue(1, func(string) int { return 1 })
+	q := newFairQueue()
 	for i := 0; i < 6; i++ {
 		q.Push(fqJob("a"))
 	}
-	popN(t, q, 3) // a advances the virtual clock alone
+	popN(t, q, 3) // a runs alone for three turns
 	q.Push(fqJob("b"))
 	q.Push(fqJob("b"))
 
-	// b re-enters at the current virtual time, so it goes next — but only
-	// once before a gets its turn back; no catch-up burst of b's.
-	if j := q.Pop(); j.tenant != "b" {
-		t.Fatalf("first pop after reactivation = %q, want b", j.tenant)
-	}
-	q.Done("b")
-	next := popN(t, q, 2)
-	if next["a"] != 1 || next["b"] != 1 {
-		t.Errorf("pops after b's first turn = %v, want one each", next)
-	}
-}
-
-func TestFairQueuePerTenantInFlightCap(t *testing.T) {
-	q := newFairQueue(1, func(string) int { return 1 })
-	q.Push(fqJob("a"))
-	q.Push(fqJob("a"))
-	q.Push(fqJob("b"))
-
-	first := q.Pop()
-	second := q.Pop()
-	if first.tenant == second.tenant {
-		t.Fatalf("cap 1 dispatched %q twice without Done", first.tenant)
-	}
-	// Both tenants are now at their cap; a's second job must wait for a
-	// Done even though it is queued and the queue is open.
-	got := make(chan *job, 1)
-	go func() { got <- q.Pop() }()
-	select {
-	case j := <-got:
-		t.Fatalf("Pop dispatched %q past the per-tenant cap", j.tenant)
-	case <-time.After(50 * time.Millisecond):
-	}
-	q.Done("b")
-	select {
-	case j := <-got:
-		// Only a has work left; releasing b's slot does not admit a.
-		t.Fatalf("Pop returned %q after Done(b); a is still at cap", j.tenant)
-	case <-time.After(50 * time.Millisecond):
-	}
-	q.Done("a")
-	select {
-	case j := <-got:
-		if j.tenant != "a" {
-			t.Fatalf("unblocked pop = %q, want a", j.tenant)
+	// a was already in the ring, so it keeps its turn; b then gets one
+	// turn per round like a — no catch-up burst of b's.
+	for i, want := range []string{"a", "b", "a", "b", "a"} {
+		if j := q.Pop(); j.tenant != want {
+			t.Fatalf("pop %d after reactivation = %q, want %q", i, j.tenant, want)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Pop still blocked after Done(a)")
+	}
+	if q.Len() != 0 {
+		t.Fatalf("len = %d after draining, want 0", q.Len())
 	}
 }
 
 func TestFairQueueCloseUnblocks(t *testing.T) {
-	q := newFairQueue(1, func(string) int { return 1 })
+	q := newFairQueue()
 	got := make(chan *job, 1)
 	go func() { got <- q.Pop() }()
 	time.Sleep(10 * time.Millisecond)
@@ -141,7 +88,7 @@ func TestFairQueueCloseUnblocks(t *testing.T) {
 }
 
 func TestFairQueueAccounting(t *testing.T) {
-	q := newFairQueue(2, func(string) int { return 1 })
+	q := newFairQueue()
 	q.Push(fqJob("a"))
 	q.Push(fqJob("a"))
 	q.Push(fqJob("b"))
@@ -149,135 +96,11 @@ func TestFairQueueAccounting(t *testing.T) {
 		t.Fatalf("len=%d a=%d b=%d", q.Len(), q.TenantQueued("a"), q.TenantQueued("b"))
 	}
 	j := q.Pop()
-	if q.Len() != 2 || q.TenantRunning(j.tenant) != 1 {
-		t.Fatalf("after pop: len=%d running(%s)=%d", q.Len(), j.tenant, q.TenantRunning(j.tenant))
+	if j.tenant != "a" || q.Len() != 2 || q.TenantQueued("a") != 1 {
+		t.Fatalf("after pop of %s: len=%d a=%d", j.tenant, q.Len(), q.TenantQueued("a"))
 	}
-	q.Done(j.tenant)
-	if q.TenantRunning(j.tenant) != 0 {
-		t.Fatalf("running(%s) after Done = %d", j.tenant, q.TenantRunning(j.tenant))
-	}
-}
-
-// TestFairQueueWeightChangeWhileQueued pins that a weight change takes
-// effect mid-backlog: the stride is resolved at every dispatch, not
-// cached when the tenant is first seen.
-func TestFairQueueWeightChangeWhileQueued(t *testing.T) {
-	weights := map[string]int{"a": 1, "b": 1}
-	q := newFairQueue(1, func(name string) int { return weights[name] })
-	for i := 0; i < 40; i++ {
-		q.Push(fqJob("a"))
-		q.Push(fqJob("b"))
-	}
-	// Equal weights for the first quarter of the backlog...
-	first := popN(t, q, 20)
-	if first["a"] != 10 || first["b"] != 10 {
-		t.Fatalf("equal-weight phase dispatched %v, want 10/10", first)
-	}
-	// ...then a is promoted while both still have jobs queued: from the
-	// next dispatch on it drains at 3× b's rate.
-	weights["a"] = 3
-	rest := popN(t, q, 40)
-	if rest["a"] < 27 || rest["a"] > 31 {
-		t.Errorf("after weight change a dispatched %d of 40, want ~30 (b %d)", rest["a"], rest["b"])
-	}
-}
-
-// TestFairQueueTenantRemovalWithInFlight pins the guards around a tenant
-// disappearing while it still has popped-but-not-Done work: the late
-// Done neither panics nor corrupts accounting, extra Dones do not
-// underflow, and the tenant can re-enter later as if new.
-func TestFairQueueTenantRemovalWithInFlight(t *testing.T) {
-	q := newFairQueue(2, func(string) int { return 1 })
-	q.Push(fqJob("a"))
-	if j := q.Pop(); j.tenant != "a" {
-		t.Fatalf("popped %q, want a", j.tenant)
-	}
-
-	// Simulate removal while a's job is in flight.
-	q.mu.Lock()
-	delete(q.tenants, "a")
-	q.mu.Unlock()
-
-	q.Done("a") // late completion of the removed tenant's job
-	q.Done("a") // double Done must not underflow anyone
-	if got := q.TenantRunning("a"); got != 0 {
-		t.Fatalf("TenantRunning(removed) = %d, want 0", got)
-	}
-	if got := q.TenantQueued("a"); got != 0 {
-		t.Fatalf("TenantQueued(removed) = %d, want 0", got)
-	}
-	// Done for a tenant the queue has never seen is equally harmless.
-	q.Done("ghost")
-
-	// The queue still schedules, and the removed tenant re-enters fresh
-	// at the current virtual time.
-	q.Push(fqJob("a"))
-	q.Push(fqJob("b"))
-	counts := popN(t, q, 2)
-	if counts["a"] != 1 || counts["b"] != 1 {
-		t.Fatalf("post-removal dispatches = %v, want one each", counts)
-	}
-}
-
-// TestFairQueuePassRebase pins the overflow behavior: when the virtual
-// clock crosses passRebaseThreshold the whole pass space shifts down,
-// preserving relative order — no tenant is suddenly favored or starved
-// by wraparound.
-func TestFairQueuePassRebase(t *testing.T) {
-	weights := map[string]int{"heavy": 4, "light": 1}
-	q := newFairQueue(1, func(name string) int { return weights[name] })
-	q.Push(fqJob("heavy"))
-	q.Push(fqJob("light"))
-	q.Push(fqJob("idle")) // establish an idle tenant with a stale pass
-	popN(t, q, 3)
-
-	// Advance the scheduler state to the eve of the threshold.
-	q.mu.Lock()
-	shift := uint64(passRebaseThreshold) - 1 - q.virt
-	q.virt += shift
-	for _, tq := range q.tenants {
-		tq.pass += shift
-	}
-	q.mu.Unlock()
-
-	for i := 0; i < 20; i++ {
-		q.Push(fqJob("heavy"))
-		q.Push(fqJob("light"))
-	}
-	counts := popN(t, q, 25)
-	q.mu.Lock()
-	virt := q.virt
-	var maxPass uint64
-	for _, tq := range q.tenants {
-		if tq.pass > maxPass {
-			maxPass = tq.pass
-		}
-	}
-	q.mu.Unlock()
-	if virt >= passRebaseThreshold || maxPass >= passRebaseThreshold {
-		t.Fatalf("rebase never fired: virt=%d maxPass=%d", virt, maxPass)
-	}
-	// Weighted fairness held straight through the rebase: heavy gets ~4/5
-	// of the 25 dispatches.
-	if counts["heavy"] < 18 || counts["heavy"] > 22 {
-		t.Errorf("dispatches across rebase = %v, want heavy ~20 of 25", counts)
-	}
-	if counts["idle"] != 0 {
-		t.Errorf("idle tenant dispatched %d jobs with none queued", counts["idle"])
-	}
-
-	// The idle tenant was clamped, not deleted: it re-enters at the new
-	// virtual time and is not owed 2^62 of catch-up credit.
-	q.Push(fqJob("idle"))
-	q.Push(fqJob("idle"))
-	q.Push(fqJob("heavy"))
-	if first := q.Pop(); first == nil {
-		t.Fatal("Pop after rebase returned nil")
-	} else {
-		q.Done(first.tenant)
-	}
-	after := popN(t, q, 2)
-	if after["idle"] == 2 {
-		t.Error("reactivated idle tenant dispatched back-to-back; it banked credit across the rebase")
+	popN(t, q, 2)
+	if q.Len() != 0 || q.TenantQueued("a") != 0 || q.TenantQueued("b") != 0 || q.TenantQueued("ghost") != 0 {
+		t.Fatalf("drained: len=%d a=%d b=%d", q.Len(), q.TenantQueued("a"), q.TenantQueued("b"))
 	}
 }

@@ -71,9 +71,8 @@ func TestFaultTransientRetrySucceeds(t *testing.T) {
 	reg := faults.New(1)
 	reg.Arm(faults.SchedWorkerPanic, faults.Trigger{Nth: 1, Times: 1, Transient: true})
 	h := newTestServer(t, serve.Config{
-		Threads:        4,
-		RetryBaseDelay: time.Millisecond,
-		Faults:         reg,
+		Threads: 4,
+		Faults:  reg,
 	})
 
 	v := h.submit(pooledSubmit(4))
@@ -98,10 +97,9 @@ func TestFaultRetriesExhaustedFailsJob(t *testing.T) {
 	// out and the job fails for good, still classified as an engine fault.
 	reg.Arm(faults.SchedWorkerPanic, faults.Trigger{Prob: 1, Transient: true})
 	h := newTestServer(t, serve.Config{
-		Threads:        4,
-		MaxRetries:     1,
-		RetryBaseDelay: time.Millisecond,
-		Faults:         reg,
+		Threads:    4,
+		MaxRetries: 1,
+		Faults:     reg,
 	})
 
 	v := h.submit(pooledSubmit(5))
@@ -120,7 +118,6 @@ func TestFaultNumericalDriftFailsWithoutRetry(t *testing.T) {
 	h := newTestServer(t, serve.Config{
 		Threads:        4,
 		IntegrityEvery: 1,
-		RetryBaseDelay: time.Millisecond,
 		Faults:         reg,
 	})
 

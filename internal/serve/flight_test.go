@@ -95,7 +95,9 @@ func TestCompleteFlightReflightsNonServableSubs(t *testing.T) {
 	// Drain: the original leader runs and completes alone (the flight is
 	// no longer theirs); sub1 runs once more and its entry — ghz n=5 easily
 	// fits a distribution — completes sub2 and sub3 with their shots.
-	s.Cancel(blocker.id)
+	s.mu.Lock()
+	s.cancelLocked(blocker.id)
+	s.mu.Unlock()
 	for _, j := range []*job{leader, sub1, sub2, sub3} {
 		waitJobState(t, s, j, StateDone)
 	}

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math/cmplx"
 	"net/http"
+	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"flatdd/internal/core"
+	"flatdd/internal/dmav"
 	"flatdd/internal/obs"
 )
 
@@ -180,14 +183,14 @@ func (s *Server) viewLocked(j *job) JobView {
 		t := j.finished
 		v.FinishedAt = &t
 	}
-	// Queue position is a submission-order estimate: the weighted-fair
-	// scheduler may dispatch across tenants in a different order.
-	// Coalesced subscribers are not in the queue at all.
+	// Queue position is a submission-order estimate: the round-robin
+	// queue may dispatch across tenants in a different order. Coalesced
+	// subscribers are not in the queue at all.
 	if j.state == StateQueued && j.cacheStatus != CacheCoalesced {
 		pos := 0
 		for _, id := range s.order {
 			jj := s.jobs[id]
-			if jj.state == StateQueued && jj.cacheStatus != CacheCoalesced {
+			if jj != nil && jj.state == StateQueued && jj.cacheStatus != CacheCoalesced {
 				pos++
 			}
 			if id == j.id {
@@ -209,7 +212,7 @@ func (s *Server) viewLocked(j *job) JobView {
 //	GET    /v1/jobs/{id}/result — result of a done job
 //	DELETE /v1/jobs/{id}        — cancel (POST /v1/jobs/{id}/cancel works too)
 //	GET    /v1/tenants          — per-tenant accounting: queue/running state,
-//	                              quotas, cache hit/coalesce/miss counts
+//	                              limits, cache hit/coalesce/miss counts
 //	GET    /healthz             — liveness, capacity, uptime, latency SLOs,
 //	                              result-cache occupancy
 //	GET    /debug/jobs          — flight recorder: last N job span trees (?id= for one)
@@ -223,6 +226,9 @@ func (s *Server) viewLocked(j *job) JobView {
 // resubmitting with the same key returns the original job (200, header
 // Idempotency-Replayed: true) instead of admitting a duplicate, and a
 // key reuse with a different request body is a 409/idempotency_mismatch.
+// A key replays only while its job is retained (the last maxRetainedJobs
+// terminal jobs plus every live one); so does GET /v1/jobs/{id}, which
+// answers 404 for an evicted job.
 //
 // Every non-2xx response body is the structured envelope of errors.go:
 // {"error":{"code","message","reason","retry_after_ms"}} with code one of
@@ -278,6 +284,9 @@ func (s *Server) handleLedger(w http.ResponseWriter, _ *http.Request) {
 	rows := make([]row, 0, len(s.order))
 	for _, id := range s.order {
 		j := s.jobs[id]
+		if j == nil {
+			continue // evicted
+		}
 		e := LedgerEntry{
 			ID:            j.id,
 			State:         j.state,
@@ -342,7 +351,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.met.rejectInvalid.Inc()
@@ -370,9 +379,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, v)
 }
 
-// listDefaultLimit and listMaxLimit bound GET /v1/jobs pages; before
-// pagination the endpoint returned the server's entire (append-only) job
-// index on every call.
+// listDefaultLimit and listMaxLimit bound GET /v1/jobs pages.
 const (
 	listDefaultLimit = 100
 	listMaxLimit     = 1000
@@ -398,29 +405,32 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	cursor := q.Get("cursor")
 
 	s.mu.Lock()
-	// Newest first over the append-only submission order; the cursor is
-	// the last job id of the previous page, so a page boundary stays
-	// stable while new jobs arrive (they appear before the cursor and are
-	// simply not part of an older listing's continuation).
+	// Newest first over the submission order; the cursor is the last job
+	// id of the previous page, so a page boundary stays stable while new
+	// jobs arrive (they appear before the cursor and are simply not part
+	// of an older listing's continuation). IDs are issued in submission
+	// order, so the page resumes at the newest job issued before the
+	// cursor, whether or not the cursor's own job has since been evicted.
 	start := len(s.order) - 1
 	if cursor != "" {
-		start = -1
-		for i := len(s.order) - 1; i >= 0; i-- {
-			if s.order[i] == cursor {
-				start = i - 1
-				break
-			}
-		}
-		if start == -1 && (len(s.order) == 0 || s.order[0] != cursor) {
+		seq, ok := jobSeq(cursor)
+		if !ok || seq > s.nextID {
 			s.mu.Unlock()
 			WriteError(w, http.StatusBadRequest,
 				fmt.Sprintf("unknown cursor %q", cursor), "invalid_cursor", 0)
 			return
 		}
+		start = sort.Search(len(s.order), func(i int) bool {
+			n, _ := jobSeq(s.order[i])
+			return n >= seq
+		}) - 1
 	}
 	out := JobList{Jobs: []JobView{}}
 	for i := start; i >= 0; i-- {
 		j := s.jobs[s.order[i]]
+		if j == nil {
+			continue // evicted
+		}
 		if stateFilter != "" && j.state != stateFilter {
 			continue
 		}
@@ -480,20 +490,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	found, canceled := s.Cancel(id)
-	if !found {
-		WriteError(w, http.StatusNotFound, "no such job", "unknown_job", 0)
-		return
-	}
-	if !canceled {
-		WriteError(w, http.StatusConflict, "job already finished", "job_finished", 0)
-		return
-	}
 	s.mu.Lock()
-	v := s.viewLocked(s.jobs[id])
+	j, canceled := s.cancelLocked(r.PathValue("id"))
+	var v JobView
+	if canceled {
+		v = s.viewLocked(j)
+	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, v)
+	switch {
+	case j == nil:
+		WriteError(w, http.StatusNotFound, "no such job", "unknown_job", 0)
+	case !canceled:
+		WriteError(w, http.StatusConflict, "job already finished", "job_finished", 0)
+	default:
+		writeJSON(w, http.StatusOK, v)
+	}
 }
 
 // latencyView renders one histogram snapshot's tail-latency summary for
@@ -535,9 +546,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			"queue_depth":         s.cfg.QueueDepth,
 			"max_inflight":        s.cfg.MaxInFlight,
 			"memory_budget_bytes": s.cfg.MemoryBudget,
-			"max_qubits":          s.cfg.MaxQubits,
-			"tenant_max_queued":   s.cfg.TenantMaxQueued,
-			"tenant_max_inflight": s.cfg.TenantMaxInFlight,
+			"max_qubits":          dmav.MaxQubits,
+			"tenant_max_queued":   s.cfg.QueueDepth,
+			"tenant_max_inflight": s.cfg.MaxInFlight,
 		},
 		"cache": map[string]any{
 			"enabled":      s.cache.enabled(),
@@ -562,4 +573,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, body)
+}
+
+// jobSeq parses the sequence number of a job ID ("j-000042" → 42).
+func jobSeq(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "j-")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil && n > 0
 }

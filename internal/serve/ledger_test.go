@@ -101,7 +101,7 @@ func TestReservationsReleasedAtTerminal(t *testing.T) {
 	for _, id := range ids {
 		if rng.Intn(2) == 0 {
 			time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
-			h.srv.Cancel(id)
+			h.cancel(id)
 		}
 	}
 	runningCancels := 0

@@ -1,17 +1,18 @@
 // Package serve implements a long-lived, multi-tenant simulation job
 // service on top of the FlatDD engine: circuits are submitted over
-// HTTP/JSON, admitted against memory and per-tenant quotas, scheduled by
-// a weighted-fair queue, executed on one shared scheduler pool, and
-// driven through the context-first core.RunContext API so per-job
-// deadlines and client cancellations propagate into the engine within one
-// gate.
+// HTTP/JSON, admitted against one memory budget, dispatched round-robin
+// across tenants, executed on one shared scheduler pool, and driven
+// through the context-first core.RunContext API so per-job deadlines and
+// client cancellations propagate into the engine within one gate.
 //
 // The lifecycle is queued → running → done | failed | canceled. Admission
-// control happens at submit time: a job whose flat-array footprint
-// (dmav.FlatBytes for the pool's thread count and the job's cache mode)
-// exceeds the process-wide memory budget is rejected with 413, a full
-// queue (global or per-tenant) rejects with 429, and a draining server
-// with 503; dispatch reserves the same figure against the same budget.
+// control happens at submit time: a register wider than dmav.MaxQubits
+// or a job whose flat-array footprint (dmav.FlatBytes for the pool's
+// thread count and the job's cache mode) exceeds the process-wide memory
+// budget is rejected with 413, a full queue with 429, and a draining
+// server with 503; dispatch reserves the same footprint against the same
+// budget. The server keeps the last maxRetainedJobs terminal jobs; an
+// older job's ID answers 404 and its Idempotency-Key is free again.
 // Before a job is queued at all, the service consults the
 // canonical-circuit result cache: a submission whose
 // (circuit hash, engine options) key matches a cached outcome completes
@@ -83,31 +84,17 @@ type Config struct {
 	// running job's footprint against the budget, so the running jobs
 	// together never exceed it.
 	MemoryBudget uint64
-	// MaxQubits caps the register size regardless of budget (default 30,
-	// clamped to the engine ceiling dmav.MaxQubits).
-	MaxQubits int
-	// DefaultTimeout is the per-job deadline when the submission does not
-	// name one (default 2m); MaxTimeout caps requested deadlines
-	// (default 10m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 	// DrainGrace is how long Shutdown waits for in-flight jobs before
 	// canceling their contexts (default 10s).
 	DrainGrace time.Duration
-	// MaxBodyBytes caps submission bodies (default 1 MiB — QASM sources
-	// beyond that should be batch jobs, not service requests).
-	MaxBodyBytes int64
 	// Metrics is the registry jobs and the service instrument (default: a
 	// fresh registry; it also backs the handler's /debug/metrics).
 	Metrics *obs.Registry
 	// MaxRetries is how many times a job that fails with a transient
 	// engine fault is re-queued (default 2; negative disables retries).
+	// Attempt k waits retryBaseDelay·2^(k−1), capped at retryMaxDelay,
+	// plus up to 50% jitter.
 	MaxRetries int
-	// RetryBaseDelay and RetryMaxDelay shape the retry backoff: attempt
-	// k waits RetryBaseDelay·2^(k−1), capped at RetryMaxDelay, plus up to
-	// 50% jitter (defaults 50ms and 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// IntegrityEvery is the per-job numerical-integrity sweep cadence in
 	// DMAV gates (core.Options.IntegrityEvery; 0 disables).
 	IntegrityEvery int
@@ -120,11 +107,6 @@ type Config struct {
 	// additionally persists them. The writer is flushed as jobs finish;
 	// closing the underlying file stays the caller's job.
 	TraceJSONL io.Writer
-	// FlightRecorderSize is the per-ring capacity of the job flight
-	// recorder at /debug/jobs (default 64): the last N job span trees,
-	// with failed/canceled/degraded/retried jobs pinned in a separate
-	// ring so healthy traffic cannot evict the interesting traces.
-	FlightRecorderSize int
 	// Logger receives structured job-lifecycle logs keyed by job and
 	// trace ID (default: discard).
 	Logger *slog.Logger
@@ -139,23 +121,23 @@ type Config struct {
 	// register size cache hits can serve shots>0 requests (n ≤ 21 at the
 	// default).
 	ResultCacheMaxEntry int64
-	// TenantMaxQueued caps one tenant's queued jobs (default: QueueDepth,
-	// i.e. no per-tenant constraint beyond the global one). Submissions
-	// over the cap reject with 429/tenant_queue_full.
-	TenantMaxQueued int
-	// TenantMaxInFlight caps one tenant's concurrently running jobs
-	// (default: MaxInFlight). The fair queue skips a tenant at its cap,
-	// dispatching other tenants' work instead.
-	TenantMaxInFlight int
-	// TenantWeights assigns weighted-fair scheduling weights by tenant
-	// name (default 1 each): a weight-4 tenant is dispatched 4× as often
-	// as a weight-1 tenant while both have work queued.
-	TenantWeights map[string]int
 }
 
-// latencyWindow is the rotation window of the /healthz latency quantile
-// histograms. The cumulative Prometheus series are unaffected.
-const latencyWindow = 5 * time.Minute
+// Fixed service limits. None of them is a Config field: no workload
+// needs another value, and a test that wants a different one changes
+// the test, not the server.
+const (
+	maxBodyBytes   = 1 << 20          // submission body cap; bigger QASM sources are batch jobs, not service requests
+	defaultTimeout = 2 * time.Minute  // per-job deadline when the submission names none
+	maxTimeout     = 10 * time.Minute // cap on requested per-job deadlines
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+
+	flightRecorderSize = 64              // per-ring capacity of /debug/jobs: last N span trees, failures pinned apart
+	latencyWindow      = 5 * time.Minute // rotation window of the /healthz quantiles; Prometheus series stay cumulative
+	maxCoalesced       = 64              // subscribers per flight; more reject with 429/coalesce_limit
+	maxRetainedJobs    = 1024            // terminal jobs kept for status, result and Idempotency-Key replay
+)
 
 func (c Config) withDefaults() Config {
 	if c.Threads < 1 {
@@ -170,23 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.MemoryBudget == 0 {
 		c.MemoryBudget = 8 << 30
 	}
-	if c.MaxQubits < 1 {
-		c.MaxQubits = 30
-	}
-	if c.MaxQubits > dmav.MaxQubits {
-		c.MaxQubits = dmav.MaxQubits
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 2 * time.Minute
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * time.Minute
-	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.New()
@@ -196,15 +163,6 @@ func (c Config) withDefaults() Config {
 		c.MaxRetries = 2
 	case c.MaxRetries < 0:
 		c.MaxRetries = 0
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.FlightRecorderSize < 1 {
-		c.FlightRecorderSize = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -217,12 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheMaxEntry <= 0 {
 		c.ResultCacheMaxEntry = 16 << 20
-	}
-	if c.TenantMaxQueued < 1 {
-		c.TenantMaxQueued = c.QueueDepth
-	}
-	if c.TenantMaxInFlight < 1 {
-		c.TenantMaxInFlight = c.MaxInFlight
 	}
 	return c
 }
@@ -255,7 +207,7 @@ type job struct {
 
 	// span is the job's root span (always non-nil: the server's tracer
 	// collects in memory even without a JSONL sink); queuedSpan is the
-	// open "queued" child while the job sits in the FIFO.
+	// open "queued" child while the job sits in the queue.
 	span       *obs.Span
 	queuedSpan *obs.Span
 
@@ -305,8 +257,8 @@ type serveMetrics struct {
 
 	// Result-cache and multi-tenant instrumentation. engineRuns counts
 	// actual engine executions; submitted − engineRuns is the work the
-	// cache and coalescing absorbed. rejectQuota counts per-tenant quota
-	// rejections (tenant_queue_full, coalesce_limit).
+	// cache and coalescing absorbed. rejectQuota counts coalesce_limit
+	// rejections.
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheCoalesced *obs.Counter
@@ -341,18 +293,24 @@ type Server struct {
 	wQueueWait *obs.WindowedHistogram
 	wRun       *obs.WindowedHistogram
 
+	// jobs holds every queued and running job plus the last
+	// maxRetainedJobs terminal ones; terminal lists those in finish order,
+	// oldest first, so the oldest is evicted first. order is the
+	// submission order for the list endpoint; it may still name evicted
+	// jobs until compactOrderLocked drops them.
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // submission order, for the list endpoint
+	terminal []*job
+	order    []string
 	nextID   int
 	draining bool
 
-	// fq is the weighted-fair dispatch queue (replacing the former global
-	// FIFO channel); cache the canonical-circuit result cache; flights
-	// the in-progress simulations open for coalescing, keyed like the
-	// cache; tenants the per-tenant accounting; idem the Idempotency-Key
-	// replay index ("tenant\x00key" → job id). All but fq and cache (which
-	// have their own locks and never call back out) are guarded by mu.
+	// fq is the round-robin dispatch queue; cache the canonical-circuit
+	// result cache; flights the in-progress simulations open for
+	// coalescing, keyed like the cache; tenants the per-tenant
+	// accounting; idem the Idempotency-Key replay index
+	// ("tenant\x00key" → job id). All but fq and cache (which have their
+	// own locks and never call back out) are guarded by mu.
 	fq      *fairQueue
 	cache   *resultCache
 	flights map[cacheKey]*flight
@@ -380,7 +338,7 @@ func New(cfg Config) *Server {
 		log:     cfg.Logger,
 		started: time.Now(),
 		jobs:    make(map[string]*job),
-		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
+		flight:  obs.NewFlightRecorder(flightRecorderSize),
 		cache:   newResultCache(cfg.ResultCacheBudget, cfg.ResultCacheMaxEntry),
 		flights: make(map[cacheKey]*flight),
 		tenants: make(map[string]*tenantStats),
@@ -390,7 +348,7 @@ func New(cfg Config) *Server {
 		s.tw = obs.NewTraceWriter(cfg.TraceJSONL)
 	}
 	s.tracer = obs.NewTracer(s.tw)
-	s.fq = newFairQueue(cfg.TenantMaxInFlight, s.tenantWeight)
+	s.fq = newFairQueue()
 	r := s.reg
 	s.met = serveMetrics{
 		submitted:     r.Counter("serve.jobs.submitted"),
@@ -476,7 +434,7 @@ func BuildCircuit(req *SubmitRequest) (*circuit.Circuit, error) {
 // normalize validates the execution options of a submission.
 func (s *Server) normalize(req *SubmitRequest) (runOptions, error) {
 	o := runOptions{
-		timeout: s.cfg.DefaultTimeout,
+		timeout: defaultTimeout,
 		top:     8,
 		seed:    req.Seed,
 	}
@@ -485,8 +443,8 @@ func (s *Server) normalize(req *SubmitRequest) (runOptions, error) {
 	}
 	if req.TimeoutMS > 0 {
 		o.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if o.timeout > s.cfg.MaxTimeout {
-			o.timeout = s.cfg.MaxTimeout
+		if o.timeout > maxTimeout {
+			o.timeout = maxTimeout
 		}
 	}
 	if req.Top > 0 {
@@ -523,8 +481,8 @@ func (s *Server) normalize(req *SubmitRequest) (runOptions, error) {
 }
 
 // submit runs admission control and either admits a job — served from
-// cache, coalesced onto an in-flight simulation, or queued for the fair
-// scheduler — or returns an *admissionError. traceparent is the caller's
+// cache, coalesced onto an in-flight simulation, or queued for
+// dispatch — or returns an *admissionError. traceparent is the caller's
 // W3C trace context header ("" or malformed mints a fresh trace); the
 // admitted job's root span continues that trace. tenant is the validated
 // tenant identity; idemKey, when non-empty, makes the submission
@@ -545,10 +503,10 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 		s.met.rejectInvalid.Inc()
 		return nil, false, &admissionError{status: 400, msg: "circuit has no qubits", reason: "invalid"}
 	}
-	if c.Qubits > s.cfg.MaxQubits {
+	if c.Qubits > dmav.MaxQubits {
 		s.met.rejectBudget.Inc()
 		return nil, false, &admissionError{status: 413, msg: fmt.Sprintf(
-			"circuit has %d qubits, server cap is %d", c.Qubits, s.cfg.MaxQubits),
+			"circuit has %d qubits, the engine simulates at most %d", c.Qubits, dmav.MaxQubits),
 			reason: "qubit_cap"}
 	}
 	if w := s.flatBytes(c.Qubits, opts); w > s.cfg.MemoryBudget {
@@ -599,7 +557,7 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 
 	// Disposition: cache hit ≻ coalesce onto an in-flight leader ≻ queue
 	// as a fresh leader. Hits and subscribers bypass the queue entirely,
-	// so quota checks apply only to the miss path.
+	// so the queue-depth check applies only to the miss path.
 	if entry := s.cache.get(key, opts.shots); entry != nil {
 		j.cacheStatus = CacheHit
 		j.span.SetAttr("cache", CacheHit)
@@ -639,13 +597,6 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 		return nil, false, &admissionError{status: 429, msg: fmt.Sprintf(
 			"queue full (%d jobs)", s.cfg.QueueDepth),
 			reason: "queue_full", retryAfter: 1}
-	}
-	if s.fq.TenantQueued(tenant) >= s.cfg.TenantMaxQueued {
-		s.met.rejectQuota.Inc()
-		ts.rejected++
-		return nil, false, &admissionError{status: 429, msg: fmt.Sprintf(
-			"tenant %q already has %d jobs queued", tenant, s.cfg.TenantMaxQueued),
-			reason: "tenant_queue_full", retryAfter: 1}
 	}
 	j.cacheStatus = CacheMiss
 	j.span.SetAttr("cache", CacheMiss)
@@ -702,10 +653,8 @@ func (s *Server) flatBytes(qubits int, o runOptions) uint64 {
 func probsBytes(n int) int64 { return 8 << uint(n) }
 
 // runner is one of the MaxInFlight executor goroutines: it pops jobs off
-// the weighted-fair queue until Shutdown closes it. The goroutine count
-// is the global in-flight cap; the queue itself enforces the per-tenant
-// one. Every Pop is paired with exactly one Done — including jobs that
-// turn out to be canceled — so tenant in-flight accounting stays sound.
+// the round-robin queue until Shutdown closes it. The goroutine count is
+// the in-flight cap.
 func (s *Server) runner() {
 	defer s.runWG.Done()
 	for {
@@ -714,7 +663,6 @@ func (s *Server) runner() {
 			return
 		}
 		s.runJob(j)
-		s.fq.Done(j.tenant)
 	}
 }
 
@@ -809,7 +757,7 @@ func (s *Server) runJob(j *job) {
 			j.queuedSpan = j.span.Child("queued")
 			j.queuedSpan.SetAttr("retry", true)
 			s.met.retried.Inc()
-			delay := s.retryDelay(j.attempts)
+			delay := retryDelay(j.attempts)
 			time.AfterFunc(delay, func() { s.enqueueRetry(j) })
 			break
 		}
@@ -832,9 +780,9 @@ func (s *Server) runJob(j *job) {
 
 // finishJobLocked stamps a job's terminal transition: it closes the span
 // tree, hands it to the flight recorder (pinning anything worth a
-// post-mortem — failures, cancels, retries, degraded runs), and emits
-// the lifecycle log line. Caller holds s.mu and has already set the
-// terminal state.
+// post-mortem — failures, cancels, retries, degraded runs), emits the
+// lifecycle log line and retires the job (retireLocked). Caller holds
+// s.mu and has already set the terminal state.
 func (s *Server) finishJobLocked(j *job) {
 	j.finished = time.Now()
 	j.queuedSpan.End()
@@ -876,6 +824,42 @@ func (s *Server) finishJobLocked(j *job) {
 		attrs = append(attrs, "degraded", true)
 	}
 	s.log.Info("job finished", attrs...)
+	s.retireLocked(j)
+}
+
+// retireLocked records a job that just reached its terminal state and
+// evicts the oldest-finished job beyond maxRetainedJobs: its ID answers
+// 404 from then on and its Idempotency-Key admits a new job. Queued and
+// running jobs are never evicted. Caller holds s.mu.
+func (s *Server) retireLocked(j *job) {
+	s.terminal = append(s.terminal, j)
+	if len(s.terminal) <= maxRetainedJobs {
+		return
+	}
+	old := s.terminal[0]
+	s.terminal[0] = nil
+	s.terminal = s.terminal[1:]
+	delete(s.jobs, old.id)
+	if old.idemKey != "" {
+		delete(s.idem, old.tenant+"\x00"+old.idemKey)
+	}
+	if len(s.order) > 2*len(s.jobs) {
+		s.compactOrderLocked()
+	}
+}
+
+// compactOrderLocked drops evicted IDs from the submission order. It runs
+// once they make up half of it, so its cost is constant per eviction.
+// Caller holds s.mu.
+func (s *Server) compactOrderLocked() {
+	live := s.order[:0]
+	for _, id := range s.order {
+		if _, ok := s.jobs[id]; ok {
+			live = append(live, id)
+		}
+	}
+	clear(s.order[len(live):])
+	s.order = live
 }
 
 // completeFlightLocked closes job j's flight after a successful run:
@@ -925,7 +909,7 @@ func (s *Server) completeFlightLocked(j *job, entry *cacheEntry) {
 // promoteFlightLocked handles a leader leaving without an entry (failed,
 // canceled, or its retry was abandoned): the oldest subscriber still
 // queued is promoted to leader of a fresh flight over the remaining
-// subscribers and enters the fair queue, so coalesced jobs never inherit
+// subscribers and enters the queue, so coalesced jobs never inherit
 // their leader's fate. Caller holds s.mu.
 func (s *Server) promoteFlightLocked(j *job) {
 	f := s.flights[j.key]
@@ -1024,15 +1008,15 @@ func failureReason(err error) string {
 // retryDelay is the backoff before re-queuing attempt+1: base·2^(attempt−1)
 // capped at the maximum, plus up to 50% jitter so a burst of transient
 // failures does not re-queue in lockstep.
-func (s *Server) retryDelay(attempt int) time.Duration {
-	d := s.cfg.RetryBaseDelay << uint(attempt-1)
-	if d <= 0 || d > s.cfg.RetryMaxDelay {
-		d = s.cfg.RetryMaxDelay
+func retryDelay(attempt int) time.Duration {
+	d := retryBaseDelay << uint(attempt-1)
+	if d <= 0 || d > retryMaxDelay {
+		d = retryMaxDelay
 	}
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// enqueueRetry puts a backoff-expired job back on the fair queue. It
+// enqueueRetry puts a backoff-expired job back on the queue. It
 // re-checks the world under s.mu: a drain that began while the timer ran
 // has already canceled the job (and closed the queue), and a client
 // cancel wins over the retry.
@@ -1110,17 +1094,15 @@ func (s *Server) countLocked(state string) int64 {
 	return n
 }
 
-// Cancel cancels a job by id: a queued job is withdrawn from the FIFO
-// (it is skipped when popped), a running job has its context canceled and
-// transitions to canceled as soon as the engine observes it (bounded by
-// one gate). It reports whether the job exists and whether it was still
-// cancelable.
-func (s *Server) Cancel(id string) (found, canceled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// cancelLocked cancels a job by id: a queued job is withdrawn from the
+// queue (it is skipped when popped), a running job has its context
+// canceled and transitions to canceled as soon as the engine observes it
+// (bounded by one gate). It returns the job (nil if unknown) and whether
+// it was still cancelable. Caller holds s.mu.
+func (s *Server) cancelLocked(id string) (*job, bool) {
 	j, ok := s.jobs[id]
 	if !ok {
-		return false, false
+		return nil, false
 	}
 	switch j.state {
 	case StateQueued:
@@ -1134,14 +1116,14 @@ func (s *Server) Cancel(id string) (found, canceled bool) {
 		// The job may be parked in the dispatch gate's memory wait; wake it
 		// so its runner observes the cancel and moves on.
 		s.memCond.Broadcast()
-		return true, true
+		return j, true
 	case StateRunning:
 		if j.cancel != nil {
 			j.cancel()
 		}
-		return true, true
+		return j, true
 	default:
-		return true, false
+		return j, false
 	}
 }
 
@@ -1167,7 +1149,7 @@ func (s *Server) Shutdown() {
 		}
 	}
 	// Coalesced subscribers were just canceled with everything else; the
-	// flights are moot and the fair queue's remaining jobs are already
+	// flights are moot and the queue's remaining jobs are already
 	// terminal, so closing it only wakes the runners to exit.
 	s.flights = make(map[cacheKey]*flight)
 	s.fq.Close()

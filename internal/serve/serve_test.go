@@ -134,7 +134,6 @@ func TestAdmissionRejections(t *testing.T) {
 	h := newTestServer(t, serve.Config{
 		Threads:      2,
 		MemoryBudget: dmav.FlatBytes(14, 2, dmav.Auto), // admits up to 14 qubits
-		MaxQubits:    20,
 	})
 	cases := []struct {
 		name string
@@ -142,7 +141,7 @@ func TestAdmissionRejections(t *testing.T) {
 		code int
 	}{
 		{"over budget", &serve.SubmitRequest{Circuit: "ghz", N: 15}, http.StatusRequestEntityTooLarge},
-		{"over qubit cap", &serve.SubmitRequest{Circuit: "ghz", N: 24}, http.StatusRequestEntityTooLarge},
+		{"over qubit cap", &serve.SubmitRequest{Circuit: "ghz", N: dmav.MaxQubits + 1}, http.StatusRequestEntityTooLarge},
 		{"no source", &serve.SubmitRequest{}, http.StatusBadRequest},
 		{"both sources", &serve.SubmitRequest{QASM: bellQASM, Circuit: "ghz", N: 4}, http.StatusBadRequest},
 		{"bad qasm", &serve.SubmitRequest{QASM: "qreg q[2]; bogus"}, http.StatusBadRequest},

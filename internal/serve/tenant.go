@@ -61,7 +61,7 @@ type tenantStats struct {
 	completed int64
 	failed    int64
 	canceled  int64
-	rejected  int64 // quota rejections (tenant_queue_full, coalesce_limit)
+	rejected  int64 // coalesce_limit rejections
 	cacheHits int64
 	coalesced int64
 	misses    int64 // submissions that had to run the engine
@@ -78,16 +78,9 @@ func (s *Server) tenantLocked(name string) *tenantStats {
 	return t
 }
 
-// tenantWeight resolves a tenant's scheduling weight from Config
-// (default 1). Used as the fair queue's weight function.
-func (s *Server) tenantWeight(name string) int {
-	if w, ok := s.cfg.TenantWeights[name]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// TenantView is one tenant's row in GET /v1/tenants.
+// TenantView is one tenant's row in GET /v1/tenants. Dispatch is plain
+// round-robin, so Weight is always 1 and the per-tenant limits are the
+// server's: MaxQueued is QueueDepth and MaxInFlight is MaxInFlight.
 type TenantView struct {
 	Name    string `json:"name"`
 	Weight  int    `json:"weight"`
@@ -107,7 +100,7 @@ type TenantView struct {
 	Coalesced int64 `json:"coalesced"`
 	Misses    int64 `json:"cache_misses"`
 
-	// Quotas echoes the limits this tenant is admitted under.
+	// The limits this tenant is admitted under.
 	MaxQueued   int `json:"max_queued"`
 	MaxInFlight int `json:"max_inflight"`
 }
@@ -116,13 +109,19 @@ type TenantView struct {
 func (s *Server) Tenants() []TenantView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	running := make(map[string]int)
+	for _, j := range s.jobs {
+		if j.state == StateRunning {
+			running[j.tenant]++
+		}
+	}
 	out := make([]TenantView, 0, len(s.tenants))
 	for name, t := range s.tenants {
 		out = append(out, TenantView{
 			Name:        name,
-			Weight:      s.tenantWeight(name),
+			Weight:      1,
 			Queued:      s.fq.TenantQueued(name),
-			Running:     s.fq.TenantRunning(name),
+			Running:     running[name],
 			Submitted:   t.submitted,
 			Completed:   t.completed,
 			Failed:      t.failed,
@@ -131,8 +130,8 @@ func (s *Server) Tenants() []TenantView {
 			CacheHits:   t.cacheHits,
 			Coalesced:   t.coalesced,
 			Misses:      t.misses,
-			MaxQueued:   s.cfg.TenantMaxQueued,
-			MaxInFlight: s.cfg.TenantMaxInFlight,
+			MaxQueued:   s.cfg.QueueDepth,
+			MaxInFlight: s.cfg.MaxInFlight,
 		})
 	}
 	sortTenantViews(out)

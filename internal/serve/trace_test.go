@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"flatdd/internal/dmav"
 	"flatdd/internal/obs"
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
@@ -140,17 +141,22 @@ func TestTraceMintedWithoutHeader(t *testing.T) {
 }
 
 // TestFlightRecorderPinsFailures pins that a failed job's trace is
-// retained as pinned and survives subsequent healthy traffic.
+// retained as pinned and survives more healthy traffic than the
+// recorder's 64-trace ring holds.
 func TestFlightRecorderPinsFailures(t *testing.T) {
-	h := newTestServer(t, serve.Config{Threads: 2, FlightRecorderSize: 2})
+	h := newTestServer(t, serve.Config{Threads: 2})
 	// A 1ms deadline on a real workload fails with timeout.
 	bad := h.submit(&serve.SubmitRequest{Circuit: "qv", N: 14, Seed: 1, TimeoutMS: 1})
 	h.waitState(bad.ID, serve.StateFailed)
-	for i := 0; i < 4; i++ {
-		// Distinct register sizes: result-cache hits of one circuit would
-		// not keep minting fresh recorder slots.
-		ok := h.submit(&serve.SubmitRequest{Circuit: "ghz", N: 4 + i})
-		h.waitState(ok.ID, serve.StateDone)
+	// One engine run, then cache hits: each hit is a job of its own and
+	// records its own trace.
+	first := h.submit(&serve.SubmitRequest{QASM: bellQASM})
+	h.waitState(first.ID, serve.StateDone)
+	for i := 0; i < 70; i++ {
+		h.submit(&serve.SubmitRequest{QASM: bellQASM})
+	}
+	if code, _ := h.do("GET", "/debug/jobs?id="+first.ID, nil); code != 404 {
+		t.Fatalf("oldest healthy trace still retained (%d): the traffic did not wrap the ring", code)
 	}
 	code, raw := h.do("GET", "/debug/jobs?id="+bad.ID, nil)
 	if code != 200 {
@@ -170,7 +176,7 @@ func TestFlightRecorderPinsFailures(t *testing.T) {
 // capacity limits, uptime, the p50/p95/p99 latency summaries, and the
 // result-cache block.
 func TestHealthzCapacityAndLatency(t *testing.T) {
-	h := newTestServer(t, serve.Config{Threads: 1, QueueDepth: 7, MaxInFlight: 3, MaxQubits: 21})
+	h := newTestServer(t, serve.Config{Threads: 1, QueueDepth: 7, MaxInFlight: 3})
 	v := h.submit(&serve.SubmitRequest{QASM: bellQASM})
 	h.waitState(v.ID, serve.StateDone)
 
@@ -182,9 +188,11 @@ func TestHealthzCapacityAndLatency(t *testing.T) {
 		Status   string  `json:"status"`
 		UptimeS  float64 `json:"uptime_s"`
 		Capacity struct {
-			QueueDepth  int `json:"queue_depth"`
-			MaxInflight int `json:"max_inflight"`
-			MaxQubits   int `json:"max_qubits"`
+			QueueDepth        int `json:"queue_depth"`
+			MaxInflight       int `json:"max_inflight"`
+			MaxQubits         int `json:"max_qubits"`
+			TenantMaxQueued   int `json:"tenant_max_queued"`
+			TenantMaxInflight int `json:"tenant_max_inflight"`
 		} `json:"capacity"`
 		Latency map[string]struct {
 			Count int64   `json:"count"`
@@ -203,7 +211,8 @@ func TestHealthzCapacityAndLatency(t *testing.T) {
 	if body.Status != "ok" || body.UptimeS < 0 {
 		t.Errorf("status %q uptime %v", body.Status, body.UptimeS)
 	}
-	if body.Capacity.QueueDepth != 7 || body.Capacity.MaxInflight != 3 || body.Capacity.MaxQubits != 21 {
+	if body.Capacity.QueueDepth != 7 || body.Capacity.MaxInflight != 3 || body.Capacity.MaxQubits != dmav.MaxQubits ||
+		body.Capacity.TenantMaxQueued != 7 || body.Capacity.TenantMaxInflight != 3 {
 		t.Errorf("capacity = %+v", body.Capacity)
 	}
 	for _, k := range []string{"queue_wait_ns", "run_ns", "e2e_ns"} {
