@@ -75,10 +75,12 @@ serve-smoke:
 # chaos runs the cluster chaos suite under the race detector: a
 # three-replica in-process fleet behind the coordinator with seeded
 # fault injection (replica down, RPC timeout, slow RPC) — kill/revive
-# mid-burst with zero lost acknowledged jobs, breaker open/half-open
-# recovery, and terminal views served through a total outage. The seed
-# comes from FLATDD_CHAOS_SEED (default 1) so failures replay exactly;
-# -timeout bounds the whole suite well under the per-test waits.
+# mid-burst with zero lost acknowledged jobs, the prober as the one
+# failure detector, retries through an RPC brown-out, terminal views
+# served through a total outage, jobs their replica retired, the bounded
+# job table, and a seeded churn of submits, cancels, kills and revivals.
+# The seed comes from FLATDD_CHAOS_SEED (default 1) so failures replay
+# exactly; -timeout bounds the whole suite well under the per-test waits.
 chaos:
 	FLATDD_CHAOS_SEED=$${FLATDD_CHAOS_SEED:-1} $(GO) test -race -count=1 -timeout 300s ./internal/cluster/
 

@@ -1,9 +1,11 @@
 // Command flatdd-coord fronts a fleet of flatdd-serve replicas with the
 // fault-tolerant cluster coordinator: consistent-hash routing on the
 // canonical circuit hash (cache locality per replica), health-checked
-// membership (alive → suspect → dead), per-replica circuit breakers,
+// membership (alive → suspect → dead, the one failure detector),
 // capped-backoff retries, and failover re-submission of unacknowledged
-// jobs under idempotency keys when a replica dies.
+// jobs under idempotency keys when a replica dies. The probe period is
+// the one tunable; the retry budget, timeouts and thresholds are
+// constants of internal/cluster.
 //
 //	flatdd-serve -listen 127.0.0.1:8081 &
 //	flatdd-serve -listen 127.0.0.1:8082 &
@@ -35,18 +37,10 @@ import (
 
 func main() {
 	var (
-		listen       = flag.String("listen", ":8080", "HTTP listen address (e.g. :8080, 127.0.0.1:0)")
-		replicas     = flag.String("replicas", "", "comma-separated replica fleet, name=url pairs (e.g. a=http://127.0.0.1:8081,b=http://127.0.0.1:8082)")
-		vnodes       = flag.Int("vnodes", 64, "consistent-hash virtual nodes per replica")
-		probeEvery   = flag.Duration("probe-interval", 2*time.Second, "health-probe period")
-		probeTimeout = flag.Duration("probe-timeout", time.Second, "per-probe round-trip bound")
-		suspectAfter = flag.Int("suspect-after", 1, "consecutive probe failures before a replica is suspect")
-		deadAfter    = flag.Int("dead-after", 3, "consecutive probe failures before a replica is dead (triggers failover)")
-		rpcTimeout   = flag.Duration("rpc-timeout", 10*time.Second, "per-attempt bound on coordinator→replica calls")
-		retries      = flag.Int("rpc-retries", 3, "retry budget per call for replica-level failures")
-		brThreshold  = flag.Int("breaker-threshold", 5, "consecutive failures that open a replica's circuit breaker")
-		brCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "open → half-open breaker delay")
-		logFormat    = flag.String("log-format", "text", "log format on stderr: text, json, or off")
+		listen     = flag.String("listen", ":8080", "HTTP listen address (e.g. :8080, 127.0.0.1:0)")
+		replicas   = flag.String("replicas", "", "comma-separated replica fleet, name=url pairs (e.g. a=http://127.0.0.1:8081,b=http://127.0.0.1:8082)")
+		probeEvery = flag.Duration("probe-interval", 2*time.Second, "health-probe period")
+		logFormat  = flag.String("log-format", "text", "log format on stderr: text, json, or off")
 	)
 	flag.Parse()
 
@@ -69,18 +63,10 @@ func main() {
 	}
 
 	coord, err := cluster.New(cluster.Config{
-		Replicas:         fleet,
-		VNodes:           *vnodes,
-		ProbeInterval:    *probeEvery,
-		ProbeTimeout:     *probeTimeout,
-		SuspectAfter:     *suspectAfter,
-		DeadAfter:        *deadAfter,
-		RPCTimeout:       *rpcTimeout,
-		MaxRetries:       *retries,
-		BreakerThreshold: *brThreshold,
-		BreakerCooldown:  *brCooldown,
-		Metrics:          obs.New(),
-		Logger:           logger,
+		Replicas:      fleet,
+		ProbeInterval: *probeEvery,
+		Metrics:       obs.New(),
+		Logger:        logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flatdd-coord:", err)
@@ -94,8 +80,8 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: coord.Handler()}
 	go httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
-	fmt.Printf("flatdd-coord listening on http://%s (%d replicas, probe %s, dead after %d)\n",
-		ln.Addr(), len(fleet), *probeEvery, *deadAfter)
+	fmt.Printf("flatdd-coord listening on http://%s (%d replicas, probe %s)\n",
+		ln.Addr(), len(fleet), *probeEvery)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -71,15 +71,7 @@ func TestCoordSmoke(t *testing.T) {
 	coord, base := startProc(coordBin,
 		"-listen", "127.0.0.1:0",
 		"-replicas", "r1="+url1+",r2="+url2,
-		"-vnodes", "32",
 		"-probe-interval", "100ms",
-		"-probe-timeout", "500ms",
-		"-suspect-after", "1",
-		"-dead-after", "2",
-		"-rpc-timeout", "10s",
-		"-rpc-retries", "2",
-		"-breaker-threshold", "4",
-		"-breaker-cooldown", "500ms",
 		"-log-format", "off",
 	)
 

@@ -3,14 +3,14 @@
 // replica by consistent-hashing the canonical circuit hash — the same
 // key the serve layer's result cache and coalescer use — so repeat
 // submissions of a circuit keep landing on the replica that already
-// holds its cached result. Membership is health-checked (periodic
-// /healthz probes drive an alive → suspect → dead state machine), every
-// coordinator→replica call goes through capped exponential backoff with
-// jitter and a per-replica circuit breaker, and when a replica dies its
-// hash range falls to the ring successors and its unacknowledged jobs
-// are re-submitted there under their idempotency keys — at-least-once
-// execution with replay-safe dedup, so an acknowledged job is never
-// lost to a single replica failure.
+// holds its cached result. Membership is health-checked: periodic
+// /healthz probes drive an alive → suspect → dead state machine, the one
+// failure detector. Every coordinator→replica call retries
+// replica-level failures with serve's capped, jittered backoff, and when
+// a replica dies its hash range falls to the ring successors and its
+// unacknowledged jobs are re-submitted there under their idempotency
+// keys — at-least-once execution with replay-safe dedup, so an
+// acknowledged job is never lost to a single replica failure.
 package cluster
 
 import (
@@ -20,6 +20,8 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,44 +37,16 @@ type ReplicaSpec struct {
 	URL  string
 }
 
-// Config parameterizes a Coordinator. The zero value of every field is
-// replaced by the documented default.
+// Config parameterizes a Coordinator. Every field but Replicas is
+// optional.
 type Config struct {
 	// Replicas is the static fleet (at least one). Membership is dynamic
 	// only in liveness: replicas join and leave the routable set as the
 	// prober moves them between alive/suspect and dead.
 	Replicas []ReplicaSpec
 
-	// VNodes is the number of consistent-hash points per replica
-	// (default 64).
-	VNodes int
-
-	// ProbeInterval (default 2s) is the health-probe period; ProbeTimeout
-	// (default 1s) bounds each probe round trip.
+	// ProbeInterval (default 2s) is the health-probe period.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// SuspectAfter (default 1) and DeadAfter (default 3) are the
-	// consecutive-probe-failure thresholds of the membership state
-	// machine. SuspectAfter must be <= DeadAfter.
-	SuspectAfter int
-	DeadAfter    int
-
-	// RPCTimeout (default 10s) bounds each coordinator→replica call
-	// attempt (probes use ProbeTimeout instead).
-	RPCTimeout time.Duration
-	// MaxRetries (default 3) is the per-call retry budget for
-	// replica-level failures; attempts back off RetryBaseDelay (default
-	// 25ms) doubling up to RetryMaxDelay (default 1s), each sleep
-	// jittered up to +50%.
-	MaxRetries     int
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-
-	// BreakerThreshold (default 5) consecutive replica-level failures
-	// open a replica's circuit breaker; after BreakerCooldown (default
-	// 5s) it goes half-open and admits one probe call.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// Metrics, Faults and Logger follow the serve.Config conventions:
 	// all optional, nil-safe.
@@ -85,54 +59,37 @@ type Config struct {
 	HTTPClient *http.Client
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.VNodes <= 0 {
-		out.VNodes = defaultVNodes
+// Fixed coordinator limits. None of them is a Config field: no
+// deployment or test needs another value.
+const (
+	vnodes       = 64               // consistent-hash points per replica; the largest range stays within a few percent of the mean for small fleets
+	probeTimeout = time.Second      // bound on one /healthz round trip
+	suspectAfter = 1                // consecutive probe failures before a replica is suspect
+	deadAfter    = 3                // consecutive probe failures before a replica is dead, which fires failover
+	rpcTimeout   = 10 * time.Second // bound on one coordinator→replica call attempt
+	maxRetries   = 3                // retries of a call after a replica-level failure, spaced by serve.RetryDelay
+)
+
+func (c Config) withDefaults() Config {
+	if c.ProbeInterval <= 0 {
+		c.ProbeInterval = 2 * time.Second
 	}
-	if out.ProbeInterval <= 0 {
-		out.ProbeInterval = 2 * time.Second
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	if out.ProbeTimeout <= 0 {
-		out.ProbeTimeout = time.Second
+	if c.HTTPClient == nil {
+		c.HTTPClient = http.DefaultClient
 	}
-	if out.SuspectAfter <= 0 {
-		out.SuspectAfter = 1
-	}
-	if out.DeadAfter <= 0 {
-		out.DeadAfter = 3
-	}
-	if out.SuspectAfter > out.DeadAfter {
-		out.SuspectAfter = out.DeadAfter
-	}
-	if out.RPCTimeout <= 0 {
-		out.RPCTimeout = 10 * time.Second
-	}
-	if out.MaxRetries < 0 {
-		out.MaxRetries = 0
-	} else if out.MaxRetries == 0 {
-		out.MaxRetries = 3
-	}
-	if out.RetryBaseDelay <= 0 {
-		out.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if out.RetryMaxDelay <= 0 {
-		out.RetryMaxDelay = time.Second
-	}
-	if out.BreakerThreshold <= 0 {
-		out.BreakerThreshold = 5
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = 5 * time.Second
-	}
-	if out.Logger == nil {
-		out.Logger = slog.New(slog.DiscardHandler)
-	}
-	if out.HTTPClient == nil {
-		out.HTTPClient = http.DefaultClient
-	}
-	return out
+	return c
 }
+
+// placement is where a job runs: a replica, the job's id there, and
+// the job's trace ID. Every placement of a job shares its trace (the
+// coordinator forwards the traceparent), while a restarted replica
+// numbers its jobs from 1 again: a view of the remote id with another
+// trace is another job, which the coordinator must neither report,
+// cancel nor take a result from.
+type placement struct{ replica, remoteID, trace string }
 
 // cjob is the coordinator's record of one accepted submission. All
 // fields are guarded by Coordinator.mu.
@@ -145,9 +102,8 @@ type cjob struct {
 	hash        string // canonical circuit hash = routing key
 	submitted   time.Time
 
-	replica   string // current owning replica
-	remoteID  string // job id on that replica
-	resubmits int    // failover re-submissions
+	at        placement // current owning replica, remote id and trace
+	resubmits int       // failover re-submissions
 
 	view     serve.JobView // last view observed from a replica
 	terminal bool          // view reached done/failed/canceled
@@ -162,8 +118,6 @@ type metrics struct {
 	submits, rejects   *obs.Counter
 	rpcCalls, rpcFails *obs.Counter
 	rpcRetries         *obs.Counter
-	breakerOpens       *obs.Counter
-	breakerShed        *obs.Counter
 	failovers          *obs.Counter
 	resubmits          *obs.Counter
 	resubmitLost       *obs.Counter
@@ -182,12 +136,13 @@ type Coordinator struct {
 	replicas map[string]*replica
 	order    []string // replica names, config order
 
-	mu      sync.Mutex
-	jobs    map[string]*cjob
-	byIdem  map[string]*cjob // client idempotency key → job
-	jobSeq  int64
-	nonce   string // per-process prefix of generated idempotency keys
-	stopped bool
+	mu       sync.Mutex
+	jobs     map[string]*cjob
+	byIdem   map[string]*cjob // client idempotency key → job
+	finished []*cjob          // terminal jobs in finish order, at most serve.MaxRetainedJobs
+	jobSeq   int64
+	nonce    string // per-process prefix of generated idempotency keys
+	stopped  bool
 
 	stop    chan struct{}
 	probeWG sync.WaitGroup
@@ -221,12 +176,12 @@ func New(cfg Config) (*Coordinator, error) {
 			name:   spec.Name,
 			url:    spec.URL,
 			client: client.New(spec.URL, client.WithHTTPClient(cfg.HTTPClient)),
-			br:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			rpcLat: c.reg.Histogram("cluster.replica."+spec.Name+".rpc.ns", obs.DurationBuckets()),
 			state:  ReplicaAlive,
 		}
 		c.order = append(c.order, spec.Name)
 	}
-	c.ring = newRing(c.order, cfg.VNodes)
+	c.ring = newRing(c.order, vnodes)
 	c.met = metrics{
 		probes:       c.reg.Counter("cluster.probe.total"),
 		probeFails:   c.reg.Counter("cluster.probe.failures"),
@@ -239,8 +194,6 @@ func New(cfg Config) (*Coordinator, error) {
 		rpcCalls:     c.reg.Counter("cluster.rpc.calls"),
 		rpcFails:     c.reg.Counter("cluster.rpc.failures"),
 		rpcRetries:   c.reg.Counter("cluster.rpc.retries"),
-		breakerOpens: c.reg.Counter("cluster.breaker.opens"),
-		breakerShed:  c.reg.Counter("cluster.breaker.shed"),
 		failovers:    c.reg.Counter("cluster.failover.total"),
 		resubmits:    c.reg.Counter("cluster.failover.resubmitted"),
 		resubmitLost: c.reg.Counter("cluster.failover.lost"),
@@ -267,12 +220,6 @@ func (c *Coordinator) Shutdown() {
 	c.probeWG.Wait()
 }
 
-// Registry returns the coordinator's metrics registry (nil if none).
-func (c *Coordinator) Registry() *obs.Registry { return c.reg }
-
-// errBreakerOpen marks a call shed by an open circuit breaker.
-var errBreakerOpen = errors.New("cluster: circuit breaker open")
-
 // faultErr consults an injection point under both its bare catalog name
 // and its per-replica "<point>.<name>" variant, so chaos tests can
 // target one replica or the whole fleet.
@@ -292,54 +239,31 @@ func (c *Coordinator) downErr(r *replica) error {
 	return nil
 }
 
-// call runs one coordinator→replica operation with the full resilience
-// stack: fault hooks, circuit breaker, bounded per-attempt timeout, and
-// capped exponential backoff with jitter across replica-level failures.
-// An *APIError return means the replica answered (an HTTP rejection is
-// not a replica failure): it counts as breaker success and is returned
-// to the caller unretried.
-func (c *Coordinator) call(r *replica, op string, fn func(ctx context.Context) error) error {
-	if !r.br.Allow(time.Now()) {
-		c.met.breakerShed.Inc()
-		return fmt.Errorf("%w: replica %s", errBreakerOpen, r.name)
-	}
-	lat := c.reg.Histogram("cluster.replica."+r.name+".rpc.ns", obs.DurationBuckets())
-	var err error
-	for attempt := 0; ; attempt++ {
+// call runs one coordinator→replica operation: fault hooks, a bounded
+// per-attempt timeout, and up to maxRetries retries of replica-level
+// failures spaced by serve.RetryDelay. An *APIError return means the
+// replica answered (an HTTP rejection is not a replica failure); it is
+// returned to the caller unretried. Telling a dead replica from a slow
+// one is the prober's job, not the caller's.
+func (c *Coordinator) call(r *replica, fn func(ctx context.Context) error) error {
+	for attempt := 1; ; attempt++ {
 		c.met.rpcCalls.Inc()
 		start := time.Now()
-		err = c.attempt(r, fn)
-		lat.Observe(time.Since(start).Nanoseconds())
+		err := c.attempt(r, fn)
+		r.rpcLat.Observe(time.Since(start).Nanoseconds())
 		var apiErr *client.APIError
 		if err == nil || errors.As(err, &apiErr) {
-			r.br.Success()
 			return err
 		}
 		c.met.rpcFails.Inc()
-		if r.br.Failure(time.Now()) {
-			c.met.breakerOpens.Inc()
-			c.log.Warn("circuit breaker opened", "replica", r.name, "op", op, "error", err)
-			return err
-		}
-		if attempt >= c.cfg.MaxRetries {
+		if attempt > maxRetries {
 			return err
 		}
 		c.met.rpcRetries.Inc()
-		delay := c.cfg.RetryBaseDelay << attempt
-		if delay > c.cfg.RetryMaxDelay || delay <= 0 {
-			delay = c.cfg.RetryMaxDelay
-		}
-		delay += time.Duration(rand.Int63n(int64(delay)/2 + 1))
 		select {
 		case <-c.stop:
 			return err
-		case <-time.After(delay):
-		}
-		// The retry is a fresh wire attempt against the same replica; the
-		// breaker must admit it (it already absorbed the failure above).
-		if !r.br.Allow(time.Now()) {
-			c.met.breakerShed.Inc()
-			return fmt.Errorf("%w: replica %s", errBreakerOpen, r.name)
+		case <-time.After(serve.RetryDelay(attempt)):
 		}
 	}
 }
@@ -355,14 +279,19 @@ func (c *Coordinator) attempt(r *replica, fn func(ctx context.Context) error) er
 	if f := c.flts.Point(faults.ClusterRPCSlow).Fire(); f != nil && f.Delay > 0 {
 		time.Sleep(f.Delay)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 	defer cancel()
 	return fn(ctx)
 }
 
+// errUnknownJob answers an id the coordinator never issued or has
+// evicted, with the reason a replica gives.
+var errUnknownJob = &client.APIError{Status: http.StatusNotFound, Code: serve.CodeNotFound,
+	Message: "no such job", Reason: "unknown_job"}
+
 // Submit routes and forwards one submission. The returned view carries
 // the coordinator-scoped job id; replayed mirrors the idempotency-replay
-// flag (true when idemKey matched an earlier coordinator submission).
+// flag (true when idemKey matched a retained coordinator submission).
 // A non-nil *client.APIError return relays a replica's own rejection.
 func (c *Coordinator) Submit(req *serve.SubmitRequest, tenant, idemKey, traceparent string) (serve.JobView, bool, string, error) {
 	circ, err := serve.BuildCircuit(req)
@@ -416,8 +345,8 @@ func (c *Coordinator) Submit(req *serve.SubmitRequest, tenant, idemKey, tracepar
 	c.met.submits.Inc()
 
 	c.mu.Lock()
-	c.jobs[j.id] = j
-	if idemKey != "" {
+	// routeSubmit registered the job; its key replays while it is retained.
+	if idemKey != "" && c.jobs[j.id] == j {
 		c.byIdem[idemKey] = j
 	}
 	if tp != "" {
@@ -431,10 +360,10 @@ func (c *Coordinator) Submit(req *serve.SubmitRequest, tenant, idemKey, tracepar
 }
 
 // routeSubmit walks the job's ring preference list and submits to the
-// first replica that accepts it, skipping dead replicas, open breakers
-// and unreachable/draining replicas. exclude names replicas to skip
-// outright (the failed replica during failover). On success the job's
-// replica/remoteID/view are updated under mu.
+// first replica that accepts it, skipping dead and unreachable or
+// draining replicas. exclude names replicas to skip outright (the failed
+// replica during failover). On success the job is registered (a no-op
+// for a retained one) and placed on the accepting replica under mu.
 func (c *Coordinator) routeSubmit(j *cjob, exclude map[string]bool) (serve.JobView, string, error) {
 	var lastErr error
 	for _, name := range c.ring.Preference(j.hash, 0) {
@@ -450,7 +379,7 @@ func (c *Coordinator) routeSubmit(j *cjob, exclude map[string]bool) (serve.JobVi
 			continue
 		}
 		var resp *client.SubmitResponse
-		err := c.call(r, "submit", func(ctx context.Context) error {
+		err := c.call(r, func(ctx context.Context) error {
 			var err error
 			opts := []client.SubmitOption{
 				client.WithIdempotencyKey(idemKey),
@@ -464,11 +393,9 @@ func (c *Coordinator) routeSubmit(j *cjob, exclude map[string]bool) (serve.JobVi
 		})
 		if err == nil {
 			c.mu.Lock()
-			j.replica = r.name
-			j.remoteID = resp.Job.ID
-			j.view = resp.Job
-			j.view.Replica = r.name
-			j.terminal = isTerminal(resp.Job.State)
+			c.jobs[j.id] = j
+			j.at = placement{r.name, resp.Job.ID, resp.Job.Trace}
+			c.observeLocked(j, j.at, resp.Job)
 			v := j.view
 			c.mu.Unlock()
 			return v, resp.TraceParent, nil
@@ -503,7 +430,7 @@ func (c *Coordinator) failover(deadName string) {
 	c.mu.Lock()
 	var victims []*cjob
 	for _, j := range c.jobs {
-		if j.replica == deadName && !j.terminal {
+		if j.at.replica == deadName && !j.terminal {
 			victims = append(victims, j)
 		}
 	}
@@ -514,29 +441,108 @@ func (c *Coordinator) failover(deadName string) {
 		c.mu.Lock()
 		// Re-check under the lock: a status poll may have seen a terminal
 		// state, or a concurrent failover may have moved the job already.
-		skip := j.terminal || j.replica != deadName
+		skip := j.terminal || j.at.replica != deadName
+		if !skip {
+			j.resubmits++
+		}
 		c.mu.Unlock()
 		if skip {
 			continue
 		}
-		c.mu.Lock()
-		j.resubmits++
-		c.mu.Unlock()
 		if _, _, err := c.routeSubmit(j, exclude); err != nil {
 			// No survivor accepted: the job fails terminally rather than
 			// dangling on a dead replica forever.
 			c.mu.Lock()
-			j.terminal = true
 			j.view.State = serve.StateFailed
 			j.view.Error = fmt.Sprintf("replica %s died and no survivor accepted the job: %v", deadName, err)
 			j.view.Reason = "cluster_unavailable"
+			c.retireLocked(j)
 			c.mu.Unlock()
 			c.met.resubmitLost.Inc()
 			c.log.Error("failover resubmit failed", "job", j.id, "error", err)
 			continue
 		}
 		c.met.resubmits.Inc()
-		c.log.Info("job resubmitted", "job", j.id, "from", deadName, "to", j.replica)
+		c.log.Info("job resubmitted", "job", j.id, "from", deadName, "to", j.at.replica)
+	}
+}
+
+// answer classifies a replica's reply about one job.
+type answer int
+
+const (
+	answered    answer = iota // the replica replied; an error is its own verdict, relayed as-is
+	notFound                  // the replica has no record of the job: it restarted, or it retired the finished job
+	unreachable               // no reply after retries
+)
+
+// onReplica asks the job's current replica for its view of the job and
+// classifies the reply. When the replica still knows this job, then (if
+// any) runs on it next: a cancel, or a result fetch. onReplica returns
+// the placement it asked, so the caller can tell whether a concurrent
+// failover moved the job meanwhile, the view, and the error to relay:
+// the replica's own verdict, or a 503 when it is unreachable.
+func (c *Coordinator) onReplica(j *cjob, then func(ctx context.Context, cl *client.Client, remoteID string) error) (answer, placement, *serve.JobView, *client.APIError) {
+	c.mu.Lock()
+	at := j.at
+	c.mu.Unlock()
+	r := c.replicas[at.replica]
+	var v *serve.JobView
+	err := c.call(r, func(ctx context.Context) error {
+		var err error
+		v, err = r.client.Job(ctx, at.remoteID)
+		if err != nil || v.Trace != at.trace || then == nil {
+			return err
+		}
+		return then(ctx, r.client, at.remoteID)
+	})
+	var apiErr *client.APIError
+	switch {
+	case v != nil && v.Trace != at.trace:
+		return notFound, at, nil, nil
+	case err == nil:
+		return answered, at, v, nil
+	case !errors.As(err, &apiErr):
+		return unreachable, at, nil, &client.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeUnavailable,
+			Message: fmt.Sprintf("replica %s unreachable: %v", r.name, err),
+			Reason:  "replica_unreachable", RetryAfter: time.Second}
+	case apiErr.Status == http.StatusNotFound:
+		return notFound, at, nil, nil
+	default:
+		return answered, at, nil, apiErr
+	}
+}
+
+// observeLocked records a replica's view of a non-terminal job, unless
+// the job has moved since the replica was asked, and retires the job
+// once the view is terminal. Caller holds mu.
+func (c *Coordinator) observeLocked(j *cjob, at placement, v serve.JobView) {
+	if j.at != at || j.terminal {
+		return
+	}
+	j.view = v
+	j.view.Replica = at.replica
+	if isTerminal(v.State) {
+		c.retireLocked(j)
+	}
+}
+
+// retireLocked marks a job terminal and, as a replica does, evicts the
+// oldest-finished job beyond serve.MaxRetainedJobs: its id answers 404
+// from then on and its Idempotency-Key admits a new job. Non-terminal
+// jobs are never evicted. Caller holds mu.
+func (c *Coordinator) retireLocked(j *cjob) {
+	j.terminal = true
+	c.finished = append(c.finished, j)
+	if len(c.finished) <= serve.MaxRetainedJobs {
+		return
+	}
+	old := c.finished[0]
+	c.finished[0] = nil
+	c.finished = c.finished[1:]
+	delete(c.jobs, old.id)
+	if c.byIdem[old.idemKey] == old {
+		delete(c.byIdem, old.idemKey)
 	}
 }
 
@@ -556,100 +562,84 @@ func (c *Coordinator) Job(id string) (serve.JobView, bool) {
 		c.mu.Unlock()
 		return v, true
 	}
-	r := c.replicas[j.replica]
-	remoteID := j.remoteID
 	c.mu.Unlock()
 
-	var rv *serve.JobView
-	err := c.call(r, "status", func(ctx context.Context) error {
-		var err error
-		rv, err = r.client.Job(ctx, remoteID)
-		return err
-	})
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-		// The replica no longer knows the job: it restarted, or it retired
-		// the finished job before any poll saw it finish. Re-execute it as
-		// Result does; the re-routed view is returned below.
-		c.reexecute(j, remoteID)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err == nil && j.remoteID == remoteID {
-		j.view = *rv
-		j.view.Replica = r.name
-		if isTerminal(rv.State) {
-			j.terminal = true
-		}
+	ans, at, rv, _ := c.onReplica(j, nil)
+	switch {
+	case ans == notFound:
+		c.reexecute(j, at)
+	case rv != nil:
+		c.mu.Lock()
+		c.observeLocked(j, at, *rv)
+		c.mu.Unlock()
 	}
 	// While the replica is unreachable the cached view stands; the
 	// prober/failover path is the one that moves the job.
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.clientViewLocked(j), true
 }
 
-// Result fetches a done job's result, serving the coordinator's cached
-// copy when the owning replica has since become unreachable.
+// Result fetches a done job's result once and serves the coordinator's
+// copy from then on. A failed or canceled job is answered from the
+// coordinator's own view, with the 409 a replica gives.
 func (c *Coordinator) Result(id string) ([]byte, *client.APIError) {
 	c.mu.Lock()
 	j := c.jobs[id]
 	if j == nil {
 		c.mu.Unlock()
-		return nil, &client.APIError{Status: http.StatusNotFound, Code: serve.CodeNotFound,
-			Message: "no such job", Reason: "unknown_id"}
+		return nil, errUnknownJob
 	}
-	if j.result != nil {
-		res := j.result
-		c.mu.Unlock()
+	res, v, terminal := j.result, j.view, j.terminal
+	c.mu.Unlock()
+	if res != nil {
 		return res, nil
 	}
-	r := c.replicas[j.replica]
-	remoteID := j.remoteID
-	c.mu.Unlock()
+	if terminal && v.State != serve.StateDone {
+		return nil, &client.APIError{Status: http.StatusConflict, Code: serve.CodeConflict,
+			Message: fmt.Sprintf("job %s: %s", v.State, v.Error), Reason: "job_" + v.State}
+	}
 
 	var body []byte
-	err := c.call(r, "result", func(ctx context.Context) error {
-		var err error
-		body, err = r.client.ResultRaw(ctx, remoteID)
+	ans, at, _, apiErr := c.onReplica(j, func(ctx context.Context, cl *client.Client, remoteID string) (err error) {
+		body, err = cl.ResultRaw(ctx, remoteID)
 		return err
 	})
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			if apiErr.Status == http.StatusNotFound {
-				// The replica restarted and lost the job before its result
-				// ever crossed the coordinator. The job was acknowledged, so
-				// it must not be lost: re-execute it under its idempotency
-				// key and ask the caller to come back.
-				return nil, c.reexecute(j, remoteID)
-			}
-			return nil, apiErr
-		}
-		return nil, &client.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeUnavailable,
-			Message: fmt.Sprintf("replica %s unreachable: %v", r.name, err),
-			Reason:  "replica_unreachable", RetryAfter: time.Second}
+	switch {
+	case ans == notFound:
+		// The job was acknowledged and its result never crossed the
+		// coordinator, so it must not be lost: re-execute it and ask the
+		// caller to come back.
+		return nil, c.reexecute(j, at)
+	case apiErr != nil:
+		return nil, apiErr
 	}
 	c.mu.Lock()
-	if j.remoteID == remoteID {
+	if j.at == at {
 		j.result = body
 	}
 	c.mu.Unlock()
 	return body, nil
 }
 
-// reexecute re-routes a job whose replica lost it (a restart wiped the
-// remote state, or the replica retired the job, while its result was
-// still owed). The fresh submission replays under the job's idempotency
-// key; the caller gets a retryable 503 and picks the result up after
-// the re-run.
-func (c *Coordinator) reexecute(j *cjob, staleRemoteID string) *client.APIError {
+// reexecute re-routes a job whose replica has no record of it (a
+// restart wiped the remote state, or the replica retired the job before
+// its result crossed the coordinator). The fresh submission replays
+// under the job's idempotency key; the caller gets a retryable 503 and
+// picks the result up after the re-run.
+func (c *Coordinator) reexecute(j *cjob, stale placement) *client.APIError {
 	c.mu.Lock()
-	if j.remoteID != staleRemoteID || j.result != nil {
+	if j.at != stale || j.result != nil {
 		// A concurrent caller already moved or satisfied the job.
 		c.mu.Unlock()
 		return &client.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeUnavailable,
 			Message: "job is re-executing; retry", Reason: "reexecuting", RetryAfter: time.Second}
 	}
-	j.terminal = false
+	if j.terminal {
+		// A done job whose result is still owed runs again.
+		j.terminal = false
+		c.finished = slices.DeleteFunc(c.finished, func(f *cjob) bool { return f == j })
+	}
 	j.resubmits++
 	c.mu.Unlock()
 	if _, _, err := c.routeSubmit(j, nil); err != nil {
@@ -659,55 +649,49 @@ func (c *Coordinator) reexecute(j *cjob, staleRemoteID string) *client.APIError 
 			Reason:  "cluster_unavailable", RetryAfter: time.Second}
 	}
 	c.met.resubmits.Inc()
-	c.log.Warn("job re-executed after replica state loss", "job", j.id, "to", j.replica)
+	c.log.Warn("job re-executed after replica state loss", "job", j.id, "to", j.at.replica)
 	return &client.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeUnavailable,
 		Message: "replica lost the job; re-executing", Reason: "reexecuting", RetryAfter: time.Second}
 }
 
-// Cancel forwards a cancellation to the job's replica.
+// Cancel forwards a cancellation to the job's replica. A terminal job
+// answers with its view. A job its replica no longer knows ends
+// canceled here: whatever ran there is lost, and the client asked for
+// it to stop.
 func (c *Coordinator) Cancel(id string) (serve.JobView, *client.APIError) {
 	c.mu.Lock()
 	j := c.jobs[id]
 	if j == nil {
 		c.mu.Unlock()
-		return serve.JobView{}, &client.APIError{Status: http.StatusNotFound, Code: serve.CodeNotFound,
-			Message: "no such job", Reason: "unknown_id"}
+		return serve.JobView{}, errUnknownJob
 	}
 	if j.terminal {
 		v := c.clientViewLocked(j)
 		c.mu.Unlock()
 		return v, nil
 	}
-	r := c.replicas[j.replica]
-	remoteID := j.remoteID
 	c.mu.Unlock()
 
 	var rv *serve.JobView
-	err := c.call(r, "cancel", func(ctx context.Context) error {
-		var err error
-		rv, err = r.client.Cancel(ctx, remoteID)
+	ans, at, _, apiErr := c.onReplica(j, func(ctx context.Context, cl *client.Client, remoteID string) (err error) {
+		rv, err = cl.Cancel(ctx, remoteID)
 		return err
 	})
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			return serve.JobView{}, apiErr
-		}
-		return serve.JobView{}, &client.APIError{Status: http.StatusServiceUnavailable, Code: serve.CodeUnavailable,
-			Message: fmt.Sprintf("replica %s unreachable: %v", r.name, err),
-			Reason:  "replica_unreachable", RetryAfter: time.Second}
+	if apiErr != nil {
+		return serve.JobView{}, apiErr
 	}
 	c.mu.Lock()
-	if j.remoteID == remoteID {
-		j.view = *rv
-		j.view.Replica = r.name
-		if isTerminal(rv.State) {
-			j.terminal = true
+	defer c.mu.Unlock()
+	if ans == notFound {
+		if !j.terminal {
+			j.view.State = serve.StateCanceled
+			j.view.Error = fmt.Sprintf("canceled; replica %s no longer knows the job", at.replica)
+			c.retireLocked(j)
 		}
+	} else {
+		c.observeLocked(j, at, *rv)
 	}
-	v := c.clientViewLocked(j)
-	c.mu.Unlock()
-	return v, nil
+	return c.clientViewLocked(j), nil
 }
 
 // Jobs renders the coordinator's cached views, newest first, filtered
@@ -726,11 +710,7 @@ func (c *Coordinator) Jobs(state, tenant string, limit int) []serve.JobView {
 		ids = append(ids, j)
 	}
 	// Newest first by coordinator id (ids are zero-padded and monotonic).
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k].id > ids[k-1].id; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
+	slices.SortFunc(ids, func(a, b *cjob) int { return strings.Compare(b.id, a.id) })
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
@@ -769,15 +749,13 @@ func isTerminal(state string) bool {
 
 // ReplicaView is one replica's row in the coordinator's /healthz.
 type ReplicaView struct {
-	Name         string       `json:"name"`
-	URL          string       `json:"url"`
-	State        string       `json:"state"`
-	Breaker      string       `json:"breaker"`
-	BreakerOpens int64        `json:"breaker_opens,omitempty"`
-	Probes       int64        `json:"probes"`
-	ProbeFails   int64        `json:"probe_failures,omitempty"`
-	LastError    string       `json:"last_error,omitempty"`
-	Transitions  []Transition `json:"transitions,omitempty"`
+	Name        string       `json:"name"`
+	URL         string       `json:"url"`
+	State       string       `json:"state"`
+	Probes      int64        `json:"probes"`
+	ProbeFails  int64        `json:"probe_failures,omitempty"`
+	LastError   string       `json:"last_error,omitempty"`
+	Transitions []Transition `json:"transitions,omitempty"`
 }
 
 // Membership renders the fleet's health for /healthz.
@@ -787,17 +765,14 @@ func (c *Coordinator) Membership() []ReplicaView {
 	out := make([]ReplicaView, 0, len(c.order))
 	for _, name := range c.order {
 		r := c.replicas[name]
-		bs, opens := r.br.State()
 		out = append(out, ReplicaView{
-			Name:         r.name,
-			URL:          r.url,
-			State:        r.state,
-			Breaker:      bs.String(),
-			BreakerOpens: opens,
-			Probes:       r.probes,
-			ProbeFails:   r.probeFails,
-			LastError:    r.lastErr,
-			Transitions:  append([]Transition(nil), r.transitions...),
+			Name:        r.name,
+			URL:         r.url,
+			State:       r.state,
+			Probes:      r.probes,
+			ProbeFails:  r.probeFails,
+			LastError:   r.lastErr,
+			Transitions: append([]Transition(nil), r.transitions...),
 		})
 	}
 	return out
@@ -808,7 +783,6 @@ func (c *Coordinator) Membership() []ReplicaView {
 // and weight take the first replica's value — the fleet is homogeneous).
 func (c *Coordinator) Tenants() []serve.TenantView {
 	merged := map[string]*serve.TenantView{}
-	var order []string
 	for _, name := range c.order {
 		r := c.replicas[name]
 		c.mu.Lock()
@@ -818,7 +792,7 @@ func (c *Coordinator) Tenants() []serve.TenantView {
 			continue
 		}
 		var rows []serve.TenantView
-		err := c.call(r, "tenants", func(ctx context.Context) error {
+		err := c.call(r, func(ctx context.Context) error {
 			var err error
 			rows, err = r.client.Tenants(ctx)
 			return err
@@ -829,9 +803,7 @@ func (c *Coordinator) Tenants() []serve.TenantView {
 		for _, row := range rows {
 			m := merged[row.Name]
 			if m == nil {
-				cp := row
-				merged[row.Name] = &cp
-				order = append(order, row.Name)
+				merged[row.Name] = &row
 				continue
 			}
 			m.Queued += row.Queued
@@ -846,14 +818,10 @@ func (c *Coordinator) Tenants() []serve.TenantView {
 			m.Misses += row.Misses
 		}
 	}
-	out := make([]serve.TenantView, 0, len(order))
-	for _, name := range order {
-		out = append(out, *merged[name])
+	out := make([]serve.TenantView, 0, len(merged))
+	for _, m := range merged {
+		out = append(out, *m)
 	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].Name < out[k-1].Name; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	slices.SortFunc(out, func(a, b serve.TenantView) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

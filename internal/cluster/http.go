@@ -27,10 +27,10 @@ const maxBodyBytes = 1 << 20
 //	POST   /v1/jobs             — route by canonical circuit hash, forward
 //	GET    /v1/jobs             — cached views, newest first (?state=, ?tenant=, ?limit=)
 //	GET    /v1/jobs/{id}        — live proxy, cached view when the replica is unreachable
-//	GET    /v1/jobs/{id}/result — relay (cached byte-for-byte after first fetch)
-//	DELETE /v1/jobs/{id}        — cancel proxy
+//	GET    /v1/jobs/{id}/result — relay (cached byte-for-byte after first fetch); 409 job_<state> for failed/canceled
+//	DELETE /v1/jobs/{id}        — cancel proxy; a job its replica forgot ends canceled
 //	GET    /v1/tenants          — fleet-merged per-tenant accounting
-//	GET    /healthz             — membership: per-replica state, breaker, transitions
+//	GET    /healthz             — membership: per-replica state, probe counts, transitions
 //	/debug/*                    — cluster.* metrics, expvar, pprof (internal/obs)
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -121,7 +121,7 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	v, ok := c.Job(r.PathValue("id"))
 	if !ok {
-		serve.WriteError(w, http.StatusNotFound, "no such job", "unknown_id", 0)
+		writeAPIError(w, errUnknownJob)
 		return
 	}
 	writeJSON(w, http.StatusOK, v)

@@ -4,13 +4,14 @@ import (
 	"context"
 	"time"
 
+	"flatdd/internal/obs"
 	"flatdd/internal/serve/client"
 )
 
 // Replica health states. The state machine is driven by the periodic
 // /healthz probes: every successful probe resets a replica to alive;
-// consecutive failures walk it alive → suspect (after SuspectAfter) →
-// dead (after DeadAfter). Only the suspect→dead edge triggers failover —
+// consecutive failures walk it alive → suspect (after suspectAfter) →
+// dead (after deadAfter). Only the suspect→dead edge triggers failover —
 // a suspect replica keeps its hash ranges and its jobs, so a transient
 // stall (GC pause, one dropped probe) never reshuffles the cluster.
 const (
@@ -33,19 +34,18 @@ type Transition struct {
 const maxTransitions = 16
 
 // replica is the coordinator's record of one serve process. Probe/state
-// fields are guarded by the coordinator's mu; the client and breaker are
-// internally synchronized.
+// fields are guarded by the coordinator's mu; the client and histogram
+// are internally synchronized.
 type replica struct {
 	name   string
 	url    string
 	client *client.Client
-	br     *breaker
+	rpcLat *obs.Histogram // cluster.replica.<name>.rpc.ns
 
 	state       string
 	fails       int // consecutive probe failures
 	probes      int64
 	probeFails  int64
-	lastProbe   time.Time
 	lastErr     string
 	transitions []Transition
 }
@@ -103,7 +103,7 @@ func (c *Coordinator) probe(r *replica) error {
 	if err := c.downErr(r); err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	_, err := r.client.Health(ctx)
 	return err
@@ -115,7 +115,6 @@ func (c *Coordinator) applyProbe(r *replica, err error) {
 	var dead *replica
 	c.mu.Lock()
 	r.probes++
-	r.lastProbe = time.Now()
 	c.met.probes.Inc()
 	if err == nil {
 		r.fails = 0
@@ -131,11 +130,11 @@ func (c *Coordinator) applyProbe(r *replica, err error) {
 		c.met.probeFails.Inc()
 		r.probeFails++
 		switch {
-		case r.fails >= c.cfg.DeadAfter && r.state != ReplicaDead:
+		case r.fails >= deadAfter && r.state != ReplicaDead:
 			r.transitionLocked(ReplicaDead, err.Error())
 			c.log.Warn("replica dead", "replica", r.name, "failures", r.fails, "error", err)
 			dead = r
-		case r.fails >= c.cfg.SuspectAfter && r.state == ReplicaAlive:
+		case r.fails >= suspectAfter && r.state == ReplicaAlive:
 			r.transitionLocked(ReplicaSuspect, err.Error())
 			c.log.Warn("replica suspect", "replica", r.name, "failures", r.fails, "error", err)
 		}

@@ -30,15 +30,7 @@ type ringPoint struct {
 	replica string
 }
 
-// defaultVNodes balances range evenness against lookup cost: with 64
-// virtual nodes per replica the largest range is within a few percent of
-// the mean for small fleets.
-const defaultVNodes = 64
-
 func newRing(names []string, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = defaultVNodes
-	}
 	r := &ring{
 		points: make([]ringPoint, 0, len(names)*vnodes),
 		names:  append([]string(nil), names...),

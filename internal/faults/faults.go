@@ -56,10 +56,11 @@ const (
 	ClusterReplicaDown = "cluster.replica.down"
 	// ClusterRPCTimeout fails one coordinator→replica RPC with a
 	// deadline-style error before it reaches the wire (exercises the
-	// retry/backoff and circuit-breaker paths; probes are unaffected).
+	// retry/backoff path; probes are unaffected, so the replica stays
+	// alive: a brown-out, not a death).
 	ClusterRPCTimeout = "cluster.rpc.timeout"
 	// ClusterRPCSlow delays a coordinator→replica RPC by the trigger's
-	// Delay (stragglers for tail-latency and breaker half-open tests).
+	// Delay (stragglers for tail-latency tests).
 	ClusterRPCSlow = "cluster.rpc.slow"
 )
 

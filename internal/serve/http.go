@@ -226,7 +226,7 @@ func (s *Server) viewLocked(j *job) JobView {
 // resubmitting with the same key returns the original job (200, header
 // Idempotency-Replayed: true) instead of admitting a duplicate, and a
 // key reuse with a different request body is a 409/idempotency_mismatch.
-// A key replays only while its job is retained (the last maxRetainedJobs
+// A key replays only while its job is retained (the last MaxRetainedJobs
 // terminal jobs plus every live one); so does GET /v1/jobs/{id}, which
 // answers 404 for an evicted job.
 //

@@ -12,7 +12,7 @@ import (
 )
 
 // TestTerminalJobRetention pins the job table's bound: once more than
-// maxRetainedJobs jobs have finished, the oldest-finished one is evicted
+// MaxRetainedJobs jobs have finished, the oldest-finished one is evicted
 // — its ID answers 404 and its Idempotency-Key admits a new job — while
 // the newest stays, queued and running jobs stay however old they are,
 // the submission order is compacted behind them, and a list cursor
@@ -43,7 +43,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	// Cache hits finish at submit: three table-fulls of them, so the
 	// submission order is compacted at least once.
 	var firstHit, last *job
-	for i := 0; i < 3*maxRetainedJobs; i++ {
+	for i := 0; i < 3*MaxRetainedJobs; i++ {
 		if last = mustSubmit(t, s, req); last.cacheStatus != CacheHit {
 			t.Fatalf("submission %d: cache %q, want hit", i, last.cacheStatus)
 		}
@@ -53,7 +53,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 
 	if code := status("/v1/jobs/" + first.id); code != http.StatusNotFound {
-		t.Errorf("oldest job after %d newer finished: %d, want 404", 3*maxRetainedJobs, code)
+		t.Errorf("oldest job after %d newer finished: %d, want 404", 3*MaxRetainedJobs, code)
 	}
 	if code := status("/v1/jobs/" + last.id); code != http.StatusOK {
 		t.Errorf("newest job: %d, want 200", code)
@@ -81,9 +81,9 @@ func TestTerminalJobRetention(t *testing.T) {
 	s.mu.Lock()
 	jobs, order, idem := len(s.jobs), len(s.order), len(s.idem)
 	s.mu.Unlock()
-	if jobs != maxRetainedJobs+2 || order > 2*jobs || idem != 0 {
+	if jobs != MaxRetainedJobs+2 || order > 2*jobs || idem != 0 {
 		t.Errorf("table holds %d jobs, %d order entries, %d idempotency keys; want %d, ≤ %d, 0",
-			jobs, order, idem, maxRetainedJobs+2, 2*jobs)
+			jobs, order, idem, MaxRetainedJobs+2, 2*jobs)
 	}
 
 	again, replayed, aerr := s.submit(req, "", DefaultTenant, "first")

@@ -11,7 +11,7 @@
 // thread count and the job's cache mode) exceeds the process-wide memory
 // budget is rejected with 413, a full queue with 429, and a draining
 // server with 503; dispatch reserves the same footprint against the same
-// budget. The server keeps the last maxRetainedJobs terminal jobs; an
+// budget. The server keeps the last MaxRetainedJobs terminal jobs; an
 // older job's ID answers 404 and its Idempotency-Key is free again.
 // Before a job is queued at all, the service consults the
 // canonical-circuit result cache: a submission whose
@@ -136,7 +136,7 @@ const (
 	flightRecorderSize = 64              // per-ring capacity of /debug/jobs: last N span trees, failures pinned apart
 	latencyWindow      = 5 * time.Minute // rotation window of the /healthz quantiles; Prometheus series stay cumulative
 	maxCoalesced       = 64              // subscribers per flight; more reject with 429/coalesce_limit
-	maxRetainedJobs    = 1024            // terminal jobs kept for status, result and Idempotency-Key replay
+	MaxRetainedJobs    = 1024            // terminal jobs kept for status, result and Idempotency-Key replay; the cluster coordinator keeps as many
 )
 
 func (c Config) withDefaults() Config {
@@ -294,7 +294,7 @@ type Server struct {
 	wRun       *obs.WindowedHistogram
 
 	// jobs holds every queued and running job plus the last
-	// maxRetainedJobs terminal ones; terminal lists those in finish order,
+	// MaxRetainedJobs terminal ones; terminal lists those in finish order,
 	// oldest first, so the oldest is evicted first. order is the
 	// submission order for the list endpoint; it may still name evicted
 	// jobs until compactOrderLocked drops them.
@@ -757,7 +757,7 @@ func (s *Server) runJob(j *job) {
 			j.queuedSpan = j.span.Child("queued")
 			j.queuedSpan.SetAttr("retry", true)
 			s.met.retried.Inc()
-			delay := retryDelay(j.attempts)
+			delay := RetryDelay(j.attempts)
 			time.AfterFunc(delay, func() { s.enqueueRetry(j) })
 			break
 		}
@@ -828,12 +828,12 @@ func (s *Server) finishJobLocked(j *job) {
 }
 
 // retireLocked records a job that just reached its terminal state and
-// evicts the oldest-finished job beyond maxRetainedJobs: its ID answers
+// evicts the oldest-finished job beyond MaxRetainedJobs: its ID answers
 // 404 from then on and its Idempotency-Key admits a new job. Queued and
 // running jobs are never evicted. Caller holds s.mu.
 func (s *Server) retireLocked(j *job) {
 	s.terminal = append(s.terminal, j)
-	if len(s.terminal) <= maxRetainedJobs {
+	if len(s.terminal) <= MaxRetainedJobs {
 		return
 	}
 	old := s.terminal[0]
@@ -1005,10 +1005,11 @@ func failureReason(err error) string {
 	}
 }
 
-// retryDelay is the backoff before re-queuing attempt+1: base·2^(attempt−1)
-// capped at the maximum, plus up to 50% jitter so a burst of transient
-// failures does not re-queue in lockstep.
-func retryDelay(attempt int) time.Duration {
+// RetryDelay is the backoff before attempt+1 of a failed job, and of a
+// failed cluster coordinator→replica call: base·2^(attempt−1) capped at
+// the maximum, plus up to 50% jitter so a burst of transient failures
+// does not retry in lockstep.
+func RetryDelay(attempt int) time.Duration {
 	d := retryBaseDelay << uint(attempt-1)
 	if d <= 0 || d > retryMaxDelay {
 		d = retryMaxDelay
