@@ -53,13 +53,14 @@ staticcheck:
 # faults runs the fault-injection and graceful-degradation suites under
 # the race detector: contained worker panics (sched, core, serve),
 # budget- and allocation-driven DD-only degradation, numerical-integrity
-# aborts, and the serve retry/backoff path. These overlap -short above
+# aborts, the serve retry/backoff path, and a cancel landing during
+# in-place DMAV gates on the pool (dmav). These overlap -short above
 # only partially (count=1 defeats the test cache so injected faults
 # always re-fire).
 faults:
 	$(GO) test -race -count=1 ./internal/faults/...
 	$(GO) test -race -count=1 -run 'Fault|Degraded|Drift|TaskPanic' \
-		./internal/sched/... ./internal/core/... ./internal/serve/...
+		./internal/sched/... ./internal/dmav/... ./internal/core/... ./internal/serve/...
 
 # serve-smoke builds the flatdd-serve and flatdd-coord binaries
 # race-enabled and drives them end to end over HTTP: admission control

@@ -12,11 +12,14 @@
 //	    -cache-budget-mb 64
 //
 //	curl -s localhost:8080/v1/jobs -H 'X-Tenant: gold' -d '{"circuit":"ghz","n":20,"shots":100}'
-//	curl -s localhost:8080/v1/jobs/j-000001
-//	curl -s localhost:8080/v1/jobs/j-000001/result
+//	curl -s localhost:8080/v1/jobs/j-5f3a9c21-000001
+//	curl -s localhost:8080/v1/jobs/j-5f3a9c21-000001/result
 //	curl -s localhost:8080/v1/tenants
-//	curl -s -X DELETE localhost:8080/v1/jobs/j-000001
+//	curl -s -X DELETE localhost:8080/v1/jobs/j-5f3a9c21-000001
 //
+// Job IDs are "j-<prefix>-<n>": the prefix is random per process, so an
+// ID issued before a restart names no job after it (404), and n counts the
+// process's submissions from 1 (take the ID from the submit response).
 // SIGINT/SIGTERM triggers a graceful drain: admission stops (503),
 // queued jobs are canceled, in-flight jobs get -grace to finish before
 // their contexts are canceled, then the process exits 0.

@@ -361,7 +361,6 @@ type Simulator struct {
 
 	phase Phase
 	state []complex128 // valid in PhaseDMAV
-	buf   []complex128
 
 	// approxAngle accumulates arccos(sqrt(f_i)) over approximation steps.
 	approxAngle float64
@@ -754,8 +753,6 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 		s.met.convertedAt.Set(int64(i))
 	}
 	s.phase = PhaseDMAV
-	s.buf = make([]complex128, len(s.state))
-	s.led.AddFlat(int64(len(s.buf)) * 16)
 	s.eng = dmav.New(s.m, s.n, s.opts.Threads, s.opts.CacheMode)
 
 	// Release the DD state: only gate matrices stay live from here on.
@@ -835,20 +832,23 @@ func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start ti
 			break
 		}
 		gStart := time.Now()
-		cost, aerr := s.eng.Apply(g, s.state, s.buf)
+		// Step runs a narrow gate in place and anything else into the
+		// engine's scratch vector, which it swaps with the state.
+		out, cost, aerr := s.eng.Step(g, s.state)
+		if errors.Is(aerr, dmav.ErrCanceled) {
+			// Canceled mid-multiplication: the engine kept the pre-gate
+			// state and discarded the gate. An in-place gate always
+			// completes, so the abort lands at the next gate boundary.
+			aborted = true
+			break
+		}
 		if aerr != nil {
-			// Caller-error path of Apply; unreachable with the vectors the
+			// Caller-error path of Step; unreachable with the vector the
 			// run owns, but contain it rather than drop it.
 			runErr = newEngineFault(aerr)
 			break
 		}
-		if check() {
-			// Canceled mid-multiplication: s.buf holds a partial product,
-			// so keep the pre-gate state and discard the gate.
-			aborted = true
-			break
-		}
-		s.state, s.buf = s.buf, s.state
+		s.state = out
 		s.stats.ModeledCost += cost.Cost()
 		if s.met != nil {
 			s.met.gatesDMAV.Inc()

@@ -28,12 +28,23 @@
 // the engine shape and is memoized per root, so a repeated gate costs a
 // map lookup and a loop.
 //
+// Step runs a gate on the caller's state vector. A narrow gate the cost
+// model sends to Algorithm 1 — support of at most three qubits, and a
+// block that is diagonal, monomial or single-target — runs in place
+// (inplace.go): its block is read from the DD once, the identity rows of
+// unsatisfied controls are skipped, and the rest runs as in-place
+// multiplies, swaps or butterflies with bit-insertion indexing, touching
+// only the amplitudes the gate changes. Any other gate runs Apply into an
+// engine-owned scratch vector, allocated on first need, which Step swaps
+// with the state. Apply keeps the out-of-place W = M·V.
+//
 // Any positive thread count is supported; chunks are distributed over
 // the pool and re-balanced by stealing, so worker count and chunk
 // shape no longer need to match.
 package dmav
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"time"
@@ -183,15 +194,19 @@ type Stats struct {
 }
 
 // gatePlan is what the engine knows about one distinct gate root. The cost
-// is filled by the first EvaluateCost; the execution half (everything
-// below built) by the first Apply, for the one algorithm the engine's mode
-// and the cost pick — both are pure functions of the root node and the
-// engine shape.
+// and the algorithm the engine's mode and the cost pick are filled on first
+// sight; the in-place form by the first Step, and the execution half
+// (everything below built) by the first Apply that needs it — all are pure
+// functions of the root node and the engine shape (the in-place form also
+// of the root weight it was compiled for).
 type gatePlan struct {
-	cost GateCost
-
-	built  bool
+	cost   GateCost
 	cached bool // Algorithm 2
+
+	ipDone bool
+	ip     *inPlace // nil: not a narrow Algorithm 1 gate, Step runs Apply
+
+	built bool
 	// inline: run on the caller, no fork-join. Fixed per root, so the
 	// load accounting below never sees a plan-shape change.
 	inline bool
@@ -226,7 +241,8 @@ type Engine struct {
 	// Memo tables, keyed by gate-DD node. Keys keep the nodes alive,
 	// bounded by the distinct gates evaluated (macMemo, gates) or applied
 	// (plans).
-	macMemo map[*dd.MNode]int64 // dd.MACCountNode
+	macMemo map[*dd.MNode]int64  // dd.MACCountNode
+	support map[*dd.MNode]uint64 // dd.SupportNode, emptied after each gate
 	plans   map[*dd.MNode]*plan
 	gates   map[*dd.MNode]*gatePlan
 
@@ -240,6 +256,11 @@ type Engine struct {
 	firstOf map[*dd.MNode]int
 
 	buffers [][]complex128 // partial-output buffers 1, 2, … (0 is W), grown on demand
+
+	// scratch is Step's output vector for a gate that does not run in
+	// place, allocated on the first such gate; each of them swaps it with
+	// the caller's state vector.
+	scratch []complex128
 
 	// env is the run environment: env.Pool executes chunk batches under
 	// env.Span, crediting env.Ledger, and env.Cancel is polled once per
@@ -287,6 +308,7 @@ type engMetrics struct {
 	gates         *obs.Counter
 	cachedGates   *obs.Counter
 	uncachedGates *obs.Counter // cost model (or mode) bypassed the cache
+	inPlaceGates  *obs.Counter // uncached gates Step ran in place
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	macsModeled   *obs.Counter
@@ -297,7 +319,7 @@ type engMetrics struct {
 }
 
 // MaxQubits is the largest register the engine simulates: its state and
-// scratch vectors take 32·2^n bytes, 512 GiB at n = 34.
+// scratch vectors take up to 32·2^n bytes, 512 GiB at n = 34.
 const MaxQubits = 34
 
 // cacheChunks is the cached path's column-space chunk count for n
@@ -316,7 +338,10 @@ func cacheChunks(n, threads int) int {
 // plus, when caching is possible, up to CacheChunks()−1 partial-output
 // buffers (W itself is buffer 0), 16 B per amplitude each. It is the one
 // figure memory budgets compare: core's degradation check and the serve
-// layer's admission and dispatch. n must be at most MaxQubits.
+// layer's admission and dispatch. n must be at most MaxQubits. It is a
+// bound, not the usual cost: Step allocates the scratch vector only for a
+// gate that does not run in place, so a run whose gates all do allocates
+// the state alone.
 func FlatBytes(n, threads int, mode Mode) uint64 {
 	arrays := uint64(2)
 	if mode != NeverCache {
@@ -346,6 +371,7 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 		cchunks: cchunks,
 		clogT:   uint(bits.TrailingZeros(uint(cchunks))),
 		macMemo: make(map[*dd.MNode]int64),
+		support: make(map[*dd.MNode]uint64),
 		plans:   make(map[*dd.MNode]*plan),
 		gates:   make(map[*dd.MNode]*gatePlan),
 		firstOf: make(map[*dd.MNode]int),
@@ -393,10 +419,12 @@ func (e *Engine) SetPool(p *sched.Pool) {
 //     gate), frequent enough that an abort is observed well within one
 //     gate. Once it fires, Apply returns early with a partial output
 //     vector and without updating Stats; the caller discards the output
-//     and stops applying gates.
+//     and stops applying gates. Step's in-place path never polls it: a
+//     gate that writes the state itself must finish, or the state is torn.
+//     Step's out-of-place path returns ErrCanceled with the state intact.
 //   - Span parents the pool batches, which appear as "dmav.rows" /
-//     "dmav.chunks" / "dmav.sum" children carrying the scheduler's
-//     per-batch attribution.
+//     "dmav.chunks" / "dmav.sum" / "dmav.inplace" children carrying the
+//     scheduler's per-batch attribution.
 //   - Ledger receives the pool batches' worker busy-ns, the wall time of
 //     a gate that runs inline, and the cached path's shared partial-output
 //     buffers as live flat-array bytes when (re)allocated.
@@ -456,6 +484,7 @@ func newEngMetrics(r *obs.Registry) *engMetrics {
 		gates:         r.Counter("dmav.gates"),
 		cachedGates:   r.Counter("dmav.gates.cached"),
 		uncachedGates: r.Counter("dmav.gates.uncached"),
+		inPlaceGates:  r.Counter("dmav.gates.inplace"),
 		cacheHits:     r.Counter("dmav.cache.hits"),
 		cacheMisses:   r.Counter("dmav.cache.misses"),
 		macsModeled:   r.Counter("dmav.macs.modeled"),
@@ -470,6 +499,10 @@ func newEngMetrics(r *obs.Registry) *engMetrics {
 // stops there and the kernel starts there.
 func (e *Engine) borderLevel() int { return e.n - int(e.clogT) - 1 }
 
+// ErrCanceled is Step's error for an out-of-place gate that the run's
+// cancel probe stopped midway: the state vector passed in is unchanged.
+var ErrCanceled = errors.New("dmav: gate canceled")
+
 // Apply computes W = M·V, choosing the execution mode per the engine
 // policy. V and W must have length 2^n and must not alias — violations
 // are caller errors and reported as such (internal invariants still
@@ -481,9 +514,57 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 	if len(V) > 0 && &V[0] == &W[0] {
 		return GateCost{}, fmt.Errorf("dmav: V and W must not alias")
 	}
+	cost, _ := e.apply(M, V, W)
+	return cost, nil
+}
+
+// Step applies M to the state vector V and returns the vector that holds
+// the result. A gate whose support has at most three qubits and that the
+// cost model sends to Algorithm 1 runs in place — diagonal, monomial or
+// single-target, touching only the amplitudes it changes — and Step
+// returns V. Any other gate runs Apply into the engine's scratch vector,
+// allocated on the first such gate, and Step returns the scratch and
+// keeps V as the next scratch: the caller must not use V again.
+//
+// An in-place gate does not poll the cancel probe: it completes and counts
+// as applied. An out-of-place gate that the probe stops midway returns V,
+// unchanged, with ErrCanceled; its partial product stays in the scratch.
+func (e *Engine) Step(M dd.MEdge, V []complex128) ([]complex128, GateCost, error) {
+	if uint64(len(V)) != e.dim {
+		return V, GateCost{}, fmt.Errorf("dmav: vector length %d, want %d", len(V), e.dim)
+	}
+	if e.scratch != nil && &V[0] == &e.scratch[0] {
+		return V, GateCost{}, fmt.Errorf("dmav: V is the engine's scratch vector")
+	}
+	if M.IsZero() {
+		clear(V)
+		return V, GateCost{}, nil
+	}
+	g := e.gate(M.N)
+	if ip := e.inPlaceOf(g, M); ip != nil {
+		e.applyInPlace(g, ip, V)
+		return V, g.cost, nil
+	}
+	if e.scratch == nil {
+		e.scratch = make([]complex128, e.dim)
+		e.env.Ledger.AddFlat(int64(e.dim) * 16)
+	}
+	W := e.scratch
+	cost, ok := e.apply(M, V, W)
+	if !ok {
+		return V, cost, ErrCanceled
+	}
+	e.scratch = V
+	return W, cost, nil
+}
+
+// apply is Apply on checked vectors. It reports false when the cancel
+// probe fired during the multiplication: W is then partial, and neither
+// Stats nor the metrics count the gate.
+func (e *Engine) apply(M dd.MEdge, V, W []complex128) (GateCost, bool) {
 	if M.IsZero() {
 		clear(W)
-		return GateCost{}, nil
+		return GateCost{}, true
 	}
 	var start time.Time
 	if e.met != nil {
@@ -509,12 +590,18 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 	if !ledStart.IsZero() {
 		e.env.Ledger.AddCPU(time.Since(ledStart).Nanoseconds())
 	}
-	cost := g.cost
 	if e.env.Canceled() {
-		// Aborted mid-gate: W is partial and the caller discards it, so
-		// neither Stats nor the metrics count this Apply.
-		return cost, nil
+		return g.cost, false
 	}
+	e.record(g, start, g.tasks, g.chunks, g.macs)
+	return g.cost, true
+}
+
+// record counts one applied gate in Stats and the metrics: its modeled
+// cost, which is the same whichever path ran it, and the load that path
+// executed (start is zero when metrics are off).
+func (e *Engine) record(g *gatePlan, start time.Time, tasks, chunks, macs int64) {
+	cost := g.cost
 	if g.cached {
 		e.stats.CachedGates++
 		e.stats.CacheHits += cost.Hits
@@ -533,14 +620,13 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 		} else {
 			met.uncachedGates.Inc()
 		}
-		// The exact load of the Apply that just ran, memoized with the
+		// The exact load of the gate that just ran, memoized with its
 		// plan; per-worker attribution comes from the scheduler's own
 		// counters, since stealing makes the worker→chunk mapping dynamic.
-		met.tasks.Add(g.tasks)
-		met.macsExec.Add(g.macs)
-		met.chunks.Add(g.chunks)
+		met.tasks.Add(tasks)
+		met.macsExec.Add(macs)
+		met.chunks.Add(chunks)
 	}
-	return cost, nil
 }
 
 // EvaluateCost runs the Section 3.2.3 cost model on a gate matrix without
@@ -552,12 +638,13 @@ func (e *Engine) EvaluateCost(M dd.MEdge) GateCost {
 	return e.gate(M.N).cost
 }
 
-// gate returns the memo entry of a gate root, evaluating its cost on
-// first sight.
+// gate returns the memo entry of a gate root, evaluating its cost and
+// picking its algorithm on first sight.
 func (e *Engine) gate(root *dd.MNode) *gatePlan {
 	g, ok := e.gates[root]
 	if !ok {
 		g = &gatePlan{cost: e.evaluate(root)}
+		g.cached = e.mode == AlwaysCache || e.mode == Auto && g.cost.UseCache()
 		e.gates[root] = g
 	}
 	return g
@@ -589,18 +676,11 @@ func (e *Engine) evaluate(root *dd.MNode) GateCost {
 	return c
 }
 
-// build fills the execution half of a gate's memo entry: which algorithm
-// runs, its chunk lists with every sub-block compiled to a plan, whether
-// the gate is worth a fork-join, and the pool batch if it is.
+// build fills the execution half of a gate's memo entry for the algorithm
+// gate picked: its chunk lists with every sub-block compiled to a plan,
+// whether the gate is worth a fork-join, and the pool batch if it is.
 func (e *Engine) build(g *gatePlan, root *dd.MNode) {
 	g.built = true
-	g.cached = g.cost.UseCache()
-	switch e.mode {
-	case NeverCache:
-		g.cached = false
-	case AlwaysCache:
-		g.cached = true
-	}
 	work := g.cost.K1
 	if g.cached {
 		// Algorithm 2 forks twice — the chunks, then the sum — so each

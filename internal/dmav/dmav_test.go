@@ -496,6 +496,45 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
+// BenchmarkStep is BenchmarkApply's counterpart for Step on Algorithm 1:
+// narrow gates run in place, the fused block through Apply and the
+// scratch swap. B/op must read 0.
+func BenchmarkStep(b *testing.B) {
+	for _, n := range []int{14, 20} {
+		m := dd.New(n)
+		V := randAmps(rand.New(rand.NewSource(1)), n)
+		gates := []struct {
+			name string
+			M    dd.MEdge
+		}{
+			{"q0", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, 0))},
+			{"q1", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, 1))},
+			{"qmid", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, n/2))},
+			{"qtop", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, n-1))},
+			{"cz", gateDD(m, n, circuit.CZ(2, n-3))},
+			{"cx", gateDD(m, n, circuit.CX(n-3, n/2-2))},
+			{"ccx", gateDD(m, n, circuit.CCX(0, n/2-2, n-3))},
+			{"fused", denseBlock(m, n)},
+		}
+		for _, g := range gates {
+			for _, threads := range []int{1, 2} {
+				b.Run(fmt.Sprintf("n=%d/%s/t%d", n, g.name, threads), func(b *testing.B) {
+					e := New(m, n, threads, NeverCache)
+					defer e.Close()
+					state, cost, _ := e.Step(g.M, V) // compile outside the timer
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						state, _, _ = e.Step(g.M, state)
+					}
+					macs := cost.Cost() * float64(threads) * float64(b.N)
+					b.ReportMetric(macs/b.Elapsed().Seconds(), "MACs/s")
+				})
+			}
+		}
+	}
+}
+
 func gateDD(m *dd.Manager, n int, g circuit.Gate) dd.MEdge {
 	return ddsim.BuildGateDD(m, n, &g)
 }
@@ -516,7 +555,8 @@ func denseBlock(m *dd.Manager, n int) dd.MEdge {
 
 // TestApplySteadyStateAllocationFree: once a root's plan is memoized, a
 // repeated Apply — inline or as pool batches, either algorithm — must not
-// allocate.
+// allocate, and neither must a repeated Step, in place (NeverCache) or
+// through the scratch vector (AlwaysCache).
 func TestApplySteadyStateAllocationFree(t *testing.T) {
 	// n=17 is the smallest register where a single-qubit gate (2^18 MACs)
 	// reaches inlineBelowMACs; a CZ (2^17) stays under it.
@@ -538,6 +578,11 @@ func TestApplySteadyStateAllocationFree(t *testing.T) {
 				if a := testing.AllocsPerRun(10, func() { e.Apply(M, V, W) }); a != 0 {
 					t.Errorf("mode=%v threads=%d inline=%v: %v allocs per steady-state Apply",
 						mode, threads, e.gates[M.N].inline, a)
+				}
+				state, _, _ := e.Step(M, append([]complex128(nil), V...))
+				if a := testing.AllocsPerRun(10, func() { state, _, _ = e.Step(M, state) }); a != 0 {
+					t.Errorf("mode=%v threads=%d in place=%v: %v allocs per steady-state Step",
+						mode, threads, e.gates[M.N].ip != nil, a)
 				}
 			}
 			e.Close()

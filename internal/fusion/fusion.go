@@ -86,9 +86,7 @@ func Fuse(m *dd.Manager, G []dd.MEdge, cost CostFunc) Result {
 }
 
 // shapes memoizes, per matrix node, what the skip test reads: the node's
-// MAC count and its qubit support, the bit set of levels at which some
-// node below it is not MRep (not of the form I⊗child). A matrix acts as
-// the identity on every qubit outside its root's support.
+// MAC count and its qubit support (dd.SupportNode).
 type shapes struct {
 	n       int
 	macs    map[*dd.MNode]int64
@@ -103,7 +101,7 @@ func newShapes(n int) *shapes {
 // count of their product, K(a)·K(b)/2^n, is at least K(a)+K(b).
 func (s *shapes) cannotWin(a, b dd.MEdge) bool {
 	// A register wider than the bit set gets no skip.
-	if s.n >= 64 || s.supportOf(a.N)&s.supportOf(b.N) != 0 {
+	if s.n >= 64 || dd.SupportNode(a.N, s.support)&dd.SupportNode(b.N, s.support) != 0 {
 		return false
 	}
 	ka := uint64(dd.MACCountNode(a.N, s.macs))
@@ -112,26 +110,6 @@ func (s *shapes) cannotWin(a, b dd.MEdge) bool {
 	ph, pl := bits.Mul64(ka, kb)
 	sh, sl := bits.Mul64(ka+kb, 1<<uint(s.n))
 	return ph > sh || ph == sh && pl >= sl
-}
-
-func (s *shapes) supportOf(n *dd.MNode) uint64 {
-	if n.Level == dd.TerminalLevel {
-		return 0
-	}
-	if v, ok := s.support[n]; ok {
-		return v
-	}
-	var v uint64
-	if n.Flags&dd.MRep == 0 {
-		v = 1 << uint(n.Level)
-	}
-	for _, c := range n.E {
-		if !c.IsZero() {
-			v |= s.supportOf(c.N)
-		}
-	}
-	s.support[n] = v
-	return v
 }
 
 // MACCost prices a gate matrix at its MAC count, the one-thread cost K1 of

@@ -413,7 +413,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	// cursor, whether or not the cursor's own job has since been evicted.
 	start := len(s.order) - 1
 	if cursor != "" {
-		seq, ok := jobSeq(cursor)
+		seq, ok := s.jobSeq(cursor)
 		if !ok || seq > s.nextID {
 			s.mu.Unlock()
 			WriteError(w, http.StatusBadRequest,
@@ -421,7 +421,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		start = sort.Search(len(s.order), func(i int) bool {
-			n, _ := jobSeq(s.order[i])
+			n, _ := s.jobSeq(s.order[i])
 			return n >= seq
 		}) - 1
 	}
@@ -575,9 +575,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// jobSeq parses the sequence number of a job ID ("j-000042" → 42).
-func jobSeq(id string) (int, bool) {
-	digits, ok := strings.CutPrefix(id, "j-")
+// jobSeq parses the sequence number of a job ID this server issued
+// ("j-<prefix>-000042" → 42); an ID with another server's prefix does not
+// parse.
+func (s *Server) jobSeq(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, s.idPrefix)
 	if !ok {
 		return 0, false
 	}

@@ -305,6 +305,11 @@ type Server struct {
 	nextID   int
 	draining bool
 
+	// idPrefix starts every job ID this server issues ("j-<8 hex>-"): it
+	// is random per Server, so a restarted process never reissues an ID a
+	// client still holds, and an ID from another process is unknown here.
+	idPrefix string
+
 	// fq is the round-robin dispatch queue; cache the canonical-circuit
 	// result cache; flights the in-progress simulations open for
 	// coalescing, keyed like the cache; tenants the per-tenant
@@ -332,17 +337,18 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		pool:    sched.New(cfg.Threads),
-		reg:     cfg.Metrics,
-		log:     cfg.Logger,
-		started: time.Now(),
-		jobs:    make(map[string]*job),
-		flight:  obs.NewFlightRecorder(flightRecorderSize),
-		cache:   newResultCache(cfg.ResultCacheBudget, cfg.ResultCacheMaxEntry),
-		flights: make(map[cacheKey]*flight),
-		tenants: make(map[string]*tenantStats),
-		idem:    make(map[string]string),
+		cfg:      cfg,
+		pool:     sched.New(cfg.Threads),
+		reg:      cfg.Metrics,
+		log:      cfg.Logger,
+		started:  time.Now(),
+		idPrefix: fmt.Sprintf("j-%08x-", rand.Uint32()),
+		jobs:     make(map[string]*job),
+		flight:   obs.NewFlightRecorder(flightRecorderSize),
+		cache:    newResultCache(cfg.ResultCacheBudget, cfg.ResultCacheMaxEntry),
+		flights:  make(map[cacheKey]*flight),
+		tenants:  make(map[string]*tenantStats),
+		idem:     make(map[string]string),
 	}
 	if cfg.TraceJSONL != nil {
 		s.tw = obs.NewTraceWriter(cfg.TraceJSONL)
@@ -538,7 +544,7 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 	}
 	s.nextID++
 	j = &job{
-		id:        fmt.Sprintf("j-%06d", s.nextID),
+		id:        fmt.Sprintf("%s%06d", s.idPrefix, s.nextID),
 		circ:      c,
 		opts:      opts,
 		tenant:    tenant,

@@ -292,6 +292,39 @@ func TestResultNotReadyAndUnknown(t *testing.T) {
 	h.waitState(v.ID, serve.StateCanceled, serve.StateDone)
 }
 
+// TestJobIDsDifferAcrossServers: two servers, as a process and its
+// restart, issue different first job IDs, and one server's ID names no job
+// on the other: status, result and cancel answer 404, and as a list cursor
+// it answers 400 invalid_cursor.
+func TestJobIDsDifferAcrossServers(t *testing.T) {
+	a := newTestServer(t, serve.Config{Threads: 1})
+	b := newTestServer(t, serve.Config{Threads: 1})
+	va := a.submit(&serve.SubmitRequest{QASM: bellQASM})
+	vb := b.submit(&serve.SubmitRequest{QASM: bellQASM})
+	if va.ID == vb.ID {
+		t.Fatalf("both servers issued %s first", va.ID)
+	}
+	a.waitState(va.ID, serve.StateDone)
+	b.waitState(vb.ID, serve.StateDone)
+	ctx := context.Background()
+	var apiErr *client.APIError
+	if _, err := b.c.Job(ctx, va.ID); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Errorf("status of %s on the other server: %v, want 404", va.ID, err)
+	}
+	if _, err := b.c.Result(ctx, va.ID); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Errorf("result of %s on the other server: %v, want 404", va.ID, err)
+	}
+	if _, err := b.c.Cancel(ctx, va.ID); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Errorf("cancel of %s on the other server: %v, want 404", va.ID, err)
+	}
+	if code, raw := b.do("GET", "/v1/jobs?cursor="+va.ID, nil); code != 400 || !bytes.Contains(raw, []byte("invalid_cursor")) {
+		t.Errorf("cursor %s on the other server: %d %s, want 400 invalid_cursor", va.ID, code, raw)
+	}
+	if _, err := a.c.Job(ctx, va.ID); err != nil {
+		t.Errorf("status of %s on its own server: %v", va.ID, err)
+	}
+}
+
 func TestCancelQueuedJob(t *testing.T) {
 	h := newTestServer(t, serve.Config{Threads: 2, MaxInFlight: 1, QueueDepth: 4})
 	running := h.submit(slowSubmit(1))
