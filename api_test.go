@@ -5,6 +5,13 @@ package flatdd
 // non-test file of the module (bench/ and examples/ count). A name that
 // only tests reach belongs in its package's _test.go files, or on the
 // allowlist below with the reason it stays.
+//
+// The engine's two structs get the same check per field: every field of
+// core.Options must be set — as a composite-literal key or an assignment
+// target — and every field of core.Stats read by some non-test file
+// outside internal/core, or be on fieldAllowlist with a reason. Fields
+// are matched by name only, so a field whose name another struct's field
+// shares passes too.
 
 import (
 	"go/ast"
@@ -59,7 +66,17 @@ func (d apiDecl) key() string {
 	return d.pkg + "." + d.name
 }
 
-func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
+// fieldAllowlist holds the core.Options fields no non-test file outside
+// internal/core sets and the core.Stats fields none reads, keyed
+// "<Type>.<Field>".
+var fieldAllowlist = map[string]string{
+	"Stats.FusionResult": "the fusion pass's plan (fusions, modeled cost before and after); core's fusion tests check the plan through it",
+}
+
+// parseModule parses every .go file of the module outside hidden and
+// testdata directories.
+func parseModule(t *testing.T) (*token.FileSet, []goFile) {
+	t.Helper()
 	fset := token.NewFileSet()
 	var files []goFile
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -89,7 +106,11 @@ func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fset, files
+}
 
+func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
+	fset, files := parseModule(t)
 	var decls []apiDecl
 	imported := map[string]bool{}         // import paths some non-test file imports
 	local := map[string]map[string]bool{} // package -> identifiers its non-test files use
@@ -170,6 +191,86 @@ func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
 	}
 	if len(apiAllowlist) > 15 {
 		t.Errorf("allowlist has %d entries, want at most 15", len(apiAllowlist))
+	}
+}
+
+func TestEveryOptionIsSetAndEveryStatIsRead(t *testing.T) {
+	_, files := parseModule(t)
+	fields := map[string][]string{} // "Options" | "Stats" -> field names
+	set := map[string]bool{}        // names set outside internal/core
+	read := map[string]bool{}       // names read outside internal/core
+	for _, gf := range files {
+		if gf.test {
+			continue
+		}
+		if gf.pkg == "flatdd/internal/core" {
+			ast.Inspect(gf.f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || (ts.Name.Name != "Options" && ts.Name.Name != "Stats") {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							fields[ts.Name.Name] = append(fields[ts.Name.Name], id.Name)
+						}
+					}
+				}
+				return false
+			})
+			continue
+		}
+		assigned := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range x.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range x.Lhs {
+					if sel, ok := l.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+						assigned[sel] = x.Tok == token.ASSIGN
+					}
+				}
+			case *ast.SelectorExpr:
+				if !assigned[x] {
+					read[x.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(fields["Options"]) == 0 || len(fields["Stats"]) == 0 {
+		t.Fatalf("core.Options or core.Stats not found: %v", fields)
+	}
+	allowed := map[string]bool{} // allowlist entries still needed
+	for typ, seen := range map[string]map[string]bool{"Options": set, "Stats": read} {
+		for _, f := range fields[typ] {
+			key := typ + "." + f
+			switch {
+			case seen[f]:
+			case fieldAllowlist[key] != "":
+				allowed[key] = true
+			case typ == "Options":
+				t.Errorf("core.%s is set by no non-test file outside internal/core: delete it or allowlist it with a reason", key)
+			default:
+				t.Errorf("core.%s is read by no non-test file outside internal/core: delete it or allowlist it with a reason", key)
+			}
+		}
+	}
+	for k, reason := range fieldAllowlist {
+		if !allowed[k] {
+			t.Errorf("field allowlist entry %s is stale: the field is gone or used outside internal/core now", k)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("field allowlist entry %s has no reason", k)
+		}
 	}
 }
 

@@ -201,7 +201,7 @@ func BenchmarkTable2DMAVAwareFusion(b *testing.B) {
 }
 
 func BenchmarkTable2KOperations(b *testing.B) {
-	runFlatDD(b, benchDNN(), core.Options{Threads: 4, Fusion: core.KOps, K: 4})
+	runFlatDD(b, benchDNN(), core.Options{Threads: 4, Fusion: core.KOps})
 }
 
 // BenchmarkTable2FusionPassOnly isolates the cost of the fusion pass
@@ -296,14 +296,14 @@ func benchBufferSharing(b *testing.B, share bool) {
 func BenchmarkAblationBufferSharingOn(b *testing.B)  { benchBufferSharing(b, true) }
 func BenchmarkAblationBufferSharingOff(b *testing.B) { benchBufferSharing(b, false) }
 
-// State approximation (extension): exact vs approximated DD phase.
+// State approximation (extension): exact vs approximated DD phase. A
+// one-byte memory budget vetoes the conversion, so both runs stay DD-only.
 func BenchmarkAblationApproxOff(b *testing.B) {
-	runFlatDD(b, benchDNN(), core.Options{Threads: 4, DisableConversion: true})
+	runFlatDD(b, benchDNN(), core.Options{Threads: 4, MemoryBudget: 1})
 }
 
 func BenchmarkAblationApproxOn(b *testing.B) {
-	runFlatDD(b, benchDNN(), core.Options{Threads: 4, DisableConversion: true,
-		ApproxBudget: 0.001, ApproxThreshold: 128})
+	runFlatDD(b, benchDNN(), core.Options{Threads: 4, MemoryBudget: 1, ApproxBudget: 0.001})
 }
 
 // ---- Instrumentation overhead: the DMAV kernel with metrics disabled

@@ -43,8 +43,7 @@ func main() {
 		threads   = flag.Int("threads", 4, "worker threads (FlatDD and statevec)")
 		beta      = flag.Float64("beta", 0.9, "EWMA beta (FlatDD)")
 		epsilon   = flag.Float64("epsilon", 2.0, "EWMA epsilon (FlatDD)")
-		fusionF   = flag.String("fusion", "none", "gate fusion: none | dmav | kops (FlatDD)")
-		k         = flag.Int("k", 4, "block size for -fusion kops")
+		fusionF   = flag.String("fusion", "none", "gate fusion: none | dmav | kops (k-operations, k = 4) (FlatDD)")
 		cache     = flag.String("cache", "auto", "DMAV caching: auto | always | never")
 		top       = flag.Int("top", 8, "print the K largest final amplitudes")
 		shots     = flag.Int("shots", 0, "sample this many measurement shots")
@@ -103,7 +102,7 @@ func main() {
 	switch *engine {
 	case "flatdd":
 		opts := core.Options{
-			Threads: *threads, Beta: *beta, Epsilon: *epsilon, K: *k,
+			Threads: *threads, Beta: *beta, Epsilon: *epsilon,
 			ApproxBudget: *approx, Metrics: reg,
 			MemoryBudget:   uint64(*memMB) << 20,
 			IntegrityEvery: *integrity,

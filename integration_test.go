@@ -80,11 +80,11 @@ func TestFlatDDConfigurationsAgree(t *testing.T) {
 		{Threads: 1},
 		{Threads: 8},
 		{Threads: 4, ForceConvertAfter: 1},
-		{Threads: 4, DisableConversion: true},
+		{Threads: 4, MemoryBudget: 1},
 		{Threads: 4, CacheMode: dmav.AlwaysCache},
 		{Threads: 4, CacheMode: dmav.NeverCache},
 		{Threads: 4, Fusion: core.DMAVAware},
-		{Threads: 4, Fusion: core.KOps, K: 5},
+		{Threads: 4, Fusion: core.KOps},
 		{Threads: 4, SequentialConversion: true},
 		{Threads: 4, Beta: 0.5, Epsilon: 1.5},
 	}

@@ -29,15 +29,22 @@ func skewedCircuit(n, gates int, seed int64) *circuit.Circuit {
 	return c
 }
 
+// TestApproximationBoundsFidelity runs a circuit whose state DD grows past
+// approxThreshold nodes, so pruning must fire, and checks the reported
+// fidelity bound against the exact state. A one-byte memory budget vetoes
+// the conversion, so both runs stay in the DD phase.
 func TestApproximationBoundsFidelity(t *testing.T) {
 	n := 10
 	c := skewedCircuit(n, 120, 3)
-	exact := New(n, Options{DisableConversion: true})
+	exact := New(n, Options{MemoryBudget: 1})
 	exact.Run(c)
 	ex := exact.Amplitudes()
 
-	approx := New(n, Options{DisableConversion: true, ApproxBudget: 0.001, ApproxThreshold: 16})
+	approx := New(n, Options{MemoryBudget: 1, ApproxBudget: 0.001})
 	st := approx.Run(c)
+	if st.Approximations == 0 {
+		t.Fatalf("no pruning pass ran: the state DD never exceeded %d nodes", approxThreshold)
+	}
 	if st.Fidelity > 1 || st.Fidelity <= 0 {
 		t.Fatalf("fidelity out of range: %v", st.Fidelity)
 	}
@@ -49,9 +56,6 @@ func TestApproximationBoundsFidelity(t *testing.T) {
 	actual := real(ip * cmplx.Conj(ip))
 	if actual < st.Fidelity-1e-9 {
 		t.Fatalf("actual fidelity %v below reported bound %v", actual, st.Fidelity)
-	}
-	if st.Approximations == 0 {
-		t.Skip("no approximation triggered on this circuit shape")
 	}
 }
 

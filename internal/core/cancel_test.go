@@ -31,8 +31,8 @@ func TestCancelMidDDPhase(t *testing.T) {
 	reg := obs.New()
 	const cancelAt = 10
 	s := New(n, Options{
-		DisableConversion: true,
-		Metrics:           reg,
+		MemoryBudget: 1,
+		Metrics:      reg,
 		Trace: func(ev TraceEvent) {
 			if ev.GateIndex == cancelAt {
 				cancel()
@@ -180,8 +180,9 @@ func TestPoolAuthoritativeOverThreads(t *testing.T) {
 	// pool's four workers, not the one Threads asks for.
 	four := New(n, Options{Threads: 4, ForceConvertAfter: 5}).Run(c)
 	one := New(n, Options{Threads: 1, ForceConvertAfter: 5}).Run(c)
-	if st.ModeledCost != four.ModeledCost || st.ModeledCost == one.ModeledCost {
-		t.Fatalf("modeled cost %v, want the 4-thread %v (1-thread: %v)", st.ModeledCost, four.ModeledCost, one.ModeledCost)
+	got, want4, want1 := st.DMAVStats.MACsModeled, four.DMAVStats.MACsModeled, one.DMAVStats.MACsModeled
+	if got != want4 || got == want1 {
+		t.Fatalf("modeled cost %v, want the 4-thread %v (1-thread: %v)", got, want4, want1)
 	}
 }
 

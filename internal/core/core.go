@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"time"
 
 	"flatdd/internal/circuit"
@@ -149,7 +150,8 @@ const (
 	// DMAVAware is the paper's Algorithm 3, with merges priced at the
 	// one-thread MAC count K1, so the plan does not depend on Threads.
 	DMAVAware
-	// KOps is the k-operations baseline [100].
+	// KOps is the k-operations baseline [100], with blocks of kopsBlock
+	// qubits.
 	KOps
 )
 
@@ -190,15 +192,9 @@ type Options struct {
 	CacheMode dmav.Mode
 	// Fusion selects the gate-fusion pass for the DMAV phase.
 	Fusion FusionMode
-	// K is the block size for FusionMode KOps (default 4).
-	K int
-	// ForceConvertAfter forces conversion right after this many gates,
-	// bypassing the controller (used by experiments). Negative means "use
-	// the controller".
+	// ForceConvertAfter, when positive, forces conversion right after
+	// this many gates, bypassing the controller (used by experiments).
 	ForceConvertAfter int
-	// DisableConversion pins the simulation to the DD phase (the pure
-	// DDSIM behaviour), regardless of the controller.
-	DisableConversion bool
 	// SequentialConversion uses the sequential DDSIM-style DD-to-array
 	// conversion instead of the parallel algorithm (Figure 13 ablation).
 	SequentialConversion bool
@@ -219,15 +215,12 @@ type Options struct {
 	// pay one pointer check per instrumentation site and nothing else.
 	Metrics *obs.Registry
 	// ApproxBudget, when positive, enables DD state approximation [97]
-	// during the DD phase: whenever the state DD exceeds ApproxThreshold
+	// during the DD phase: whenever the state DD exceeds approxThreshold
 	// nodes, edges carrying up to ApproxBudget probability mass are pruned.
 	// The cumulative fidelity is reported in Stats.Fidelity. This is an
 	// extension beyond the paper (which simulates exactly); it trades
 	// bounded fidelity loss for a smaller DD and a later conversion.
 	ApproxBudget float64
-	// ApproxThreshold is the node count above which approximation kicks in
-	// (default 256 when ApproxBudget > 0).
-	ApproxThreshold int
 	// MemoryBudget, when positive, caps the flat-array working set in
 	// bytes. If dmav.FlatBytes(n, Threads, CacheMode) exceeds the budget
 	// when the conversion controller fires, the conversion is suppressed
@@ -254,36 +247,12 @@ type Options struct {
 	Ledger *obs.ResourceLedger
 }
 
-func (o *Options) withDefaults() Options {
-	v := *o
-	if v.Pool != nil {
-		// The injected pool's worker count is authoritative: execution
-		// runs on the pool, so the cost model must see the same
-		// parallelism or its caching decisions model a machine that
-		// isn't there.
-		v.Threads = v.Pool.Threads()
-	}
-	if v.Threads < 1 {
-		v.Threads = 1
-	}
-	if v.K < 1 {
-		v.K = 4
-	}
-	if v.ForceConvertAfter == 0 && !v.DisableConversion {
-		// Zero value means "controller decides" unless explicitly set; we
-		// reserve negative for that and treat 0 as unset.
-		v.ForceConvertAfter = -1
-	}
-	if v.ApproxBudget > 0 && v.ApproxThreshold <= 0 {
-		v.ApproxThreshold = 256
-	}
-	return v
-}
-
-// integrityTol is the allowed |norm−1| deviation of the integrity sweep.
-// The norm check is skipped when ApproxBudget > 0, since approximation
-// legitimately sheds probability mass; NaN/Inf detection stays on.
-const integrityTol = 1e-6
+// The engine's fixed parameters.
+const (
+	kopsBlock       = 4    // block size k of FusionMode KOps
+	approxThreshold = 256  // state-DD node count above which ApproxBudget prunes
+	integrityTol    = 1e-6 // allowed |norm−1| of the integrity sweep (skipped when ApproxBudget > 0)
+)
 
 // TraceEvent records the execution of one gate (Figures 3 and 11).
 type TraceEvent struct {
@@ -297,8 +266,7 @@ type TraceEvent struct {
 	// gate itself still ran in the DD phase; the *next* gate is the first
 	// DMAV gate, and Stats.ConvertedAtGate names that next index. When the
 	// controller fires on the circuit's final gate there is nothing left to
-	// run in DMAV, no conversion happens, and Converted stays false — see
-	// the `convertNow && i+1 < len(c.Gates)` guard in Run.
+	// run in DMAV: no conversion happens and Converted stays false.
 	Converted bool
 }
 
@@ -319,15 +287,13 @@ type Stats struct {
 	DMAVTime   time.Duration
 	TotalTime  time.Duration
 
-	PeakDDNodes   int
-	FusedGates    int // gates executed in the DMAV phase after fusion
-	DMAVStats     dmav.Stats
-	MemoryBytes   uint64 // working-set estimate (DD nodes + flat arrays)
-	FusionResult  *fusion.Result
-	FinalDDSize   int // state-DD size at conversion (or at the end if never converted)
-	ModeledCost   float64
-	ControllerEnd float64 // EWMA value when conversion fired
-	TimedOut      bool
+	PeakDDNodes  int
+	FusedGates   int // gates executed in the DMAV phase after fusion
+	DMAVStats    dmav.Stats
+	MemoryBytes  uint64 // working-set estimate (DD nodes + flat arrays)
+	FusionResult *fusion.Result
+	FinalDDSize  int // state-DD size at conversion (or at the end if never converted)
+	TimedOut     bool
 	// Fidelity is a guaranteed lower bound on |<exact|simulated>|^2 after
 	// any state approximations (1 when approximation is off). Per-step
 	// fidelities f_i compose through the angle metric:
@@ -342,8 +308,6 @@ type Stats struct {
 	// "alloc_failed" (flat-array allocation failure, injected or real).
 	Degraded       bool
 	DegradedReason string
-	// IntegrityChecks counts the DMAV-phase integrity sweeps performed.
-	IntegrityChecks int
 	// Resources is the run's resource-ledger snapshot: per-phase CPU
 	// time, allocation deltas, and peak DD/flat memory. Populated by
 	// RunContext on every terminal path (success, abort, fault).
@@ -361,13 +325,6 @@ type Simulator struct {
 
 	phase Phase
 	state []complex128 // valid in PhaseDMAV
-
-	// approxAngle accumulates arccos(sqrt(f_i)) over approximation steps.
-	approxAngle float64
-
-	// suppressConvert pins the run to the DD phase after a degradation
-	// decision (the controller may keep firing; it must not re-trigger).
-	suppressConvert bool
 
 	// convertAlloc is the simulated-allocation-failure injection point
 	// (nil in production).
@@ -426,7 +383,15 @@ type runRecord struct {
 
 // New returns a simulator for n qubits.
 func New(n int, opts Options) *Simulator {
-	o := opts.withDefaults()
+	o := opts
+	if o.Pool != nil {
+		// The injected pool's worker count is authoritative: execution
+		// runs on the pool, so the cost model must see the same
+		// parallelism or its caching decisions model a machine that
+		// isn't there.
+		o.Threads = o.Pool.Threads()
+	}
+	o.Threads = max(o.Threads, 1)
 	m := dd.New(n)
 	s := &Simulator{
 		n:    n,
@@ -526,18 +491,421 @@ func (s *Simulator) RunContext(ctx context.Context, c *circuit.Circuit) (st Stat
 		// barrier is installed.
 		panic(fmt.Sprintf("core: circuit on %d qubits, simulator has %d", c.Qubits, s.n))
 	}
-	start := time.Now()
+	r := &run{s: s, c: c, ctx: ctx, done: ctx.Done(), start: time.Now()}
 	defer func() {
-		if r := recover(); r != nil {
-			ef := newEngineFault(r)
+		if rec := recover(); rec != nil {
 			if s.met != nil {
 				s.met.engineFaults.Inc()
 			}
-			s.finishStats(start)
-			st, err = s.stats, ef
+			st, err = r.end(newEngineFault(rec))
 		}
 	}()
-	return s.runContext(ctx, c, start)
+	return r.runContext()
+}
+
+// run is the state of one RunContext call.
+type run struct {
+	s     *Simulator
+	c     *circuit.Circuit
+	ctx   context.Context
+	done  <-chan struct{} // ctx.Done(); nil for a context that is never canceled
+	start time.Time
+	// span parents one phase.* span per phase: the span carried on the
+	// context (the serve layer's per-attempt "run" span, or a CLI root),
+	// or nil, which makes every Child call a no-op.
+	span *obs.Span
+	ctl  *ewma.Controller
+	// suppressConvert pins the run to the DD phase after a degradation
+	// decision (the controller may keep firing; it must not re-trigger).
+	suppressConvert bool
+	// approxAngle accumulates arccos(sqrt(f_i)) over approximation steps.
+	approxAngle float64
+}
+
+// errAborted is what a phase returns when the run's context is done; end
+// maps it onto ErrCanceled or ErrDeadlineExceeded.
+var errAborted = errors.New("core: run aborted")
+
+// runContext is RunContext's body; the split keeps the containment
+// barrier (and the deferred recover's cost) out of the phase loops. It
+// runs the phases of Figure 3 in order — DD, convert, build and fuse,
+// DMAV — and every terminal path returns through end.
+func (r *run) runContext() (Stats, error) {
+	s := r.s
+	s.stats = Stats{Gates: r.c.GateCount(), ConvertedAtGate: -1, Fidelity: 1}
+	r.span = obs.SpanFromContext(r.ctx)
+	r.ctl = ewma.New(s.opts.Beta, s.opts.Epsilon)
+	if s.met != nil {
+		r.ctl.Gauge = s.met.ewma
+	}
+	at, err := r.dd()
+	if err != nil || at == len(r.c.Gates) {
+		return r.end(err)
+	}
+	// One environment serves the whole flat phase: conversion and every
+	// DMAV gate run on one pool, under their phase's span. Its probe is
+	// nil for a context that can never be canceled, which lets the
+	// conversion and DMAV hot paths skip the per-task probe entirely.
+	var probe func() bool
+	if r.done != nil {
+		probe = r.canceled
+	}
+	env, release := s.flatEnv(probe)
+	defer release()
+	env.Ledger = s.led
+	if err := r.convert(env, at); err != nil {
+		return r.end(err)
+	}
+	gates, err := r.fuse(at)
+	if err != nil {
+		return r.end(err)
+	}
+	return r.end(r.dmav(env, gates, at))
+}
+
+// canceled is the run's cancellation probe, polled at every gate
+// boundary.
+func (r *run) canceled() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// openPhase is one open phase of a run: its phase.* span (nil when the
+// run is not traced) and its start.
+type openPhase struct {
+	span  *obs.Span
+	start time.Time
+}
+
+// beginPhase opens the span name ("phase.<x>") and the ledger section
+// <x>.
+func (r *run) beginPhase(name string) openPhase {
+	span := r.span.Child(name)
+	r.s.led.Begin(strings.TrimPrefix(name, "phase."))
+	return openPhase{span: span, start: time.Now()}
+}
+
+// endPhase closes p and returns its wall time. A sequential phase ran on
+// this goroutine alone, so its wall time is credited to the ledger as
+// CPU time; a pooled phase's batches credit their own. The span gets the
+// ledger's cost attributes and ends.
+func (r *run) endPhase(p openPhase, sequential bool) time.Duration {
+	d := time.Since(p.start)
+	if sequential {
+		r.s.led.AddCPU(d.Nanoseconds())
+	}
+	pc, _ := r.s.led.End()
+	if p.span != nil {
+		p.span.SetAttr("cpu_ns", pc.CPUNs)
+		p.span.SetAttr("alloc_bytes", pc.AllocBytes)
+		p.span.End()
+	}
+	return d
+}
+
+// dd runs the DD phase: gates apply to the state DD, pruned when
+// approximation is on, while the EWMA controller watches its size. It
+// returns the index of the first gate left for the flat phase.
+func (r *run) dd() (int, error) {
+	s, gates := r.s, r.c.Gates
+	p := r.beginPhase("phase.dd")
+	var err error
+	i := 0
+	for ; i < len(gates); i++ {
+		if r.canceled() {
+			err = errAborted
+			break
+		}
+		gStart := time.Now()
+		size := s.sim.ApplyGate(&gates[i])
+		if s.opts.ApproxBudget > 0 && size > approxThreshold {
+			approx, fid := s.m.Approximate(s.sim.State(), s.n, s.opts.ApproxBudget)
+			if fid < 1 {
+				s.sim.SetState(approx)
+				r.approxAngle += math.Acos(math.Sqrt(math.Max(0, math.Min(1, fid))))
+				s.stats.Approximations++
+				size = s.m.VSize(approx)
+			}
+		}
+		s.led.ObserveDD(int64(size), uint64(size)*dd.NodeBytes)
+		convertNow := r.ctl.Observe(size)
+		if f := s.opts.ForceConvertAfter; f > 0 {
+			convertNow = i+1 >= f
+		}
+		// A controller firing on the final gate leaves nothing for DMAV.
+		convertNow = convertNow && !r.suppressConvert && i+1 < len(gates)
+		if convertNow {
+			// Graceful degradation: decided at the fire site, before the
+			// trace event, so the Converted flag reflects what happened.
+			if reason := s.conversionBlocked(); reason != "" {
+				r.degrade(reason)
+				convertNow = false
+			}
+		}
+		if s.met != nil {
+			s.met.gatesDD.Inc()
+			s.met.ddSize.Set(int64(size))
+			s.met.gateDDNs.Observe(time.Since(gStart).Nanoseconds())
+		}
+		if s.tracing() {
+			s.emitTrace(TraceEvent{
+				GateIndex: i, Phase: PhaseDD, DDSize: size, EWMA: r.ctl.Average(),
+				Duration: time.Since(gStart), Converted: convertNow,
+			})
+		}
+		if convertNow {
+			i++
+			break
+		}
+	}
+	s.stats.FinalDDSize = s.sim.StateSize()
+	if p.span != nil {
+		p.span.SetAttr("gates", i)
+		p.span.SetAttr("dd_size", s.stats.FinalDDSize)
+		p.span.SetAttr("ewma", r.ctl.Average())
+		if s.stats.Degraded {
+			p.span.SetAttr("degraded", s.stats.DegradedReason)
+		}
+	}
+	s.stats.DDTime = r.endPhase(p, true)
+	return i, err
+}
+
+// degrade records the degradation decision and pins the run to the DD
+// phase (results stay exact; only the flat-array speedup is lost).
+func (r *run) degrade(reason string) {
+	r.suppressConvert = true
+	r.s.stats.Degraded = true
+	r.s.stats.DegradedReason = reason
+	if r.s.met != nil {
+		r.s.met.degraded.Set(1)
+	}
+}
+
+// convert expands the state DD into the flat array on env's pool. Once
+// the array is complete the simulator is in the DMAV phase from gate at
+// on, and the state DD is released.
+func (r *run) convert(env sched.Env, at int) error {
+	s := r.s
+	p := r.beginPhase("phase.convert")
+	if p.span != nil {
+		p.span.SetAttr("amps", uint64(1)<<uint(s.n))
+		p.span.SetAttr("sequential", s.opts.SequentialConversion)
+	}
+	s.state = make([]complex128, uint64(1)<<uint(s.n))
+	s.led.AddFlat(int64(len(s.state)) * 16)
+	var err error
+	if s.opts.SequentialConversion {
+		s.m.FillArray(s.sim.State(), s.n, s.state)
+	} else {
+		env.Span = p.span
+		ok, cerr := convert.ParallelIntoEnv(s.sim.State(), s.n, s.state, &env)
+		if cerr != nil {
+			// Internal invariant (we sized the array ourselves), but
+			// contain rather than crash: surface it as an engine fault.
+			err = newEngineFault(cerr)
+		} else if !ok {
+			err = errAborted
+		}
+	}
+	if err == nil && r.canceled() {
+		err = errAborted
+	}
+	if p.span != nil {
+		p.span.SetAttr("completed", err == nil)
+	}
+	s.stats.ConversionTime = r.endPhase(p, s.opts.SequentialConversion)
+	if err != nil {
+		// Drop the partial array and stay in the DD phase (the state DD
+		// is untouched), so the simulator remains queryable.
+		s.led.AddFlat(-int64(len(s.state)) * 16)
+		s.state = nil
+		return err
+	}
+	s.stats.ConvertedAtGate = at
+	if s.met != nil {
+		s.met.phaseTransitions.Inc()
+		s.met.convertedAt.Set(int64(at))
+	}
+	s.phase = PhaseDMAV
+	s.eng = dmav.New(s.m, s.n, s.opts.Threads, s.opts.CacheMode)
+
+	// Release the DD state: only gate matrices stay live from here on.
+	s.sim.SetState(s.m.VZeroEdge())
+	s.m.Collect(dd.Roots{})
+	nc := s.m.NodeCount()
+	s.led.ObserveDD(int64(nc), uint64(nc)*dd.NodeBytes)
+	return nil
+}
+
+// fuse builds the matrix DDs of the gates from index from on and, when
+// Options.Fusion asks for it, fuses them.
+func (r *run) fuse(from int) ([]dd.MEdge, error) {
+	s := r.s
+	p := r.beginPhase("phase.fuse")
+	gates := make([]dd.MEdge, 0, len(r.c.Gates)-from)
+	var err error
+	// Only distinct roots are GC roots: memo entries stay live with them.
+	built := gateMemo{}
+	roots := dd.Roots{}
+	for j := from; j < len(r.c.Gates); j++ {
+		if r.canceled() {
+			err = errAborted
+			break
+		}
+		g, fresh := built.build(s.m, s.n, &r.c.Gates[j])
+		gates = append(gates, g)
+		if !fresh {
+			continue
+		}
+		roots.M = append(roots.M, g)
+		s.m.CollectIfNeeded(roots)
+		nc := s.m.NodeCount()
+		s.led.ObserveDD(int64(nc), uint64(nc)*dd.NodeBytes)
+	}
+	if err == nil {
+		// Priced at K1, not at the engine's min(C1, C2): fusion.Fuse's skip
+		// is exact for it, and the plan does not depend on the thread count.
+		costFn := fusion.MACCost()
+		switch s.opts.Fusion {
+		case DMAVAware:
+			res := fusion.Fuse(s.m, gates, costFn)
+			s.stats.FusionResult = &res
+			gates = res.Gates
+		case KOps:
+			res := fusion.KOperations(s.m, gates, kopsBlock, costFn)
+			s.stats.FusionResult = &res
+			gates = res.Gates
+		}
+		s.stats.FusedGates = len(gates)
+	}
+	if p.span != nil {
+		p.span.SetAttr("mode", s.opts.Fusion.String())
+		p.span.SetAttr("gates_in", len(r.c.Gates)-from)
+		p.span.SetAttr("gates_out", len(gates))
+	}
+	s.stats.FusionTime = r.endPhase(p, true)
+	return gates, err
+}
+
+// dmav applies the gates to the flat state on env's pool; gate is the
+// circuit index of the first one.
+func (r *run) dmav(env sched.Env, gates []dd.MEdge, gate int) error {
+	s := r.s
+	p := r.beginPhase("phase.dmav")
+	env.Span = p.span
+	s.eng.SetEnv(env)
+	var err error
+	sinceSweep := 0
+	for _, g := range gates {
+		if r.canceled() {
+			err = errAborted
+			break
+		}
+		gStart := time.Now()
+		// Step runs a narrow gate in place and anything else into the
+		// engine's scratch vector, which it swaps with the state.
+		out, _, serr := s.eng.Step(g, s.state)
+		if errors.Is(serr, dmav.ErrCanceled) {
+			// Canceled mid-multiplication: the engine kept the pre-gate
+			// state and discarded the gate. An in-place gate always
+			// completes, so the abort lands at the next gate boundary.
+			err = errAborted
+			break
+		}
+		if serr != nil {
+			// Caller-error path of Step; unreachable with the vector the
+			// run owns, but contain it rather than drop it.
+			err = newEngineFault(serr)
+			break
+		}
+		s.state = out
+		if s.met != nil {
+			s.met.gatesDMAV.Inc()
+			s.met.gateDMAVNs.Observe(time.Since(gStart).Nanoseconds())
+		}
+		if s.tracing() {
+			s.emitTrace(TraceEvent{
+				GateIndex: gate, Phase: PhaseDMAV, Duration: time.Since(gStart),
+			})
+		}
+		gate++
+		if ie := s.opts.IntegrityEvery; ie > 0 {
+			sinceSweep++
+			if sinceSweep >= ie {
+				sinceSweep = 0
+				if err = s.integritySweep(gate - 1); err != nil {
+					break
+				}
+			}
+		}
+	}
+	s.stats.DMAVStats = s.eng.Stats()
+	if p.span != nil {
+		p.span.SetAttr("gates", s.stats.DMAVStats.Gates)
+		p.span.SetAttr("cached_gates", s.stats.DMAVStats.CachedGates)
+		p.span.SetAttr("cache_hits", s.stats.DMAVStats.CacheHits)
+		p.span.SetAttr("aborted", errors.Is(err, errAborted))
+	}
+	s.stats.DMAVTime = r.endPhase(p, false)
+	return err
+}
+
+// end finishes the run's statistics on every terminal path — completion,
+// abort, drift or engine fault — and returns them with err, where
+// errAborted becomes ErrDeadlineExceeded or ErrCanceled by the context's
+// cause. Stats.TimedOut is set for deadline aborts.
+func (r *run) end(err error) (Stats, error) {
+	s := r.s
+	if errors.Is(err, errAborted) {
+		err = ErrCanceled
+		if errors.Is(r.ctx.Err(), context.DeadlineExceeded) {
+			err = ErrDeadlineExceeded
+			s.stats.TimedOut = true
+			if s.met != nil {
+				s.met.deadlineAborts.Inc()
+			}
+		} else if s.met != nil {
+			s.met.cancelAborts.Inc()
+		}
+	}
+	s.stats.TotalTime = time.Since(r.start)
+	if r.approxAngle > 0 {
+		a := math.Min(r.approxAngle, math.Pi/2)
+		c := math.Cos(a)
+		s.stats.Fidelity = c * c
+	}
+	s.stats.PeakDDNodes = s.m.PeakNodeCount()
+	s.led.End()
+	snap := s.led.Snapshot()
+	s.stats.Resources = &snap
+	// Working-set estimate: DD nodes at the blended per-node footprint
+	// (dd.NodeBytes) plus the flat arrays' high-water — state, scratch
+	// and the DMAV partial-output buffers, as the ledger saw them.
+	s.stats.MemoryBytes = uint64(s.stats.PeakDDNodes) * dd.NodeBytes
+	var flat uint64
+	for _, pc := range snap.Phases {
+		flat = max(flat, pc.PeakFlatBytes)
+	}
+	s.stats.MemoryBytes += flat
+	if tw := s.opts.TraceWriter; tw != nil {
+		tw.Emit(runRecord{
+			Event:       "run",
+			Gates:       s.stats.Gates,
+			ConvertedAt: s.stats.ConvertedAtGate,
+			FinalPhase:  s.phase.String(),
+			TotalNs:     s.stats.TotalTime.Nanoseconds(),
+			PeakDDNodes: s.stats.PeakDDNodes,
+			TimedOut:    s.stats.TimedOut,
+			Fidelity:    s.stats.Fidelity,
+		})
+		tw.Flush() //nolint:errcheck // trace output is best-effort
+	}
+	return s.stats, err
 }
 
 // gateMemo memoizes ddsim.BuildGateDD for one run. The key is what the
@@ -582,318 +950,6 @@ func (b *gateMemo) build(m *dd.Manager, n int, g *circuit.Gate) (dd.MEdge, bool)
 	return e, true
 }
 
-// runContext is RunContext's body; the split keeps the containment
-// barrier (and the deferred recover's cost) out of the phase loops.
-func (s *Simulator) runContext(ctx context.Context, c *circuit.Circuit, start time.Time) (Stats, error) {
-	done := ctx.Done()
-	check := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	// taskCheck is the flat phase's cancellation probe. It is nil for a
-	// context that can never be canceled, which lets the conversion and
-	// DMAV hot paths skip the per-task probe entirely.
-	var taskCheck func() bool
-	if done != nil {
-		taskCheck = check
-	}
-	s.stats = Stats{Gates: c.GateCount(), ConvertedAtGate: -1, Fidelity: 1}
-	ctl := ewma.New(s.opts.Beta, s.opts.Epsilon)
-	if s.met != nil {
-		ctl.Gauge = s.met.ewma
-	}
-
-	// Request tracing: a span carried on the context (the serve layer's
-	// per-attempt "run" span, or a CLI root) parents one child span per
-	// phase. A context without a span makes every Child call a nil no-op,
-	// so the tracing-off cost is one context lookup per run.
-	span := obs.SpanFromContext(ctx)
-
-	// Phase 1: DD-based simulation with conversion monitoring.
-	ddSpan := span.Child("phase.dd")
-	s.led.Begin("dd")
-	endDD := func(gates int) {
-		// The DD loop is sequential on this goroutine, so its CPU time is
-		// its wall time (already computed into Stats.DDTime by callers).
-		s.led.AddCPU(s.stats.DDTime.Nanoseconds())
-		pc, _ := s.led.End()
-		if ddSpan == nil {
-			return
-		}
-		ddSpan.SetAttr("gates", gates)
-		ddSpan.SetAttr("dd_size", s.stats.FinalDDSize)
-		ddSpan.SetAttr("ewma", s.stats.ControllerEnd)
-		ddSpan.SetAttr("cpu_ns", pc.CPUNs)
-		ddSpan.SetAttr("alloc_bytes", pc.AllocBytes)
-		if s.stats.Degraded {
-			ddSpan.SetAttr("degraded", s.stats.DegradedReason)
-		}
-		ddSpan.End()
-	}
-	i := 0
-	for ; i < len(c.Gates); i++ {
-		if check() {
-			s.stats.DDTime = time.Since(start)
-			s.stats.FinalDDSize = s.sim.StateSize()
-			s.stats.ControllerEnd = ctl.Average()
-			endDD(i)
-			return s.abort(ctx, start)
-		}
-		gStart := time.Now()
-		size := s.sim.ApplyGate(&c.Gates[i])
-		if s.opts.ApproxBudget > 0 && size > s.opts.ApproxThreshold {
-			approx, fid := s.m.Approximate(s.sim.State(), s.n, s.opts.ApproxBudget)
-			if fid < 1 {
-				s.sim.SetState(approx)
-				s.approxAngle += math.Acos(math.Sqrt(math.Max(0, math.Min(1, fid))))
-				s.stats.Approximations++
-				size = s.m.VSize(approx)
-			}
-		}
-		s.led.ObserveDD(int64(size), uint64(size)*dd.NodeBytes)
-		convertNow := ctl.Observe(size)
-		if s.opts.DisableConversion || s.suppressConvert {
-			convertNow = false
-		} else if s.opts.ForceConvertAfter >= 0 {
-			convertNow = i+1 >= s.opts.ForceConvertAfter
-		}
-		if convertNow && i+1 < len(c.Gates) {
-			// Graceful degradation: decided at the fire site, before the
-			// trace event, so the Converted flag reflects what happened.
-			if reason := s.conversionBlocked(); reason != "" {
-				s.degrade(reason)
-				convertNow = false
-			}
-		}
-		if s.met != nil {
-			s.met.gatesDD.Inc()
-			s.met.ddSize.Set(int64(size))
-			s.met.gateDDNs.Observe(time.Since(gStart).Nanoseconds())
-		}
-		if s.tracing() {
-			s.emitTrace(TraceEvent{
-				GateIndex: i, Phase: PhaseDD, DDSize: size, EWMA: ctl.Average(),
-				Duration: time.Since(gStart), Converted: convertNow && i+1 < len(c.Gates),
-			})
-		}
-		if convertNow && i+1 < len(c.Gates) {
-			i++
-			break
-		}
-	}
-	s.stats.DDTime = time.Since(start)
-	s.stats.FinalDDSize = s.sim.StateSize()
-	s.stats.ControllerEnd = ctl.Average()
-	endDD(i)
-
-	if i >= len(c.Gates) {
-		// Whole circuit ran in the DD phase.
-		s.finishStats(start)
-		return s.stats, nil
-	}
-
-	// Phase 2: convert the state DD to a flat array.
-	// One environment serves the whole flat-array phase — conversion and
-	// every DMAV gate run on one pool, under their phase's span.
-	env, release := s.flatEnv(taskCheck)
-	defer release()
-	env.Ledger = s.led
-	convSpan := span.Child("phase.convert")
-	if convSpan != nil {
-		convSpan.SetAttr("amps", uint64(1)<<uint(s.n))
-		convSpan.SetAttr("sequential", s.opts.SequentialConversion)
-	}
-	s.led.Begin("convert")
-	convStart := time.Now()
-	s.state = make([]complex128, uint64(1)<<uint(s.n))
-	s.led.AddFlat(int64(len(s.state)) * 16)
-	converted := true
-	if s.opts.SequentialConversion {
-		s.m.FillArray(s.sim.State(), s.n, s.state)
-		converted = !check()
-		s.led.AddCPU(time.Since(convStart).Nanoseconds())
-	} else {
-		convEnv := env
-		convEnv.Span = convSpan
-		ok, cerr := convert.ParallelIntoEnv(s.sim.State(), s.n, s.state, &convEnv)
-		if cerr != nil {
-			// Internal invariant (we sized the array ourselves), but
-			// contain rather than crash: surface it as an engine fault.
-			s.led.AddFlat(-int64(len(s.state)) * 16)
-			s.state = nil
-			convSpan.End()
-			s.finishStats(start)
-			return s.stats, newEngineFault(cerr)
-		}
-		converted = ok && !check()
-	}
-	s.stats.ConversionTime = time.Since(convStart)
-	convCost, _ := s.led.End()
-	if convSpan != nil {
-		convSpan.SetAttr("completed", converted)
-		convSpan.SetAttr("cpu_ns", convCost.CPUNs)
-		convSpan.SetAttr("alloc_bytes", convCost.AllocBytes)
-		convSpan.End()
-	}
-	if !converted {
-		// Aborted mid-conversion: drop the partial array and stay in the
-		// DD phase (the state DD is untouched), so the simulator remains
-		// queryable.
-		s.led.AddFlat(-int64(len(s.state)) * 16)
-		s.state = nil
-		return s.abort(ctx, start)
-	}
-	s.stats.ConvertedAtGate = i
-	if s.met != nil {
-		s.met.phaseTransitions.Inc()
-		s.met.convertedAt.Set(int64(i))
-	}
-	s.phase = PhaseDMAV
-	s.eng = dmav.New(s.m, s.n, s.opts.Threads, s.opts.CacheMode)
-
-	// Release the DD state: only gate matrices stay live from here on.
-	s.sim.SetState(s.m.VZeroEdge())
-	s.m.Collect(dd.Roots{})
-	nc := s.m.NodeCount()
-	s.led.ObserveDD(int64(nc), uint64(nc)*dd.NodeBytes)
-
-	// Phase 3: build (and optionally fuse) the remaining gate matrices.
-	fuseSpan := span.Child("phase.fuse")
-	s.led.Begin("fuse")
-	fuseStart := time.Now()
-	remaining := make([]dd.MEdge, 0, len(c.Gates)-i)
-	endFuse := func() {
-		// The fuse pass is sequential on this goroutine: wall == CPU.
-		s.led.AddCPU(s.stats.FusionTime.Nanoseconds())
-		pc, _ := s.led.End()
-		if fuseSpan == nil {
-			return
-		}
-		fuseSpan.SetAttr("mode", s.opts.Fusion.String())
-		fuseSpan.SetAttr("gates_in", len(c.Gates)-i)
-		fuseSpan.SetAttr("gates_out", len(remaining))
-		fuseSpan.SetAttr("cpu_ns", pc.CPUNs)
-		fuseSpan.SetAttr("alloc_bytes", pc.AllocBytes)
-		fuseSpan.End()
-	}
-	// Only distinct roots are GC roots: memo entries stay live with them.
-	built := gateMemo{}
-	roots := dd.Roots{}
-	for j := i; j < len(c.Gates); j++ {
-		if check() {
-			s.stats.FusionTime = time.Since(fuseStart)
-			endFuse()
-			return s.abort(ctx, start)
-		}
-		g, fresh := built.build(s.m, s.n, &c.Gates[j])
-		remaining = append(remaining, g)
-		if !fresh {
-			continue
-		}
-		roots.M = append(roots.M, g)
-		s.m.CollectIfNeeded(roots)
-		nc := s.m.NodeCount()
-		s.led.ObserveDD(int64(nc), uint64(nc)*dd.NodeBytes)
-	}
-	// Priced at K1, not at the engine's min(C1, C2): fusion.Fuse's skip
-	// is exact for it, and the plan does not depend on the thread count.
-	costFn := fusion.MACCost()
-	switch s.opts.Fusion {
-	case DMAVAware:
-		res := fusion.Fuse(s.m, remaining, costFn)
-		s.stats.FusionResult = &res
-		remaining = res.Gates
-	case KOps:
-		res := fusion.KOperations(s.m, remaining, s.opts.K, costFn)
-		s.stats.FusionResult = &res
-		remaining = res.Gates
-	}
-	s.stats.FusionTime = time.Since(fuseStart)
-	s.stats.FusedGates = len(remaining)
-	endFuse()
-
-	// Phase 4: DMAV over the flat state.
-	dmavSpan := span.Child("phase.dmav")
-	env.Span = dmavSpan
-	s.eng.SetEnv(env)
-	s.led.Begin("dmav")
-	dmavStart := time.Now()
-	gateIdx := i
-	aborted := false
-	sinceSweep := 0
-	var runErr error
-	for _, g := range remaining {
-		if check() {
-			aborted = true
-			break
-		}
-		gStart := time.Now()
-		// Step runs a narrow gate in place and anything else into the
-		// engine's scratch vector, which it swaps with the state.
-		out, cost, aerr := s.eng.Step(g, s.state)
-		if errors.Is(aerr, dmav.ErrCanceled) {
-			// Canceled mid-multiplication: the engine kept the pre-gate
-			// state and discarded the gate. An in-place gate always
-			// completes, so the abort lands at the next gate boundary.
-			aborted = true
-			break
-		}
-		if aerr != nil {
-			// Caller-error path of Step; unreachable with the vector the
-			// run owns, but contain it rather than drop it.
-			runErr = newEngineFault(aerr)
-			break
-		}
-		s.state = out
-		s.stats.ModeledCost += cost.Cost()
-		if s.met != nil {
-			s.met.gatesDMAV.Inc()
-			s.met.gateDMAVNs.Observe(time.Since(gStart).Nanoseconds())
-		}
-		if s.tracing() {
-			s.emitTrace(TraceEvent{
-				GateIndex: gateIdx, Phase: PhaseDMAV, Duration: time.Since(gStart),
-			})
-		}
-		gateIdx++
-		if ie := s.opts.IntegrityEvery; ie > 0 {
-			sinceSweep++
-			if sinceSweep >= ie {
-				sinceSweep = 0
-				if err := s.integritySweep(gateIdx - 1); err != nil {
-					runErr = err
-					break
-				}
-			}
-		}
-	}
-	s.stats.DMAVTime = time.Since(dmavStart)
-	s.stats.DMAVStats = s.eng.Stats()
-	dmavCost, _ := s.led.End()
-	if dmavSpan != nil {
-		dmavSpan.SetAttr("gates", s.stats.DMAVStats.Gates)
-		dmavSpan.SetAttr("cached_gates", s.stats.DMAVStats.CachedGates)
-		dmavSpan.SetAttr("cache_hits", s.stats.DMAVStats.CacheHits)
-		dmavSpan.SetAttr("aborted", aborted)
-		dmavSpan.SetAttr("cpu_ns", dmavCost.CPUNs)
-		dmavSpan.SetAttr("alloc_bytes", dmavCost.AllocBytes)
-		dmavSpan.End()
-	}
-	if runErr != nil {
-		s.finishStats(start)
-		return s.stats, runErr
-	}
-	if aborted {
-		return s.abort(ctx, start)
-	}
-	s.finishStats(start)
-	return s.stats, nil
-}
-
 // conversionBlocked decides, at the moment the controller fires, whether
 // the DD→flat conversion may proceed. It returns "" to allow it, or the
 // degradation reason: "register_too_wide" when the register is above the
@@ -915,23 +971,11 @@ func (s *Simulator) conversionBlocked() string {
 	return ""
 }
 
-// degrade records the degradation decision and pins the run to the DD
-// phase (results stay exact; only the flat-array speedup is lost).
-func (s *Simulator) degrade(reason string) {
-	s.suppressConvert = true
-	s.stats.Degraded = true
-	s.stats.DegradedReason = reason
-	if s.met != nil {
-		s.met.degraded.Set(1)
-	}
-}
-
 // integritySweep scans the flat state for NaN/Inf amplitudes and checks
 // the norm against 1 within integrityTol. The norm check is skipped when
 // approximation is on (pruning legitimately sheds probability mass);
 // NaN/Inf amplitudes are excluded from the norm and counted separately.
 func (s *Simulator) integritySweep(gate int) error {
-	s.stats.IntegrityChecks++
 	if s.met != nil {
 		s.met.integrityChecks.Inc()
 	}
@@ -957,59 +1001,6 @@ func (s *Simulator) integritySweep(gate int) error {
 		s.met.driftAborts.Inc()
 	}
 	return &DriftError{Gate: gate, Norm: norm, NaNs: nans, Infs: infs}
-}
-
-// abort finalizes the statistics of a context-terminated run and maps the
-// context's cause onto the package sentinels. Stats.TimedOut is set for
-// deadline aborts.
-func (s *Simulator) abort(ctx context.Context, start time.Time) (Stats, error) {
-	err := ErrCanceled
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		err = ErrDeadlineExceeded
-		s.stats.TimedOut = true
-		if s.met != nil {
-			s.met.deadlineAborts.Inc()
-		}
-	} else if s.met != nil {
-		s.met.cancelAborts.Inc()
-	}
-	s.finishStats(start)
-	return s.stats, err
-}
-
-func (s *Simulator) finishStats(start time.Time) {
-	s.stats.TotalTime = time.Since(start)
-	if s.approxAngle > 0 {
-		a := math.Min(s.approxAngle, math.Pi/2)
-		c := math.Cos(a)
-		s.stats.Fidelity = c * c
-	}
-	s.stats.PeakDDNodes = s.m.PeakNodeCount()
-	s.led.End()
-	snap := s.led.Snapshot()
-	s.stats.Resources = &snap
-	// Working-set estimate: DD nodes at the blended per-node footprint
-	// (dd.NodeBytes) plus the flat arrays' high-water — state, scratch
-	// and the DMAV partial-output buffers, as the ledger saw them.
-	s.stats.MemoryBytes = uint64(s.stats.PeakDDNodes) * dd.NodeBytes
-	var flat uint64
-	for _, pc := range snap.Phases {
-		flat = max(flat, pc.PeakFlatBytes)
-	}
-	s.stats.MemoryBytes += flat
-	if tw := s.opts.TraceWriter; tw != nil {
-		tw.Emit(runRecord{
-			Event:       "run",
-			Gates:       s.stats.Gates,
-			ConvertedAt: s.stats.ConvertedAtGate,
-			FinalPhase:  s.phase.String(),
-			TotalNs:     s.stats.TotalTime.Nanoseconds(),
-			PeakDDNodes: s.stats.PeakDDNodes,
-			TimedOut:    s.stats.TimedOut,
-			Fidelity:    s.stats.Fidelity,
-		})
-		tw.Flush() //nolint:errcheck // trace output is best-effort
-	}
 }
 
 // Amplitude returns one amplitude of the final state.

@@ -78,11 +78,11 @@ func TestMatchesStatevecAllConfigurations(t *testing.T) {
 		{Threads: 4},                       // parallel
 		{ForceConvertAfter: 1},             // convert almost immediately
 		{ForceConvertAfter: 5, Threads: 8}, // convert early, many threads
-		{DisableConversion: true},          // pure DD
+		{MemoryBudget: 1},                  // pure DD: the budget vetoes conversion
 		{ForceConvertAfter: 3, CacheMode: dmav.AlwaysCache},
 		{ForceConvertAfter: 3, CacheMode: dmav.NeverCache},
 		{ForceConvertAfter: 2, Fusion: DMAVAware, Threads: 4},
-		{ForceConvertAfter: 2, Fusion: KOps, K: 3, Threads: 2},
+		{ForceConvertAfter: 2, Fusion: KOps, Threads: 2},
 		{ForceConvertAfter: 4, SequentialConversion: true},
 	}
 	for ci, opts := range configs {
@@ -311,7 +311,7 @@ func (s *Simulator) run(c *circuit.Circuit, t *testing.T) []complex128 {
 func TestTopAmplitudesBothPhases(t *testing.T) {
 	c := ghz(10)
 	want := map[uint64]bool{0: true, 1023: true}
-	for _, opts := range []Options{{DisableConversion: true}, {ForceConvertAfter: 3}} {
+	for _, opts := range []Options{{MemoryBudget: 1}, {ForceConvertAfter: 3}} {
 		s := New(10, opts)
 		s.Run(c)
 		top := s.TopAmplitudes(5)

@@ -118,11 +118,11 @@ func runDegradedAgainstStatevec(t *testing.T, opts Options, reason string) Stats
 
 func TestDegradedMemoryBudget(t *testing.T) {
 	r := obs.New()
-	st := runDegradedAgainstStatevec(t, Options{
+	runDegradedAgainstStatevec(t, Options{
 		Threads: 4, ForceConvertAfter: 5, MemoryBudget: 1, Metrics: r,
 	}, "memory_budget")
-	if st.IntegrityChecks != 0 {
-		t.Fatalf("DD-only run swept the flat state %d times", st.IntegrityChecks)
+	if got := r.Counter("core.integrity_checks").Value(); got != 0 {
+		t.Fatalf("DD-only run swept the flat state %d times", got)
 	}
 	if got := r.Gauge("core.degraded").Value(); got != 1 {
 		t.Fatalf("core.degraded = %d, want 1", got)
@@ -243,12 +243,12 @@ func TestDriftNormDeviationDetected(t *testing.T) {
 func TestFaultIntegritySweepCleanRun(t *testing.T) {
 	n, gates := faultCircuit(t)
 	c := randomCircuit(rand.New(rand.NewSource(11)), n, gates)
-	s := New(n, Options{Threads: 4, ForceConvertAfter: 5, IntegrityEvery: 3})
-	st, err := s.RunContext(context.Background(), c)
-	if err != nil {
+	r := obs.New()
+	s := New(n, Options{Threads: 4, ForceConvertAfter: 5, IntegrityEvery: 3, Metrics: r})
+	if _, err := s.RunContext(context.Background(), c); err != nil {
 		t.Fatalf("clean run tripped the sweep: %v", err)
 	}
-	if st.IntegrityChecks == 0 {
+	if r.Counter("core.integrity_checks").Value() == 0 {
 		t.Fatal("no integrity sweeps ran")
 	}
 	// The sweep must not disturb the state: check against the reference.

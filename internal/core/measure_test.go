@@ -17,7 +17,7 @@ func TestMeasureQubitBothPhases(t *testing.T) {
 			c.Append(circuit.H(0), circuit.CX(0, 1), circuit.I(0), circuit.I(1))
 			opts := Options{ForceConvertAfter: force}
 			if force < 0 {
-				opts = Options{DisableConversion: true}
+				opts = Options{MemoryBudget: 1}
 			}
 			s := New(2, opts)
 			s.Run(c)
@@ -55,7 +55,7 @@ func TestProbabilityOfQubitMatchesAcrossPhases(t *testing.T) {
 			}
 		}
 	}
-	dd := New(5, Options{DisableConversion: true})
+	dd := New(5, Options{MemoryBudget: 1})
 	dd.Run(c)
 	arr := New(5, Options{ForceConvertAfter: 1})
 	arr.Run(c)

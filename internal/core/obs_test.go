@@ -246,11 +246,11 @@ func TestMetricsRegistryEndToEnd(t *testing.T) {
 // TestFlatPhaseWiring pins how a run's concerns reach the flat phase:
 // the conversion batch and the DMAV pool batches hang off their phase
 // spans, the ledger credits CPU time to the convert and dmav phases, and
-// the registry counts one conversion and every DMAV gate. A 5-qubit
-// k-operations fusion makes the fused gates heavy enough at n=14 to run
+// the registry counts one conversion and every DMAV gate. A 4-qubit
+// k-operations fusion makes the fused gates heavy enough at n=15 to run
 // on the pool instead of inline.
 func TestFlatPhaseWiring(t *testing.T) {
-	const n = 14
+	const n = 15
 	c, err := workloads.Build("qv", n, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestFlatPhaseWiring(t *testing.T) {
 	reg := obs.New()
 	led := obs.NewResourceLedger()
 	root := obs.NewTracer(nil).Root("test", obs.TraceID{}, obs.SpanID{})
-	s := New(n, Options{Threads: 2, ForceConvertAfter: 5, Fusion: KOps, K: 5, Metrics: reg, Ledger: led})
+	s := New(n, Options{Threads: 2, ForceConvertAfter: 5, Fusion: KOps, Metrics: reg, Ledger: led})
 	st, err := s.RunContext(obs.ContextWithSpan(context.Background(), root), c)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestAmplitudesConvertsOnOptionsPool(t *testing.T) {
 	defer pool.Close()
 	reg := obs.New()
 	n := 12
-	s := New(n, Options{Pool: pool, Metrics: reg, DisableConversion: true})
+	s := New(n, Options{Pool: pool, Metrics: reg, MemoryBudget: 1})
 	s.Run(ghz(n))
 	before, tasksBefore := reg.Snapshot().Counters["sched.batches"], poolTasks(pool)
 	amps := s.Amplitudes()

@@ -280,7 +280,7 @@ func Table2(cfg Config) {
 	for _, nc := range DeepCircuits(cfg.Scale) {
 		fu := RunFlatDD(nc.C, core.Options{Threads: cfg.Threads, Fusion: core.DMAVAware}, cfg.Timeout)
 		no := RunFlatDD(nc.C, core.Options{Threads: cfg.Threads}, cfg.Timeout)
-		ko := RunFlatDD(nc.C, core.Options{Threads: cfg.Threads, Fusion: core.KOps, K: 4}, cfg.Timeout)
+		ko := RunFlatDD(nc.C, core.Options{Threads: cfg.Threads, Fusion: core.KOps}, cfg.Timeout)
 		cFu, cNo, cKo := fusionCost(fu), fusionCost(no), fusionCost(ko)
 		tbl.AddRow(nc.Label, nc.C.Qubits, nc.C.GateCount(),
 			maybeTimeout(fu), cFu,
