@@ -172,18 +172,17 @@ func (f FusionMode) String() string {
 // defaults: β=0.9, ε=2, auto caching, no fusion, one thread.
 type Options struct {
 	// Threads is the worker count for conversion and DMAV. Any positive
-	// value is accepted (the DMAV engine caps it at 2^n); it is no
-	// longer rounded to a power of two. When Pool is set, Threads is
-	// ignored: the pool's worker count drives both execution and the
-	// cost model (see Pool).
+	// value is used as given (the DMAV engine caps it at 2^n), not
+	// rounded to a power of two. When Pool is set, Threads is ignored:
+	// the pool's worker count drives both execution and the cost model
+	// (see Pool).
 	Threads int
 	// Pool, when non-nil, is the scheduler pool conversion and DMAV run
 	// on. Its worker count is authoritative: execution happens on the
-	// pool, so the cost model's thread count is derived from
-	// Pool.Threads() and any Threads value is overridden — callers no
-	// longer need to keep the two fields in sync. The caller keeps
-	// ownership of the pool's lifetime. When nil, the run creates a
-	// pool of Threads workers for its duration.
+	// pool, so the cost model's thread count is Pool.Threads() and any
+	// Threads value is overwritten with it. The caller keeps ownership
+	// of the pool's lifetime. When nil, the run creates a pool of
+	// Threads workers for its duration.
 	Pool *sched.Pool
 	// Beta and Epsilon parameterize the EWMA conversion controller
 	// (defaults 0.9 and 2).

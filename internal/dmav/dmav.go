@@ -40,7 +40,7 @@
 //
 // Any positive thread count is supported; chunks are distributed over
 // the pool and re-balanced by stealing, so worker count and chunk
-// shape no longer need to match.
+// shape need not match.
 package dmav
 
 import (
@@ -387,8 +387,8 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 func (e *Engine) occWords() int { return (e.cchunks + 63) / 64 }
 
 // Threads returns the effective worker count: max(1, requested), capped
-// at 2^n. Unlike earlier versions, the count is no longer rounded to a
-// power of two — New(m, n, 3, mode).Threads() == 3.
+// at 2^n and not rounded to a power of two — New(m, n, 3, mode).Threads()
+// == 3.
 func (e *Engine) Threads() int { return e.threads }
 
 // CacheChunks returns the cached-path column-space chunk count: the next

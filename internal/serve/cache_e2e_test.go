@@ -111,75 +111,103 @@ func TestCacheHitServedWithoutEngine(t *testing.T) {
 	}
 }
 
-// TestCacheCoalescing queues one simulation and attaches subscribers to
-// it: the engine runs once, every subscriber completes from the leader's
-// entry, and each draws its own seeded shot stream.
+// TestCacheCoalescing queues one simulation and submits duplicates of it
+// behind a blocker, on both sides of the coalescing condition. A shot-less
+// duplicate always coalesces. A shots>0 duplicate coalesces when its
+// 8·2^n-byte distribution fits ResultCacheMaxEntry: the engine runs once,
+// every subscriber completes from the leader's entry and draws its own
+// seeded stream, and the leader's seed reproduces the leader's fresh run.
+// When the distribution does not fit, each shots>0 duplicate runs as its
+// own miss and still draws the fresh run's stream for the same seed.
 func TestCacheCoalescing(t *testing.T) {
-	h := newTestServer(t, serve.Config{Threads: 2, MaxInFlight: 1, QueueDepth: 16})
-	ctx := context.Background()
-
-	blocker := h.submit(slowSubmit(1))
-	h.waitState(blocker.ID, serve.StateRunning)
-
-	leader := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 1})
-	if leader.Cache != serve.CacheMiss {
-		t.Fatalf("leader cache = %q, want miss", leader.Cache)
-	}
-	sameSeed := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 1})
-	subA := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 2})
-	subB := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 3})
-	for _, v := range []serve.JobView{sameSeed, subA, subB} {
-		if v.Cache != serve.CacheCoalesced {
-			t.Fatalf("subscriber cache = %q, want coalesced", v.Cache)
-		}
-		if v.ID == leader.ID {
-			t.Fatal("subscriber shares the leader's job id")
-		}
-	}
-	if got := h.srv.Registry().Counter("serve.cache.coalesced").Value(); got != 3 {
-		t.Fatalf("serve.cache.coalesced = %d, want 3", got)
-	}
-
-	// Unblock the queue; the leader runs once and completes the flight.
-	h.cancel(blocker.ID)
-	h.waitState(blocker.ID, serve.StateCanceled, serve.StateDone)
-	for _, id := range []string{leader.ID, sameSeed.ID, subA.ID, subB.ID} {
-		if v := h.waitState(id, serve.StateDone, serve.StateFailed); v.State != serve.StateDone {
-			t.Fatalf("job %s: %s (%s)", id, v.State, v.Error)
-		}
-	}
-	// Exactly two engine runs in the whole test: the blocker and the leader.
-	if got := h.srv.Registry().Counter("serve.engine.runs").Value(); got != 2 {
-		t.Fatalf("serve.engine.runs = %d, want 2 (blocker + leader)", got)
-	}
-
-	results := map[string]*serve.JobResult{}
-	for name, id := range map[string]string{
-		"leader": leader.ID, "sameSeed": sameSeed.ID, "subA": subA.ID, "subB": subB.ID,
+	for _, tc := range []struct {
+		name     string
+		maxEntry int64 // ResultCacheMaxEntry; hQASM's distribution is 256 B
+		shotsDup string
+	}{
+		{"distribution fits", 0, serve.CacheCoalesced},
+		{"distribution too large", 128, serve.CacheMiss},
 	} {
-		r, err := h.c.Result(ctx, id)
-		if err != nil {
-			t.Fatalf("result %s: %v", name, err)
-		}
-		total := 0
-		for _, n := range r.Shots {
-			total += n
-		}
-		if total != 200 {
-			t.Fatalf("%s drew %d shots, want 200", name, total)
-		}
-		results[name] = r
-	}
-	// Subscribers sample independently: the same seed reproduces the
-	// leader's stream, different seeds draw their own.
-	if !reflect.DeepEqual(results["leader"].Shots, results["sameSeed"].Shots) {
-		t.Error("subscriber with the leader's seed drew a different stream")
-	}
-	if reflect.DeepEqual(results["subA"].Shots, results["subB"].Shots) {
-		t.Error("differently seeded subscribers drew identical streams")
-	}
-	if results["subA"].Cache != serve.CacheCoalesced {
-		t.Errorf("subscriber result cache = %q, want coalesced", results["subA"].Cache)
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTestServer(t, serve.Config{Threads: 2, MaxInFlight: 1, QueueDepth: 16,
+				ResultCacheMaxEntry: tc.maxEntry})
+			ctx := context.Background()
+
+			blocker := h.submit(slowSubmit(1))
+			h.waitState(blocker.ID, serve.StateRunning)
+
+			leader := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 1})
+			if leader.Cache != serve.CacheMiss {
+				t.Fatalf("leader cache = %q, want miss", leader.Cache)
+			}
+			topOnly := h.submit(&serve.SubmitRequest{QASM: hQASM, Top: 3})
+			if topOnly.Cache != serve.CacheCoalesced {
+				t.Fatalf("shot-less duplicate cache = %q, want coalesced", topOnly.Cache)
+			}
+			sameSeed := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 1})
+			subA := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 2})
+			subB := h.submit(&serve.SubmitRequest{QASM: hQASM, Shots: 200, Seed: 3})
+			for _, v := range []serve.JobView{sameSeed, subA, subB} {
+				if v.Cache != tc.shotsDup {
+					t.Fatalf("shots>0 duplicate cache = %q, want %s", v.Cache, tc.shotsDup)
+				}
+				if v.ID == leader.ID {
+					t.Fatal("duplicate shares the leader's job id")
+				}
+			}
+			coalesced, runs := int64(4), int64(2) // blocker + leader
+			if tc.shotsDup == serve.CacheMiss {
+				coalesced, runs = 1, 5 // and each shots>0 duplicate
+			}
+			reg := h.srv.Registry()
+			if got := reg.Counter("serve.cache.coalesced").Value(); got != coalesced {
+				t.Fatalf("serve.cache.coalesced = %d, want %d", got, coalesced)
+			}
+
+			// Unblock the queue; the leader runs and completes the flight.
+			h.cancel(blocker.ID)
+			h.waitState(blocker.ID, serve.StateCanceled, serve.StateDone)
+			for _, id := range []string{leader.ID, topOnly.ID, sameSeed.ID, subA.ID, subB.ID} {
+				if v := h.waitState(id, serve.StateDone, serve.StateFailed); v.State != serve.StateDone {
+					t.Fatalf("job %s: %s (%s)", id, v.State, v.Error)
+				}
+			}
+			if got := reg.Counter("serve.engine.runs").Value(); got != runs {
+				t.Fatalf("serve.engine.runs = %d, want %d", got, runs)
+			}
+
+			if r, err := h.c.Result(ctx, topOnly.ID); err != nil || len(r.Top) != 3 || r.Shots != nil {
+				t.Fatalf("shot-less subscriber result: %+v, %v", r, err)
+			}
+			results := map[string]*serve.JobResult{}
+			for name, id := range map[string]string{
+				"leader": leader.ID, "sameSeed": sameSeed.ID, "subA": subA.ID, "subB": subB.ID,
+			} {
+				r, err := h.c.Result(ctx, id)
+				if err != nil {
+					t.Fatalf("result %s: %v", name, err)
+				}
+				total := 0
+				for _, n := range r.Shots {
+					total += n
+				}
+				if total != 200 {
+					t.Fatalf("%s drew %d shots, want 200", name, total)
+				}
+				results[name] = r
+			}
+			// Duplicates sample independently: the leader's seed reproduces
+			// the leader's fresh stream, different seeds draw their own.
+			if !reflect.DeepEqual(results["leader"].Shots, results["sameSeed"].Shots) {
+				t.Error("duplicate with the leader's seed drew a different stream")
+			}
+			if reflect.DeepEqual(results["subA"].Shots, results["subB"].Shots) {
+				t.Error("differently seeded duplicates drew identical streams")
+			}
+			if results["subA"].Cache != tc.shotsDup {
+				t.Errorf("duplicate result cache = %q, want %s", results["subA"].Cache, tc.shotsDup)
+			}
+		})
 	}
 }
 

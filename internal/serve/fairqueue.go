@@ -79,6 +79,23 @@ func (q *fairQueue) TenantQueued(tenant string) int {
 	return len(q.fifos[tenant])
 }
 
+// Ahead counts the jobs still queued (not canceled) that were submitted
+// before j, across all tenants' FIFOs. The caller holds Server.mu, which
+// guards job state.
+func (q *fairQueue) Ahead(j *job) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, fifo := range q.fifos {
+		for _, f := range fifo {
+			if f.seq < j.seq && f.state == StateQueued {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Close wakes every Pop waiter with nil. Jobs still queued are abandoned;
 // the draining server has already marked them canceled.
 func (q *fairQueue) Close() {

@@ -187,17 +187,7 @@ func (s *Server) viewLocked(j *job) JobView {
 	// queue may dispatch across tenants in a different order. Coalesced
 	// subscribers are not in the queue at all.
 	if j.state == StateQueued && j.cacheStatus != CacheCoalesced {
-		pos := 0
-		for _, id := range s.order {
-			jj := s.jobs[id]
-			if jj != nil && jj.state == StateQueued && jj.cacheStatus != CacheCoalesced {
-				pos++
-			}
-			if id == j.id {
-				break
-			}
-		}
-		v.QueuePosition = pos
+		v.QueuePosition = 1 + s.fq.Ahead(j)
 	}
 	return v
 }
@@ -536,8 +526,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{
 		"status":   status,
 		"uptime_s": time.Since(s.started).Seconds(),
-		"queued":   s.countLocked(StateQueued),
-		"running":  s.countLocked(StateRunning),
+		"queued":   len(s.jobs) - len(s.running) - len(s.terminal),
+		"running":  len(s.running),
 		"degraded": s.met.degraded.Value(),
 		"retried":  s.met.retried.Value(),
 		"faults":   s.met.faults.Value(),

@@ -47,13 +47,10 @@ func TestLedgerAdmissionHigherConcurrency(t *testing.T) {
 	}
 }
 
-// TestReservationsReleasedAtTerminal bursts jobs of mixed cache modes at
-// a budget that fits two cached jobs and cancels a random subset of them,
-// queued or running. Polled serve.mem.reserved never exceeds the budget,
-// and once every job is terminal the whole budget is back: a leaked
-// reservation would strangle a long-lived server. Failures print the
-// seed; FLATDD_CHURN_SEED replays one.
-func TestReservationsReleasedAtTerminal(t *testing.T) {
+// churnSeed returns the seed of a randomized test: FLATDD_CHURN_SEED when
+// set, else a fresh one. A failing test logs it, so the run replays.
+func churnSeed(t *testing.T) int64 {
+	t.Helper()
 	seed := time.Now().UnixNano()
 	if s := os.Getenv("FLATDD_CHURN_SEED"); s != "" {
 		var err error
@@ -61,12 +58,22 @@ func TestReservationsReleasedAtTerminal(t *testing.T) {
 			t.Fatalf("FLATDD_CHURN_SEED=%q: %v", s, err)
 		}
 	}
-	defer func() {
+	t.Cleanup(func() {
 		if t.Failed() {
 			t.Logf("seed %d (replay with FLATDD_CHURN_SEED=%d)", seed, seed)
 		}
-	}()
-	rng := rand.New(rand.NewSource(seed))
+	})
+	return seed
+}
+
+// TestReservationsReleasedAtTerminal bursts jobs of mixed cache modes at
+// a budget that fits two cached jobs and cancels a random subset of them,
+// queued or running. Polled serve.mem.reserved never exceeds the budget,
+// and once every job is terminal the whole budget is back: a leaked
+// reservation would strangle a long-lived server. Failures print the
+// seed; FLATDD_CHURN_SEED replays one.
+func TestReservationsReleasedAtTerminal(t *testing.T) {
+	rng := rand.New(rand.NewSource(churnSeed(t)))
 	const n, count = 14, 16
 	budget := 2 * dmav.FlatBytes(n, 2, dmav.AlwaysCache)
 	h := newTestServer(t, serve.Config{

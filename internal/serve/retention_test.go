@@ -98,3 +98,31 @@ func TestTerminalJobRetention(t *testing.T) {
 	s.cancelLocked(blocker.id)
 	s.mu.Unlock()
 }
+
+// waitJobState polls a job's state under the server lock.
+func waitJobState(t *testing.T, s *Server, j *job, want string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		s.mu.Lock()
+		st, msg := j.state, j.errMsg
+		s.mu.Unlock()
+		if st == want {
+			return
+		}
+		if st == StateFailed || st == StateCanceled {
+			t.Fatalf("job %s reached %s waiting for %s (%s)", j.id, st, want, msg)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("job %s never reached %s", j.id, want)
+}
+
+func mustSubmit(t *testing.T, s *Server, req *SubmitRequest) *job {
+	t.Helper()
+	j, _, aerr := s.submit(req, "", DefaultTenant, "")
+	if aerr != nil {
+		t.Fatalf("submit: %s", aerr.msg)
+	}
+	return j
+}

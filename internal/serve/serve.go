@@ -33,6 +33,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -183,6 +184,7 @@ func (c Config) withDefaults() Config {
 // guarded by Server.mu.
 type job struct {
 	id   string
+	seq  int // submission number, the tail of id
 	circ *circuit.Circuit
 	opts runOptions
 
@@ -295,12 +297,15 @@ type Server struct {
 
 	// jobs holds every queued and running job plus the last
 	// MaxRetainedJobs terminal ones; terminal lists those in finish order,
-	// oldest first, so the oldest is evicted first. order is the
-	// submission order for the list endpoint; it may still name evicted
-	// jobs until compactOrderLocked drops them.
+	// oldest first, so the oldest is evicted first, and running the
+	// dispatched ones (at most MaxInFlight), so the queued ones number
+	// len(jobs) − len(running) − len(terminal). order is the submission
+	// order for the list endpoint; it may still name evicted jobs until
+	// compactOrderLocked drops them.
 	mu       sync.Mutex
 	jobs     map[string]*job
 	terminal []*job
+	running  []*job
 	order    []string
 	nextID   int
 	draining bool
@@ -344,6 +349,7 @@ func New(cfg Config) *Server {
 		started:  time.Now(),
 		idPrefix: fmt.Sprintf("j-%08x-", rand.Uint32()),
 		jobs:     make(map[string]*job),
+		running:  make([]*job, 0, cfg.MaxInFlight),
 		flight:   obs.NewFlightRecorder(flightRecorderSize),
 		cache:    newResultCache(cfg.ResultCacheBudget, cfg.ResultCacheMaxEntry),
 		flights:  make(map[cacheKey]*flight),
@@ -545,6 +551,7 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 	s.nextID++
 	j = &job{
 		id:        fmt.Sprintf("%s%06d", s.idPrefix, s.nextID),
+		seq:       s.nextID,
 		circ:      c,
 		opts:      opts,
 		tenant:    tenant,
@@ -567,20 +574,14 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 	if entry := s.cache.get(key, opts.shots); entry != nil {
 		j.cacheStatus = CacheHit
 		j.span.SetAttr("cache", CacheHit)
-		j.state = StateDone
 		j.result = resultFromEntry(j, entry)
 		s.met.cacheHits.Inc()
-		s.met.completed.Inc()
 		ts.cacheHits++
-		ts.completed++
 		s.registerLocked(j, ts)
-		s.finishJobLocked(j)
-		e2e := j.finished.Sub(j.submitted).Nanoseconds()
-		s.met.latencyNs.Observe(e2e)
-		s.wLatency.Observe(e2e)
+		s.endLocked(j, StateDone, nil)
 		return j, false, nil
 	}
-	if f := s.flights[key]; f != nil && s.coalescable(j) {
+	if f := s.flights[key]; f != nil && (opts.shots == 0 || s.probsFit(c.Qubits)) {
 		if len(f.subs) >= maxCoalesced {
 			s.met.rejectQuota.Inc()
 			ts.rejected++
@@ -638,25 +639,17 @@ func (s *Server) registerLocked(j *job, ts *tenantStats) {
 		"cache", j.cacheStatus)
 }
 
-// coalescable reports whether a job may subscribe to an in-flight
-// simulation: a shots>0 request needs the leader's entry to carry the
-// cumulative distribution, which is only built when it fits the
-// per-entry cap — otherwise the job runs standalone.
-func (s *Server) coalescable(j *job) bool {
-	if j.opts.shots <= 0 {
-		return true
-	}
-	return probsBytes(j.circ.Qubits) <= s.cfg.ResultCacheMaxEntry
-}
+// probsFit reports whether an n-qubit cumulative distribution (8·2^n
+// bytes) fits ResultCacheMaxEntry. A run's cache entry carries the
+// distribution exactly then, so only then may a shots>0 job coalesce onto
+// an in-flight run; otherwise it runs standalone.
+func (s *Server) probsFit(n int) bool { return 8<<uint(n) <= s.cfg.ResultCacheMaxEntry }
 
 // flatBytes is a job's memory reservation: the flat arrays the engine
 // allocates for it on the shared pool under its cache mode.
 func (s *Server) flatBytes(qubits int, o runOptions) uint64 {
 	return dmav.FlatBytes(qubits, s.cfg.Threads, o.cache)
 }
-
-// probsBytes is the footprint of an n-qubit cumulative distribution.
-func probsBytes(n int) int64 { return 8 << uint(n) }
 
 // runner is one of the MaxInFlight executor goroutines: it pops jobs off
 // the round-robin queue until Shutdown closes it. The goroutine count is
@@ -676,23 +669,18 @@ func (s *Server) runner() {
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	s.met.queueDepth.Set(int64(s.fq.Len()))
-	if j.state != StateQueued {
-		// Canceled (or drain-canceled) while still queued.
-		s.mu.Unlock()
-		return
-	}
 	// Dispatch gate: reserve the job's flat-array footprint against the
 	// budget, waiting on the condition for reservations to be released
 	// (job completions, cancels). Submit rejected any job over the whole
 	// budget, so a job alone always fits.
 	need := s.flatBytes(j.circ.Qubits, j.opts)
-	for s.memReserved+need > s.cfg.MemoryBudget {
+	for j.state == StateQueued && s.memReserved+need > s.cfg.MemoryBudget {
 		s.memCond.Wait()
-		if j.state != StateQueued {
-			// Canceled (or drain-canceled) while waiting for memory.
-			s.mu.Unlock()
-			return
-		}
+	}
+	if j.state != StateQueued {
+		// Canceled (or drain-canceled) while queued or waiting for memory.
+		s.mu.Unlock()
+		return
 	}
 	j.reserve = need
 	s.memReserved += need
@@ -702,6 +690,9 @@ func (s *Server) runJob(j *job) {
 	j.attempts++
 	j.cancel = cancel
 	j.observed = 0
+	s.running = append(s.running, j)
+	s.met.running.Set(int64(len(s.running)))
+	s.met.runningPeak.SetMax(int64(len(s.running)))
 	led := obs.NewResourceLedger()
 	j.ledger = led
 	led.OnUpdate(func(snap obs.LedgerSnapshot) { s.onLedgerUpdate(j, snap) })
@@ -710,8 +701,6 @@ func (s *Server) runJob(j *job) {
 	runSpan := j.span.Child("run")
 	runSpan.SetAttr("attempt", j.attempts)
 	ctx = obs.ContextWithSpan(ctx, runSpan)
-	s.met.running.Set(s.countLocked(StateRunning))
-	s.met.runningPeak.SetMax(s.countLocked(StateRunning))
 	s.updateMemGaugesLocked()
 	wait := j.started.Sub(j.submitted).Nanoseconds()
 	s.met.queueWaitNs.Observe(wait)
@@ -729,27 +718,30 @@ func (s *Server) runJob(j *job) {
 	runSpan.End()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.cancel = nil
-	s.releaseLocked(j)
+	// Off the running set: return the reservation to the budget and wake
+	// the dispatch gate's waiters.
+	i := slices.Index(s.running, j)
+	s.running = slices.Delete(s.running, i, i+1)
+	s.memReserved -= j.reserve
+	j.reserve = 0
+	s.memCond.Broadcast()
+	s.met.running.Set(int64(len(s.running)))
+	s.updateMemGaugesLocked()
 	switch {
 	case runErr == nil:
-		j.state = StateDone
 		j.result = res
-		s.met.completed.Inc()
-		s.tenantLocked(j.tenant).completed++
 		if res.Stats.Degraded {
 			s.met.degraded.Inc()
 		}
+		s.endLocked(j, StateDone, nil)
 		s.completeFlightLocked(j, entry)
 		if s.cache.put(j.key, entry) {
 			s.updateCacheGaugesLocked()
 		}
 	case isCancel(runErr):
-		j.state = StateCanceled
-		j.errMsg = runErr.Error()
-		s.met.canceled.Inc()
-		s.tenantLocked(j.tenant).canceled++
-		s.promoteFlightLocked(j)
+		s.endLocked(j, StateCanceled, runErr)
 	default:
 		if errors.Is(runErr, core.ErrEngineFault) {
 			s.met.faults.Inc()
@@ -765,32 +757,48 @@ func (s *Server) runJob(j *job) {
 			s.met.retried.Inc()
 			delay := RetryDelay(j.attempts)
 			time.AfterFunc(delay, func() { s.enqueueRetry(j) })
-			break
+			return
 		}
-		j.state = StateFailed
-		j.errMsg = runErr.Error()
-		j.reason = failureReason(runErr)
-		s.met.failed.Inc()
-		s.tenantLocked(j.tenant).failed++
-		s.promoteFlightLocked(j)
+		s.endLocked(j, StateFailed, runErr)
 	}
-	if j.state != StateQueued {
-		s.finishJobLocked(j)
-		e2e := j.finished.Sub(j.submitted).Nanoseconds()
-		s.met.latencyNs.Observe(e2e)
-		s.wLatency.Observe(e2e)
-	}
-	s.met.running.Set(s.countLocked(StateRunning))
-	s.mu.Unlock()
 }
 
-// finishJobLocked stamps a job's terminal transition: it closes the span
-// tree, hands it to the flight recorder (pinning anything worth a
-// post-mortem — failures, cancels, retries, degraded runs), emits the
-// lifecycle log line and retires the job (retireLocked). Caller holds
-// s.mu and has already set the terminal state.
-func (s *Server) finishJobLocked(j *job) {
+// endLocked is every job's one terminal transition — done, failed or
+// canceled, from whichever path ends it. It records the state with the
+// error's message (and, for a failure, its failureReason), counts the
+// job in serve.jobs.* and its tenant's row, hands a failed or canceled
+// leader's flight to its oldest live subscriber, observes the job's
+// submit-to-finish latency, closes the span tree, hands it to the flight
+// recorder (pinning anything worth a post-mortem — failures, cancels,
+// retries, degraded runs), emits the lifecycle log line and retires the
+// job (retireLocked). A done job's result is set before the call.
+// Caller holds s.mu.
+func (s *Server) endLocked(j *job, state string, err error) {
+	j.state = state
+	if err != nil {
+		j.errMsg = err.Error()
+	}
+	ts := s.tenantLocked(j.tenant)
+	switch state {
+	case StateDone:
+		s.met.completed.Inc()
+		ts.completed++
+	case StateFailed:
+		j.reason = failureReason(err)
+		s.met.failed.Inc()
+		ts.failed++
+	default:
+		s.met.canceled.Inc()
+		ts.canceled++
+	}
+	if state != StateDone {
+		s.promoteFlightLocked(j)
+	}
 	j.finished = time.Now()
+	e2e := j.finished.Sub(j.submitted)
+	s.met.latencyNs.Observe(e2e.Nanoseconds())
+	s.wLatency.Observe(e2e.Nanoseconds())
+
 	j.queuedSpan.End()
 	j.queuedSpan = nil
 	j.span.SetAttr("state", j.state)
@@ -809,7 +817,7 @@ func (s *Server) finishJobLocked(j *job) {
 		Trace:        j.span.Trace().String(),
 		State:        j.state,
 		Reason:       j.reason,
-		Pinned:       j.state == StateFailed || j.state == StateCanceled || j.attempts > 1 || degraded,
+		Pinned:       j.state != StateDone || j.attempts > 1 || degraded,
 		FinishedAt:   j.finished,
 		Spans:        spans,
 		DroppedSpans: dropped,
@@ -818,7 +826,7 @@ func (s *Server) finishJobLocked(j *job) {
 	s.tw.Flush() //nolint:errcheck // trace output is best-effort
 	attrs := []any{
 		"job", j.id, "trace", j.span.Trace().String(), "state", j.state,
-		"attempts", j.attempts, "e2e_ms", j.finished.Sub(j.submitted).Milliseconds(),
+		"attempts", j.attempts, "e2e_ms", e2e.Milliseconds(),
 	}
 	if j.errMsg != "" {
 		attrs = append(attrs, "error", j.errMsg)
@@ -870,45 +878,21 @@ func (s *Server) compactOrderLocked() {
 
 // completeFlightLocked closes job j's flight after a successful run:
 // every subscriber still waiting is completed from the leader's entry —
-// its own top= prefix, its own seeded shot stream, no engine time.
-// A subscriber the entry cannot serve (it wants shots but the
-// distribution was too large to build) is not stranded standalone: the
-// first such subscriber becomes the leader of a fresh flight and the
-// rest ride it, so even this fallback costs at most one engine run at a
-// time and stays open to new duplicates. coalescable() makes the path
-// unreachable in practice; the re-flighting keeps a bookkeeping slip
-// from fanning out into N engine runs. Caller holds s.mu.
+// its own top= prefix, its own seeded shot stream, no engine time. The
+// entry serves every subscriber: a shots>0 job coalesces only when
+// probsFit, which is when execute builds the entry's distribution.
+// Caller holds s.mu.
 func (s *Server) completeFlightLocked(j *job, entry *cacheEntry) {
 	f := s.flights[j.key]
 	if f == nil || f.leader != j {
 		return
 	}
 	delete(s.flights, j.key)
-	var reflight *flight
 	for _, sub := range f.subs {
-		if sub.state != StateQueued {
-			continue // canceled while coalesced
+		if sub.state == StateQueued { // not canceled while coalesced
+			sub.result = resultFromEntry(sub, entry)
+			s.endLocked(sub, StateDone, nil)
 		}
-		if !entry.servable(sub.opts.shots) {
-			if reflight == nil {
-				sub.cacheStatus = CacheMiss
-				sub.span.SetAttr("cache", CacheMiss)
-				reflight = &flight{leader: sub}
-				s.flights[j.key] = reflight
-				s.fq.Push(sub)
-			} else {
-				reflight.subs = append(reflight.subs, sub)
-			}
-			continue
-		}
-		sub.state = StateDone
-		sub.result = resultFromEntry(sub, entry)
-		s.met.completed.Inc()
-		s.tenantLocked(sub.tenant).completed++
-		s.finishJobLocked(sub)
-		e2e := sub.finished.Sub(sub.submitted).Nanoseconds()
-		s.met.latencyNs.Observe(e2e)
-		s.wLatency.Observe(e2e)
 	}
 }
 
@@ -964,18 +948,6 @@ func (s *Server) onLedgerUpdate(j *job, snap obs.LedgerSnapshot) {
 	s.updateMemGaugesLocked()
 }
 
-// releaseLocked returns a job's memory reservation to the budget and
-// wakes dispatch-gate waiters. Idempotent; caller holds s.mu.
-func (s *Server) releaseLocked(j *job) {
-	if j.reserve == 0 {
-		return
-	}
-	s.memReserved -= j.reserve
-	j.reserve = 0
-	s.memCond.Broadcast()
-	s.updateMemGaugesLocked()
-}
-
 // updateMemGaugesLocked refreshes the serve.mem.* gauges from the
 // reservation ledger and the running jobs' cached observed footprints.
 // Caller holds s.mu.
@@ -983,14 +955,19 @@ func (s *Server) updateMemGaugesLocked() {
 	s.met.memReserved.Set(int64(s.memReserved))
 	s.met.memHeadroom.Set(int64(s.cfg.MemoryBudget - s.memReserved))
 	var observed uint64
-	for _, jb := range s.jobs {
-		if jb.state == StateRunning {
-			observed += jb.observed
-		}
+	for _, jb := range s.running {
+		observed += jb.observed
 	}
 	s.met.memObserved.Set(int64(observed))
 	s.met.memPeak.SetMax(int64(observed))
 }
+
+// errDraining cancels the jobs still queued when Shutdown begins;
+// errRetryQueueFull fails a job whose retry found the queue full.
+var (
+	errDraining       = fmt.Errorf("%w (server draining)", core.ErrCanceled)
+	errRetryQueueFull = errors.New("retry abandoned: queue full")
+)
 
 // isCancel distinguishes a canceled run (client cancel or drain) from a
 // failure. A deadline abort is the job's own timeout, reported as failed
@@ -1006,6 +983,8 @@ func failureReason(err error) string {
 		return "engine_fault"
 	case errors.Is(err, core.ErrDeadlineExceeded):
 		return "timeout"
+	case errors.Is(err, errRetryQueueFull):
+		return "queue_full"
 	default:
 		return "error"
 	}
@@ -1024,37 +1003,23 @@ func RetryDelay(attempt int) time.Duration {
 }
 
 // enqueueRetry puts a backoff-expired job back on the queue. It
-// re-checks the world under s.mu: a drain that began while the timer ran
-// has already canceled the job (and closed the queue), and a client
-// cancel wins over the retry.
+// re-checks the world under s.mu: a client cancel wins over the retry,
+// and a drain that began while the timer ran has already canceled the
+// job (and closed the queue), so the draining case is a narrow race
+// guard that never touches the queue.
 func (s *Server) enqueueRetry(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.state != StateQueued {
-		return
+	switch {
+	case j.state != StateQueued:
+	case s.draining:
+		s.endLocked(j, StateCanceled, errDraining)
+	case s.fq.Len() >= s.cfg.QueueDepth:
+		s.endLocked(j, StateFailed, errRetryQueueFull)
+	default:
+		s.fq.Push(j)
+		s.met.queueDepth.Set(int64(s.fq.Len()))
 	}
-	if s.draining {
-		// Shutdown marks queued jobs canceled before closing the queue,
-		// so this branch is a narrow race guard; never touch the queue.
-		j.state = StateCanceled
-		j.errMsg = core.ErrCanceled.Error() + " (server draining)"
-		s.finishJobLocked(j)
-		s.met.canceled.Inc()
-		s.tenantLocked(j.tenant).canceled++
-		return
-	}
-	if s.fq.Len() >= s.cfg.QueueDepth {
-		j.state = StateFailed
-		j.errMsg = "retry abandoned: queue full"
-		j.reason = "queue_full"
-		s.finishJobLocked(j)
-		s.met.failed.Inc()
-		s.tenantLocked(j.tenant).failed++
-		s.promoteFlightLocked(j)
-		return
-	}
-	s.fq.Push(j)
-	s.met.queueDepth.Set(int64(s.fq.Len()))
 }
 
 // execute runs the simulation and assembles the result payload plus —
@@ -1084,21 +1049,9 @@ func (s *Server) execute(ctx context.Context, j *job) (res *JobResult, entry *ca
 	}
 	res = buildResult(j, sim, st)
 	if s.cache.enabled() {
-		entry = buildCacheEntry(j, sim, st,
-			probsBytes(j.circ.Qubits) <= s.cfg.ResultCacheMaxEntry)
+		entry = buildCacheEntry(j, sim, st, s.probsFit(j.circ.Qubits))
 	}
 	return res, entry, nil
-}
-
-// countLocked counts jobs in one state. Caller holds s.mu.
-func (s *Server) countLocked(state string) int64 {
-	var n int64
-	for _, j := range s.jobs {
-		if j.state == state {
-			n++
-		}
-	}
-	return n
 }
 
 // cancelLocked cancels a job by id: a queued job is withdrawn from the
@@ -1113,21 +1066,13 @@ func (s *Server) cancelLocked(id string) (*job, bool) {
 	}
 	switch j.state {
 	case StateQueued:
-		j.state = StateCanceled
-		j.errMsg = core.ErrCanceled.Error()
-		s.finishJobLocked(j)
-		s.met.canceled.Inc()
-		s.tenantLocked(j.tenant).canceled++
-		// A canceled leader must not strand its coalesced subscribers.
-		s.promoteFlightLocked(j)
+		s.endLocked(j, StateCanceled, core.ErrCanceled)
 		// The job may be parked in the dispatch gate's memory wait; wake it
 		// so its runner observes the cancel and moves on.
 		s.memCond.Broadcast()
 		return j, true
 	case StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
+		j.cancel()
 		return j, true
 	default:
 		return j, false
@@ -1148,11 +1093,7 @@ func (s *Server) Shutdown() {
 	s.draining = true
 	for _, j := range s.jobs {
 		if j.state == StateQueued {
-			j.state = StateCanceled
-			j.errMsg = core.ErrCanceled.Error() + " (server draining)"
-			s.finishJobLocked(j)
-			s.met.canceled.Inc()
-			s.tenantLocked(j.tenant).canceled++
+			s.endLocked(j, StateCanceled, errDraining)
 		}
 	}
 	// Coalesced subscribers were just canceled with everything else; the
@@ -1176,10 +1117,8 @@ func (s *Server) Shutdown() {
 		// Grace expired: cancel whatever is still running; RunContext
 		// observes the cancellation within one gate.
 		s.mu.Lock()
-		for _, j := range s.jobs {
-			if j.state == StateRunning && j.cancel != nil {
-				j.cancel()
-			}
+		for _, j := range s.running {
+			j.cancel()
 		}
 		s.mu.Unlock()
 		<-done

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 )
 
 // Tenant identity and accounting (DESIGN.md §13). A tenant is named by
@@ -110,10 +112,8 @@ func (s *Server) Tenants() []TenantView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	running := make(map[string]int)
-	for _, j := range s.jobs {
-		if j.state == StateRunning {
-			running[j.tenant]++
-		}
+	for _, j := range s.running {
+		running[j.tenant]++
 	}
 	out := make([]TenantView, 0, len(s.tenants))
 	for name, t := range s.tenants {
@@ -134,16 +134,6 @@ func (s *Server) Tenants() []TenantView {
 			MaxInFlight: s.cfg.MaxInFlight,
 		})
 	}
-	sortTenantViews(out)
+	slices.SortFunc(out, func(a, b TenantView) int { return strings.Compare(a.Name, b.Name) })
 	return out
-}
-
-// sortTenantViews orders rows by name (insertion sort; the tenant set
-// is small).
-func sortTenantViews(v []TenantView) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j].Name < v[j-1].Name; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
