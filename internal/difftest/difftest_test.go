@@ -18,8 +18,9 @@ func TestCrossEngineDifferential(t *testing.T) {
 		{qubits: 5, gates: 40, threads: 1},
 		{qubits: 6, gates: 50, threads: 3}, // deliberately not a power of two
 		{qubits: 7, gates: 60, threads: 4},
-		// A larger register with an odd thread count. (Gates this small run
-		// inline in DMAV; TestKernelPathMatrix drives the pooled paths.)
+		// A larger register with an odd thread count: its single-qubit
+		// gates fork onto the pool. (TestKernelPathMatrix drives every
+		// pooled path.)
 		{qubits: 12, gates: 30, threads: 3},
 	}
 	circuits := 2 + *ExtraCircuits

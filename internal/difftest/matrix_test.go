@@ -11,6 +11,7 @@ import (
 	"flatdd/internal/core"
 	"flatdd/internal/dmav"
 	"flatdd/internal/obs"
+	"flatdd/internal/workloads"
 )
 
 // randomMixed builds a seeded circuit over the gate shapes the DMAV kernel
@@ -63,10 +64,9 @@ func randomMixed(n, gates int, seed int64) *circuit.Circuit {
 // × cache mode × fusion mode — and pins every point to the state-vector
 // oracle at Tol on seeded random circuits. An unfused run that may use
 // Algorithm 1 must also have run gates in place, and an AlwaysCache run
-// none. Up to n=14 every gate stays
-// under the DMAV inline cutoff (a single-qubit gate reaches it at n=17),
-// so the long run adds one n=17 circuit whose gates fork onto the pool;
-// internal/dmav's TestKernelOpKinds covers both sides gate by gate.
+// none. At n=9 every narrow gate runs inline; at n=14 and n=17 gates fork
+// onto the pool when threads > 1; internal/dmav's TestKernelOpKinds
+// covers both sides gate by gate.
 func TestKernelPathMatrix(t *testing.T) {
 	sizes := []struct{ qubits, gates int }{{9, 80}, {14, 120}, {5, 60}, {17, 50}}
 	if testing.Short() {
@@ -98,6 +98,61 @@ func TestKernelPathMatrix(t *testing.T) {
 						inPlace := reg.Counter("dmav.gates.inplace").Value()
 						if mode == dmav.AlwaysCache && inPlace > 0 || mode != dmav.AlwaysCache && fuse == core.NoFusion && inPlace == 0 {
 							t.Fatalf("%s: %d gates ran in place", name, inPlace)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestUncachedBitEqualAcrossThreads pins that without caching the
+// amplitudes do not depend on the thread count: Algorithm 1's row chunks
+// are a function of the register and the gate, and an in-place gate
+// computes every amplitude alone, so at n=14–15, where the DMAV gates of
+// supremacy and dnn fork onto the pool at Threads 2 and 3, every amplitude
+// equals the Threads 1 run's bit for bit, unfused and with DMAV-aware
+// fusion (whose dense blocks run Apply's kernel). The cached path still
+// splits columns by the thread count (ROADMAP item 16(a)).
+func TestUncachedBitEqualAcrossThreads(t *testing.T) {
+	sizes := []int{14, 15}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, fam := range []string{"supremacy", "dnn"} {
+		for _, n := range sizes {
+			circ, err := workloads.Build(fam, n, int64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fuse := range []core.FusionMode{core.NoFusion, core.DMAVAware} {
+				if fam == "supremacy" && fuse == core.DMAVAware {
+					continue // its fuse pass takes seconds; dnn covers fused blocks
+				}
+				var want []complex128
+				for threads := 1; threads <= 3; threads++ {
+					name := fmt.Sprintf("%s-n%d-t%d-%v", fam, n, threads, fuse)
+					reg := obs.New()
+					sim := core.New(n, core.Options{Threads: threads, CacheMode: dmav.NeverCache, Fusion: fuse, Metrics: reg})
+					st, err := sim.RunContext(context.Background(), circ)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if st.DMAVStats.Gates == 0 {
+						t.Fatalf("%s: run never reached the DMAV phase", name)
+					}
+					amps := sim.Amplitudes()
+					if threads == 1 {
+						want = append([]complex128(nil), amps...)
+						continue
+					}
+					// One batch is the conversion; the rest are DMAV gates.
+					if b := reg.Counter("sched.batches").Value(); b < 2 {
+						t.Fatalf("%s: %d pool batches, want forked DMAV gates", name, b)
+					}
+					for i := range want {
+						if amps[i] != want[i] {
+							t.Fatalf("%s: amplitude %d is %v, Threads 1 gave %v", name, i, amps[i], want[i])
 						}
 					}
 				}

@@ -7,9 +7,10 @@
 // model of Section 3.2.3:
 //
 //   - without caching (Algorithm 1): the amplitude range is split in row
-//     space into ~8×threads chunks sized by the MAC-count cost model, so
-//     a heavy sub-block splits finer than a sparse one; each chunk runs
-//     the span kernel over the sub-blocks that land in its rows;
+//     space into ~16 chunks sized by the MAC-count cost model, so a heavy
+//     sub-block splits finer than a sparse one; each chunk runs the span
+//     kernel over the sub-blocks that land in its rows. The layout does
+//     not depend on the thread count, so neither do the amplitudes;
 //   - with caching (Algorithm 2): AssignCache splits in column space
 //     into a power-of-two chunk count (the border-level split must stay
 //     aligned with the DD), chunks with non-overlapping partial outputs
@@ -23,10 +24,18 @@
 // block, a strided loop for a run of I⊗child levels, a 2×2 butterfly over
 // identity children, a four-child descent otherwise — with constant-time
 // indexing along the DD structure and no per-amplitude recursion. What a
-// gate needs beyond its node plans (cost, chunk lists, pool batch, whether
-// it is worth a fork-join at all) is a pure function of the root node and
-// the engine shape and is memoized per root, so a repeated gate costs a
-// map lookup and a loop.
+// gate needs beyond its node plans (cost, chunk lists, whether it is worth
+// a fork-join at all) is a pure function of the root node and the engine
+// shape and is memoized per root, so a repeated gate costs a map lookup
+// and a loop.
+//
+// A gate forks onto the pool once its planned work reaches
+// inlineBelowMACs = 2^13 multiply-accumulates, which at n=12 and up is
+// every single-qubit gate. The pool's workers spin for a while after each
+// batch, so inside a gate stream a fork costs about 2 µs and the second
+// vCPU shares even the small gates of an n=14 stream. The pool runs the
+// engine's own tasks, one per chunk index, which read the gate in flight
+// from the engine: forking a gate allocates nothing.
 //
 // Step runs a gate on the caller's state vector. A narrow gate the cost
 // model sends to Algorithm 1 — support of at most three qubits, and a
@@ -39,8 +48,8 @@
 // with the state. Apply keeps the out-of-place W = M·V.
 //
 // Any positive thread count is supported; chunks are distributed over
-// the pool and re-balanced by stealing, so worker count and chunk
-// shape need not match.
+// the pool and re-balanced by stealing, so worker count and chunk shape
+// need not match.
 package dmav
 
 import (
@@ -60,28 +69,36 @@ import (
 // Go kernels in kernels.go play that role here).
 const DefaultSIMDWidth = 4
 
-// chunksPerThread is the target over-decomposition factor: the uncached
-// path aims for about this many row chunks per worker so the
-// pool has slack to re-balance a skewed MAC distribution.
+// chunksPerThread is the target over-decomposition factor of the
+// in-place and buffer-sum batches: about this many chunks per worker, so
+// the pool has slack to re-balance a skewed load.
 const chunksPerThread = 8
+
+// rowChunks is how many row chunks Algorithm 1 cuts a gate into, at any
+// thread count and inline or forked: a chunk's first sub-block writes its
+// rows and the rest accumulate, so the chunk layout fixes the order in
+// which a row's products are multiplied and summed. Keeping it a function
+// of the register and the gate alone makes uncached amplitudes bit-equal
+// across thread counts. 16 is chunksPerThread per worker on the 2-vCPU
+// reference box.
+const rowChunks = 16
 
 // inlineBelowMACs is the planned work — multiply-accumulates of the chosen
 // algorithm, counting a copied or scaled element as one — under which a
 // gate runs on the calling goroutine instead of forking onto the pool.
-// It rests on two measurements on the 2-vCPU reference box (go1.24; see
-// EXPERIMENTS.md, "DMAV span kernel"). First, the cost of a fork-join:
-// sched.batch_us_p50 is 1.8 µs for back-to-back empty batches, whose
-// workers never stop spinning, but inside a gate stream the second worker
-// has parked by the time the next gate arrives, and the same gate forced
-// onto the pool takes 11–40 µs longer than inline at n=12–14. Second, span
-// throughput: one thread sustains 0.4 (fSim) to 1.4 (single-qubit) G
-// MACs/s inline. A second worker saves at most half the run time, so the
-// fork cannot pay below 2 × 40 µs × 1.4 G/s ≈ 2^17 MACs; measured, two
-// threads lose up to n=16 (≤ 2^17 MACs per gate: the supremacy n=14
-// stream takes 176 ms forked, 105 ms inline), tie at n=17 and win 1.1–1.6×
-// at n=18 (2^18–2^19), so the cutoff sits at 2^18. Beyond two vCPUs the
-// crossover is unmeasured.
-const inlineBelowMACs = 1 << 18
+// The pool's workers spin between batches (internal/sched), so inside a
+// gate stream a fork costs about 2 µs (sched.batch_us_p50), and the cutoff
+// sits at the crossover measured on the 2-vCPU reference box (go1.24;
+// EXPERIMENTS.md, "Spin-then-park pool workers"). BenchmarkStep, forked
+// against inline: a single-qubit gate loses at 2^11 MACs (n=10, 0.73×)
+// and wins from 2^13 up (n=12, 1.3–1.5×; n=14, 1.4–1.9×); a CZ, CX or CCX,
+// 2^n MACs, loses alone at n=12 and n=14 and wins at n=16 (1.3–1.7×). In
+// a stream each worker keeps its half of the state in its own cache, and
+// the supremacy DMAV phase at Threads 2 is fastest with the cutoff at
+// 2^13: n=11 ties Threads 1 (8.2 vs 7.8 ms; 2^12 gives 10.8), n=13 runs
+// 27 vs 35 ms and n=14 53 vs 78. Beyond two vCPUs the crossover is
+// unmeasured.
+const inlineBelowMACs = 1 << 13
 
 // Mode selects the caching policy of an Engine.
 type Mode int
@@ -184,6 +201,18 @@ func (c GateCost) Cost() float64 {
 	return c.C1
 }
 
+// batchKind is what the engine's pool tasks run: chunk i of the gate in
+// flight's row or column chunk list, or range i of parts equal ranges of
+// the buffer sum or of an in-place gate.
+type batchKind uint8
+
+const (
+	batchRows    batchKind = iota // Algorithm 1: cur.g.rows
+	batchCols                     // Algorithm 2: cur.g.cols
+	batchSum                      // Algorithm 2's partial-buffer sum over rows
+	batchInPlace                  // an in-place gate over its elements j
+)
+
 // Stats accumulates per-engine counters.
 type Stats struct {
 	Gates       int
@@ -210,10 +239,9 @@ type gatePlan struct {
 	// inline: run on the caller, no fork-join. Fixed per root, so the
 	// load accounting below never sees a plan-shape change.
 	inline bool
-	rows   []rowChunk   // uncached: row-space chunks
-	cols   []colChunk   // cached: non-empty column chunks
-	gaps   []bufSeg     // cached: buffer segments no task writes
-	batch  []sched.Task // the pool batch over rows or cols (nil if inline)
+	rows   []rowChunk // uncached: row-space chunks
+	cols   []colChunk // cached: non-empty column chunks
+	gaps   []bufSeg   // cached: buffer segments no task writes
 
 	// Load of one Apply, for the metrics: schedulable chunks, sub-blocks
 	// executed, multiply-accumulates performed (a cache hit costs ch
@@ -268,16 +296,27 @@ type Engine struct {
 	// pool is either injected via SetEnv/SetPool (caller owns its
 	// lifetime) or created lazily on the first multi-threaded Apply
 	// (ownPool; released by Close).
-	env      sched.Env
-	ownPool  bool
-	sumTasks []sched.Task // the buffer-sum batch, built once
+	env     sched.Env
+	ownPool bool
 
-	// cur is the multiplication in flight: the memoized batches read
-	// their operands here, so a repeated gate allocates nothing.
+	// split and rowEnds are buildRows' scratch, reused across roots.
+	split   []task
+	rowEnds []int
+
+	// forks holds one pool task per chunk index, grown to the largest
+	// batch forked: task i runs chunk i of the batch in flight (cur), so
+	// a gate's batch is a prefix of forks and forking allocates nothing.
+	forks []sched.Task
+
+	// cur is the multiplication in flight: the engine's tasks read their
+	// operands and chunk lists here.
 	cur struct {
 		mul
-		f complex128 // the root edge's weight
-		g *gatePlan
+		f     complex128 // the root edge's weight
+		g     *gatePlan
+		ip    *inPlace  // batchInPlace: the gate in flight
+		batch batchKind // which chunks a fork runs
+		parts uint64    // batchSum, batchInPlace: equal ranges the work is cut into
 	}
 
 	// noBufferShare disables the shared-partial-output optimization of
@@ -677,37 +716,53 @@ func (e *Engine) evaluate(root *dd.MNode) GateCost {
 }
 
 // build fills the execution half of a gate's memo entry for the algorithm
-// gate picked: its chunk lists with every sub-block compiled to a plan,
-// whether the gate is worth a fork-join, and the pool batch if it is.
+// gate picked: its chunk lists with every sub-block compiled to a plan, and
+// whether the gate is worth a fork-join.
 func (e *Engine) build(g *gatePlan, root *dd.MNode) {
 	g.built = true
-	work := g.cost.K1
-	if g.cached {
-		// Algorithm 2 forks twice — the chunks, then the sum — so each
-		// batch carries about half of its work (a cached top-qubit gate,
-		// forked vs inline: 744 vs 302 µs at n=16, 772 vs 799 at n=17,
-		// 1250 vs 1535 at n=18).
-		work = (g.cost.K2 + g.cost.Hits*int64(e.ch) + int64(g.cost.Buffers)*int64(e.dim)) / 2
-	}
-	g.inline = e.threads == 1 || work < inlineBelowMACs
+	g.inline = e.threads == 1 || e.forkWork(g) < inlineBelowMACs
 	if g.cached {
 		e.buildCols(g, root)
 	} else {
 		e.buildRows(g, root)
 	}
-	if g.inline {
-		return
+}
+
+// forkWork is the planned work of one pool batch of a gate, which
+// inlineBelowMACs bounds: K1 for Algorithm 1. Algorithm 2 forks twice —
+// the chunks, then the sum — so each batch carries about half of its work
+// (a cached top-qubit gate, forked vs inline: 744 vs 302 µs at n=16, 772
+// vs 799 at n=17, 1250 vs 1535 at n=18).
+func (e *Engine) forkWork(g *gatePlan) int64 {
+	if !g.cached {
+		return g.cost.K1
 	}
-	if g.cached {
-		for i := range g.cols {
-			c := &g.cols[i]
-			g.batch = append(g.batch, func() { e.runCol(c) })
-		}
-	} else {
-		for i := range g.rows {
-			c := &g.rows[i]
-			g.batch = append(g.batch, func() { e.runRow(c) })
-		}
+	return (g.cost.K2 + g.cost.Hits*int64(e.ch) + int64(g.cost.Buffers)*int64(e.dim)) / 2
+}
+
+// fork runs chunks [0, n) of the gate in flight as one pool batch: the
+// engine's tasks, one per chunk index, read what to run from cur.
+func (e *Engine) fork(name string, kind batchKind, n int) {
+	e.cur.batch = kind
+	for i := len(e.forks); i < n; i++ {
+		e.forks = append(e.forks, func() { e.runChunk(i) })
+	}
+	e.ensurePool()
+	e.env.Run(name, e.forks[:n])
+}
+
+// runChunk runs chunk i of the batch in flight.
+func (e *Engine) runChunk(i int) {
+	x := &e.cur
+	switch x.batch {
+	case batchRows:
+		e.runRow(&x.g.rows[i])
+	case batchCols:
+		e.runCol(&x.g.cols[i])
+	case batchSum:
+		e.sumRange(uint64(i)*e.dim/x.parts, uint64(i+1)*e.dim/x.parts)
+	case batchInPlace:
+		e.runInPlace(x.ip, uint64(i)*x.ip.total/x.parts, uint64(i+1)*x.ip.total/x.parts)
 	}
 }
 
@@ -722,8 +777,7 @@ func (e *Engine) applyUncached(g *gatePlan) {
 		}
 		return
 	}
-	e.ensurePool()
-	e.env.Run("dmav.rows", g.batch)
+	e.fork("dmav.rows", batchRows, len(g.rows))
 }
 
 // runRow executes one row chunk of the multiplication in flight. The
@@ -746,55 +800,59 @@ func (e *Engine) runRow(c *rowChunk) {
 
 // buildRows builds the uncached path's row-space chunk plan: starting
 // from the whole matrix, any row range whose modeled MAC count exceeds
-// K1/(chunksPerThread·threads) is split in half (descending one DD
-// level), so dense sub-blocks decompose into many small chunks while
-// sparse ones stay whole. The result is ~chunksPerThread×threads chunks
-// whose sizes track actual work, which is what gives the stealing pool
-// something useful to balance. An inline gate is one chunk: there is
-// nothing to balance.
+// K1/rowChunks is split in half (descending one DD level), so dense
+// sub-blocks decompose into many small chunks while sparse ones stay
+// whole. The result is ~rowChunks chunks whose sizes track actual work,
+// which is what gives the stealing pool something useful to balance. The
+// layout does not depend on the thread count: an inline gate runs the
+// same chunks in order.
 func (e *Engine) buildRows(g *gatePlan, root *dd.MNode) {
-	budget := g.cost.K1 / int64(chunksPerThread*e.threads)
-	if g.inline {
-		budget = g.cost.K1
-	}
-	if budget < 1 {
-		budget = 1
-	}
+	budget := max(g.cost.K1/rowChunks, 1)
 	memo := e.macMemo
-	var rec func(items []task, l int, ir uint64)
-	rec = func(items []task, l int, ir uint64) {
+	// The halves of every split live on e.split, used as a stack, and the
+	// chunks' items in one slice cut up once the chunk list is complete.
+	split := append(e.split[:0], task{dd.MEdge{W: 1, N: root}, 0, 1})
+	var items []rowItem
+	ends := e.rowEnds[:0]
+	var rec func(in []task, l int, ir uint64)
+	rec = func(in []task, l int, ir uint64) {
 		if l >= 0 {
 			var cost int64
-			for _, it := range items {
+			for _, it := range in {
 				cost += dd.MACCountNode(it.edge.N, memo)
 			}
 			if cost > budget {
-				lo := make([]task, 0, len(items))
-				hi := make([]task, 0, len(items))
-				for _, it := range items {
-					fw := it.f * it.edge.W
-					for j := 0; j < 2; j++ {
-						if c := it.edge.N.Child(0, j); !c.IsZero() {
-							lo = append(lo, task{c, it.idx + uint64(j)<<uint(l), fw})
-						}
-						if c := it.edge.N.Child(1, j); !c.IsZero() {
-							hi = append(hi, task{c, it.idx + uint64(j)<<uint(l), fw})
+				// Row half i of every sub-block, pushed above in.
+				mark := len(split)
+				for i := 0; i < 2; i++ {
+					for _, it := range in {
+						fw := it.f * it.edge.W
+						for j := 0; j < 2; j++ {
+							if c := it.edge.N.Child(i, j); !c.IsZero() {
+								split = append(split, task{c, it.idx + uint64(j)<<uint(l), fw})
+							}
 						}
 					}
+					rec(split[mark:], l-1, ir+uint64(i)<<uint(l))
+					split = split[:mark]
 				}
-				rec(lo, l-1, ir)
-				rec(hi, l-1, ir+uint64(1)<<uint(l))
 				return
 			}
 		}
-		c := rowChunk{ir: ir, size: uint64(1) << uint(l+1), items: make([]rowItem, len(items))}
-		for i, it := range items {
-			c.items[i] = rowItem{e.planOf(it.edge.N), it.idx, it.f * it.edge.W}
+		for _, it := range in {
+			items = append(items, rowItem{e.planOf(it.edge.N), it.idx, it.f * it.edge.W})
 		}
-		g.rows = append(g.rows, c)
-		g.tasks += int64(len(items))
+		g.rows = append(g.rows, rowChunk{ir: ir, size: uint64(1) << uint(l+1)})
+		ends = append(ends, len(items))
 	}
-	rec([]task{{dd.MEdge{W: 1, N: root}, 0, 1}}, e.n-1, 0)
+	rec(split, e.n-1, 0)
+	start := 0
+	for i, end := range ends {
+		g.rows[i].items = items[start:end:end]
+		start = end
+	}
+	e.split, e.rowEnds = split[:0], ends[:0]
+	g.tasks = int64(len(items))
 	g.chunks = int64(len(g.rows))
 	g.macs = g.cost.K1 // the chunks partition the matrix's nonzero paths
 	if len(g.rows) == 1 {
@@ -823,8 +881,7 @@ func (e *Engine) applyCached(g *gatePlan) {
 			e.runCol(&g.cols[i])
 		}
 	} else {
-		e.ensurePool()
-		e.env.Run("dmav.chunks", g.batch)
+		e.fork("dmav.chunks", batchCols, len(g.cols))
 	}
 	if g.cost.Buffers > 1 {
 		e.sumBuffers(g)
@@ -926,15 +983,8 @@ func (e *Engine) sumBuffers(g *gatePlan) {
 		e.sumRange(0, e.dim)
 		return
 	}
-	if e.sumTasks == nil {
-		for i := 0; i < chunks; i++ {
-			lo := uint64(i) * e.dim / uint64(chunks)
-			hi := uint64(i+1) * e.dim / uint64(chunks)
-			e.sumTasks = append(e.sumTasks, func() { e.sumRange(lo, hi) })
-		}
-	}
-	e.ensurePool()
-	e.env.Run("dmav.sum", e.sumTasks)
+	e.cur.parts = uint64(chunks)
+	e.fork("dmav.sum", batchSum, chunks)
 }
 
 // sumRange completes rows [lo, hi) of the multiplication in flight.

@@ -500,7 +500,7 @@ func BenchmarkApply(b *testing.B) {
 // narrow gates run in place, the fused block through Apply and the
 // scratch swap. B/op must read 0.
 func BenchmarkStep(b *testing.B) {
-	for _, n := range []int{14, 20} {
+	for _, n := range []int{10, 12, 14, 16, 20} {
 		m := dd.New(n)
 		V := randAmps(rand.New(rand.NewSource(1)), n)
 		gates := []struct {
@@ -558,8 +558,8 @@ func denseBlock(m *dd.Manager, n int) dd.MEdge {
 // allocate, and neither must a repeated Step, in place (NeverCache) or
 // through the scratch vector (AlwaysCache).
 func TestApplySteadyStateAllocationFree(t *testing.T) {
-	// n=17 is the smallest register where a single-qubit gate (2^18 MACs)
-	// reaches inlineBelowMACs; a CZ (2^17) stays under it.
+	// At n=17 a single-qubit gate (2^18 MACs) and a CZ (2^17) are both
+	// over inlineBelowMACs: inline at Threads 1, forked at Threads 2.
 	const n = 17
 	m := dd.New(n)
 	rng := rand.New(rand.NewSource(8))
@@ -572,8 +572,8 @@ func TestApplySteadyStateAllocationFree(t *testing.T) {
 			e := New(m, n, threads, mode)
 			for _, M := range []dd.MEdge{small, big} {
 				e.Apply(M, V, W)
-				if inline := e.gates[M.N].inline; M == big && inline != (threads == 1) {
-					t.Fatalf("mode=%v threads=%d: the 2^18-MAC gate has inline=%v", mode, threads, inline)
+				if inline := e.gates[M.N].inline; inline != (threads == 1) {
+					t.Fatalf("mode=%v threads=%d: inline=%v", mode, threads, inline)
 				}
 				if a := testing.AllocsPerRun(10, func() { e.Apply(M, V, W) }); a != 0 {
 					t.Errorf("mode=%v threads=%d inline=%v: %v allocs per steady-state Apply",

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flatdd/internal/dd"
-	"flatdd/internal/sched"
 )
 
 // maxInPlaceSupport is the widest gate support the in-place path takes: a
@@ -77,9 +76,9 @@ type inPlace struct {
 
 	// inline: run on the caller. The fork decision is Apply's — K1 against
 	// inlineBelowMACs — so a gate forks in place exactly when it would fork
-	// out of place.
+	// out of place, as parts equal ranges of j.
 	inline bool
-	batch  []sched.Task
+	parts  uint64
 	macs   int64 // MACs per gate, a moved or scaled element counting one (dmav.macs.executed)
 }
 
@@ -259,12 +258,9 @@ func (e *Engine) compileInPlace(g *gatePlan, M dd.MEdge) *inPlace {
 	}
 
 	ip.inline = e.threads == 1 || g.cost.K1 < inlineBelowMACs
+	ip.parts = 1
 	if !ip.inline {
-		chunks := min(uint64(chunksPerThread*e.threads), ip.total)
-		for i := uint64(0); i < chunks; i++ {
-			lo, hi := i*ip.total/chunks, (i+1)*ip.total/chunks
-			ip.batch = append(ip.batch, func() { e.runInPlace(ip, lo, hi) })
-		}
+		ip.parts = min(uint64(chunksPerThread*e.threads), ip.total)
 	}
 	return ip
 }
@@ -340,11 +336,10 @@ func (e *Engine) applyInPlace(g *gatePlan, ip *inPlace, V []complex128) {
 			e.env.Ledger.AddCPU(time.Since(start).Nanoseconds())
 		}
 	} else {
-		e.ensurePool()
-		e.env.Run("dmav.inplace", ip.batch)
+		e.cur.ip, e.cur.parts = ip, ip.parts
+		e.fork("dmav.inplace", batchInPlace, int(ip.parts))
 	}
-	chunks := max(int64(len(ip.batch)), 1)
-	e.record(g, start, chunks, chunks, ip.macs)
+	e.record(g, start, int64(ip.parts), int64(ip.parts), ip.macs)
 	if e.met != nil {
 		e.met.inPlaceGates.Inc()
 	}

@@ -2,9 +2,11 @@ package dmav
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -224,5 +226,101 @@ func TestFaultCancelDuringInPlaceGates(t *testing.T) {
 	}
 	if midGate == 0 {
 		t.Fatal("no cancel landed inside a gate")
+	}
+}
+
+// TestFaultCancelDuringForkedGates cancels a stream that alternates
+// in-place and out-of-place gates at n=14 on two threads, where every gate
+// forks onto the engine's own pool, and injected task slowness stretches
+// each gate so the cancel lands inside one. An in-place gate completes and
+// counts; an out-of-place gate returns ErrCanceled and hands back the
+// pre-gate state, bit for bit. Either way the state equals the oracle
+// after the gates Stats counts, and once Close has retired the engine's
+// pool no goroutine of the run is left.
+func TestFaultCancelDuringForkedGates(t *testing.T) {
+	const n = 14
+	gates := []circuit.Gate{
+		circuit.H(0), circuit.FSim(0.5, 0.2, 3, 9), circuit.CX(2, 11),
+		circuit.FSim(0.7, 0.1, 0, n-1), circuit.U3(0.3, 0.4, 0.5, n-1), circuit.CCX(0, 5, 9),
+		circuit.FSim(0.9, 0.3, 6, 7), circuit.RZ(0.7, 3),
+	}
+	V := randAmps(rand.New(rand.NewSource(14)), n)
+	m := dd.New(n)
+	Ms := make([]dd.MEdge, len(gates))
+	for i, g := range gates {
+		Ms[i] = gateDD(m, n, g)
+	}
+	reg := faults.New(1)
+	reg.Arm(faults.SchedTaskSlow, faults.Trigger{Prob: 1, Delay: 200 * time.Microsecond})
+	base := runtime.NumGoroutine()
+	inPlaceCancels, outOfPlaceCancels := 0, 0
+	for attempt := 0; attempt < 40 && (inPlaceCancels == 0 || outOfPlaceCancels == 0); attempt++ {
+		// A slowed gate takes a few milliseconds: the delays spread the
+		// cancel over the first several gates of the stream.
+		delay := time.Duration(1+attempt*7%40) * time.Millisecond
+		ctx, cancel := context.WithCancel(context.Background())
+		e := New(m, n, 2, NeverCache)
+		e.SetEnv(sched.Env{Faults: reg, Cancel: func() bool { return ctx.Err() != nil }})
+		state := append([]complex128(nil), V...)
+		before := make([]complex128, len(state))
+		applied := 0
+		timer := time.AfterFunc(delay, cancel)
+		for !e.env.Canceled() {
+			M := Ms[applied%len(Ms)]
+			copy(before, state)
+			out, _, err := e.Step(M, state)
+			g := e.gates[M.N]
+			if g.inline || g.ip != nil && g.ip.inline {
+				t.Fatalf("gate %d ran inline", applied)
+			}
+			if errors.Is(err, ErrCanceled) {
+				if g.ip != nil {
+					t.Fatalf("in-place gate %d returned ErrCanceled", applied)
+				}
+				if &out[0] != &state[0] {
+					t.Fatal("a canceled gate did not hand back the state it was given")
+				}
+				for i := range before {
+					if out[i] != before[i] {
+						t.Fatalf("canceled gate %d changed amplitude %d", applied, i)
+					}
+				}
+				outOfPlaceCancels++
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.ip != nil && e.env.Canceled() {
+				inPlaceCancels++
+			}
+			state = out
+			applied++
+		}
+		timer.Stop()
+		cancel()
+		if got := e.Stats().Gates; got != applied {
+			t.Fatalf("delay %v: Stats counts %d gates, %d applied", delay, got, applied)
+		}
+		sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+		for i := 0; i < applied; i++ {
+			sv.Apply(&gates[i%len(gates)])
+		}
+		for i, want := range sv.Amplitudes() {
+			if cmplx.Abs(state[i]-want) > 1e-9 {
+				t.Fatalf("delay %v: amplitude %d is %v, the oracle after %d gates gives %v",
+					delay, i, state[i], applied, want)
+			}
+		}
+		e.Close()
+	}
+	if inPlaceCancels == 0 || outOfPlaceCancels == 0 {
+		t.Fatalf("cancels inside in-place gates: %d, inside out-of-place gates: %d; want both",
+			inPlaceCancels, outOfPlaceCancels)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the engines closed their pools, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

@@ -49,9 +49,10 @@ func kindsOf(p *plan, seen map[opKind]bool) {
 
 // TestKernelOpKinds pins the span kernel and Step's in-place path to the
 // statevec oracle gate by gate: every targeted gate and a dense fused
-// block, under every cache mode and thread count, at a register below the
-// inline cutoff (n=10, every gate runs on the caller) and one above it
-// (n=18, every gate forks onto the pool when threads > 1).
+// block, under every cache mode and thread count, at n=10 (narrow gates
+// run on the caller, the fused block forks when threads > 1) and n=18
+// (every gate forks when threads > 1). Whether a gate forks follows from
+// its planned work and inlineBelowMACs.
 func TestKernelOpKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, n := range []int{10, 18} {
@@ -86,6 +87,7 @@ func TestKernelOpKinds(t *testing.T) {
 		cases = append(cases, testCase{"fused", fused, oracle(gs...)})
 
 		kinds := map[opKind]bool{}
+		forked := map[bool]bool{} // by inline
 		// In-place kinds; a single-target gate counts as ipSingle without
 		// controls and as ipSingle+1 with them.
 		ipKinds := map[ipKind]bool{}
@@ -96,9 +98,11 @@ func TestKernelOpKinds(t *testing.T) {
 					if _, err := e.Apply(c.M, V, W); err != nil {
 						t.Fatal(err)
 					}
-					if inline := e.gates[c.M.N].inline; inline != (n == 10 || threads == 1) {
-						t.Fatalf("n=%d mode=%v threads=%d %s: inline=%v", n, mode, threads, c.name, inline)
+					g := e.gates[c.M.N]
+					if want := threads == 1 || e.forkWork(g) < inlineBelowMACs; g.inline != want {
+						t.Fatalf("n=%d mode=%v threads=%d %s: inline=%v, want %v", n, mode, threads, c.name, g.inline, want)
 					}
+					forked[g.inline] = true
 					for i := range c.want {
 						if !approx(W[i], c.want[i]) {
 							t.Fatalf("n=%d mode=%v threads=%d %s: W[%d]=%v want %v",
@@ -111,9 +115,9 @@ func TestKernelOpKinds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ip := e.gates[c.M.N].ip; ip != nil {
-						if ip.inline != (n == 10 || threads == 1) {
-							t.Fatalf("n=%d mode=%v threads=%d %s: in place with inline=%v", n, mode, threads, c.name, ip.inline)
+					if ip := g.ip; ip != nil {
+						if want := threads == 1 || g.cost.K1 < inlineBelowMACs; ip.inline != want {
+							t.Fatalf("n=%d mode=%v threads=%d %s: in place with inline=%v, want %v", n, mode, threads, c.name, ip.inline, want)
 						}
 						k := ip.kind
 						if k == ipSingle && len(ip.levels) > 1 {
@@ -130,6 +134,9 @@ func TestKernelOpKinds(t *testing.T) {
 				}
 				e.Close()
 			}
+		}
+		if !forked[true] || !forked[false] {
+			t.Errorf("n=%d: gates ran inline=%v, want both inline and forked gates", n, forked)
 		}
 		for k := opSpan; k <= opNode; k++ {
 			if !kinds[k] {

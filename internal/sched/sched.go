@@ -12,12 +12,23 @@
 // task is the whole protocol: owner and thieves take the same path, with
 // no lock and no retry.
 //
+// Between batches a spawned worker spins, then parks. For spinWindow after
+// its last batch it polls the pool's batch word, so a batch that follows
+// within that window — the next gate of a DMAV stream — starts on it in
+// well under a microsecond instead of paying a goroutine wake-up; only
+// then does it park on its wake channel. The caller publishes a batch
+// with one atomic store and sends a wake only to a worker that has parked,
+// taking the worker's parked flag with a compare-and-swap, so a wake is
+// never lost and never left over. The caller joins by spinning on the
+// count of spawned workers still in the batch.
+//
 // Any positive worker count is supported; nothing in the pool assumes
 // powers of two.
 package sched
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -65,6 +76,28 @@ func (s *slice) claim() (Task, bool) {
 	return s.tasks[i], true
 }
 
+// spinWindow is how long a spawned worker polls for the next batch after
+// its last one before it parks: about two single-qubit gates of an n=14
+// DMAV stream on the 2-vCPU reference box, so a worker stays awake across
+// a gate stream and parks once the stream pauses (see EXPERIMENTS.md,
+// "Spin-then-park pool workers").
+const spinWindow = 50 * time.Microsecond
+
+// spinYield is how many polls a spinning goroutine makes between
+// runtime.Gosched calls (and, for a spawned worker, clock reads): at
+// GOMAXPROCS 1 the goroutine it waits for can only run when it yields,
+// and under load other goroutines get the processor back within a few
+// hundred nanoseconds.
+const spinYield = 64
+
+// A batch word packs the batch's generation (high 32 bits) and its active
+// worker count (low 32 bits), so a spawned worker learns from one load
+// both that a new batch exists and whether it takes part. Reading the
+// count separately would let a worker left out of one batch see the next
+// batch's count, run that batch under the old generation and count itself
+// out of it twice.
+const activeMask = 1<<32 - 1
+
 // worker is one pool member. Worker 0 is special: it has no goroutine
 // of its own — the caller of Run plays worker 0, so a single-threaded
 // pool degenerates to an inline loop.
@@ -72,6 +105,7 @@ type worker struct {
 	id     int
 	share  slice
 	wake   chan struct{}
+	parked atomic.Bool  // parked on wake; the batch caller CASes it to false before it sends
 	tasks  atomic.Int64 // tasks executed (lifetime)
 	steals atomic.Int64 // tasks claimed from another worker's slice (lifetime)
 	idleNs atomic.Int64 // time spent waiting for the batch's other workers (lifetime)
@@ -80,8 +114,9 @@ type worker struct {
 
 // WorkerStats is one worker's lifetime totals, as returned by Stats.
 // Only worker 0, the caller of Run, is ever idle: it waits for the other
-// workers to finish the batch, while a spawned worker parks as soon as it
-// finds every slice drained.
+// workers to finish the batch, while a spawned worker that finds every
+// slice drained leaves the batch and waits for the next one, which is not
+// counted.
 type WorkerStats struct {
 	Tasks  int64
 	Steals int64
@@ -89,22 +124,28 @@ type WorkerStats struct {
 	Busy   time.Duration
 }
 
-// Pool is a persistent worker pool. New spawns threads-1 parked
-// goroutines; Run installs a batch, participates as worker 0, and returns
-// when every task has finished and every worker has parked again. A Pool
-// is safe for concurrent Run calls (batches serialize on an internal
-// mutex) but batches never interleave.
+// Pool is a persistent worker pool. New spawns threads-1 goroutines;
+// Run installs a batch, participates as worker 0, and returns when every
+// task has finished and every worker has left the batch. A Pool is safe
+// for concurrent Run calls (batches serialize on an internal mutex) but
+// batches never interleave.
 type Pool struct {
 	workers []*worker
 
-	mu     sync.Mutex     // serializes batches; guards the batch state below
-	join   sync.WaitGroup // spawned workers still in the current batch
+	mu     sync.Mutex // serializes batches; guards the batch state below
 	closed bool
 	once   sync.Once
+	exited sync.WaitGroup // spawned workers that have not returned
 
-	// The current batch: how many slices it has (the workers it wakes,
-	// worker 0 included) and its Env's fault points (nil when off).
-	active        int
+	// batch is the current batch word (generation and active count, see
+	// activeMask); pending counts the spawned workers still in the batch;
+	// quit tells spinning and parked workers to return.
+	batch   atomic.Uint64
+	pending atomic.Int64
+	quit    atomic.Bool
+
+	// The current batch's Env fault points (nil when off), written before
+	// the batch word is published.
 	panicPt, slow *faults.Point
 
 	// fault holds the first panic recovered from a task of the current
@@ -115,9 +156,9 @@ type Pool struct {
 }
 
 // New returns a pool with max(1, threads) workers. threads-1
-// goroutines are spawned immediately and park until the first batch;
-// the remaining worker is the Run caller itself. Call Close when the
-// pool is no longer needed.
+// goroutines are spawned immediately and wait for the first batch; the
+// remaining worker is the Run caller itself. Call Close when the pool is
+// no longer needed: it returns once the spawned goroutines have.
 func New(threads int) *Pool {
 	if threads < 1 {
 		threads = 1
@@ -126,6 +167,7 @@ func New(threads int) *Pool {
 	for i := range p.workers {
 		p.workers[i] = &worker{id: i, wake: make(chan struct{}, 1)}
 	}
+	p.exited.Add(len(p.workers) - 1)
 	for _, w := range p.workers[1:] {
 		go p.workerLoop(w)
 	}
@@ -161,7 +203,7 @@ func (p *Pool) Stats() []WorkerStats {
 //
 // Fault containment: a panic inside a task never kills its worker.
 // exec recovers it, the rest of the batch still runs, and once every
-// worker has parked Run re-raises the first recovered panic as a
+// worker has left the batch Run re-raises the first recovered panic as a
 // *TaskPanic on the calling goroutine. The pool stays fully usable for
 // the next batch — essential when one Pool is shared across jobs.
 func (p *Pool) Run(tasks []Task) { p.run(&Env{Pool: p}, "", tasks) }
@@ -210,11 +252,11 @@ func (e *Env) Run(name string, tasks []Task) {
 	e.Pool.run(e, name, tasks)
 }
 
-// run installs the batch as one slice per active worker, wakes the
-// spawned ones, participates as worker 0 and joins them. Only as many
-// workers as there are tasks take part, and a closed pool runs the batch
-// on worker 0 alone, so one worker, one task or a closed pool wakes
-// nobody.
+// run installs the batch as one slice per active worker, publishes it,
+// wakes the spawned workers that have parked, participates as worker 0
+// and joins them. Only as many workers as there are tasks take part, and
+// a closed pool runs the batch on worker 0 alone, so one worker, one task
+// or a closed pool publishes nothing.
 func (p *Pool) run(env *Env, name string, tasks []Task) {
 	if len(tasks) == 0 {
 		return
@@ -231,22 +273,31 @@ func (p *Pool) run(env *Env, name string, tasks []Task) {
 	p.panicPt = env.Faults.Point(faults.SchedWorkerPanic)
 	p.slow = env.Faults.Point(faults.SchedTaskSlow)
 
-	p.active = min(len(p.workers), len(tasks))
+	active := min(len(p.workers), len(tasks))
 	if p.closed {
-		p.active = 1
+		active = 1
 	}
-	for i, w := range p.workers[:p.active] {
-		w.share.tasks = tasks[i*len(tasks)/p.active : (i+1)*len(tasks)/p.active]
+	for i, w := range p.workers[:active] {
+		w.share.tasks = tasks[i*len(tasks)/active : (i+1)*len(tasks)/active]
 		w.share.next.Store(0)
 	}
-	p.join.Add(p.active - 1)
-	for _, w := range p.workers[1:p.active] {
-		w.wake <- struct{}{} // always empty here: the previous batch joined
+	if active > 1 {
+		p.pending.Store(int64(active - 1))
+		p.batch.Store((p.batch.Load()>>32+1)<<32 | uint64(active))
+		for _, w := range p.workers[1:active] {
+			if w.parked.CompareAndSwap(true, false) {
+				w.wake <- struct{}{} // empty: the worker consumed its last wake
+			}
+		}
 	}
 	w0 := p.workers[0]
-	p.runWorker(w0)
+	p.runWorker(w0, active)
 	waitStart := time.Now()
-	p.join.Wait()
+	for i := 1; p.pending.Load() != 0; i++ {
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
 	w0.idleNs.Add(int64(time.Since(waitStart)))
 
 	steals1, idle1, busy1 := p.totals()
@@ -279,7 +330,8 @@ func (p *Pool) run(env *Env, name string, tasks []Task) {
 }
 
 // totals sums the per-worker lifetime steal, idle, and busy counters.
-// Called under p.mu with all workers parked, so the totals are stable.
+// Called under p.mu with every spawned worker out of the batch, so the
+// totals are stable.
 func (p *Pool) totals() (steals, idleNs, busyNs int64) {
 	for _, w := range p.workers {
 		steals += w.steals.Load()
@@ -289,22 +341,71 @@ func (p *Pool) totals() (steals, idleNs, busyNs int64) {
 	return
 }
 
-// workerLoop parks a spawned worker between batches.
+// workerLoop runs a spawned worker: each batch it takes part in, until
+// the pool closes.
 func (p *Pool) workerLoop(w *worker) {
-	for range w.wake {
-		p.runWorker(w)
-		p.join.Done()
+	defer p.exited.Done()
+	var seen uint64 // generation of the last batch published; 0 is none
+	for {
+		b, ok := p.await(w, seen)
+		if !ok {
+			return
+		}
+		seen = b >> 32
+		p.runWorker(w, int(b&activeMask))
+		p.pending.Add(-1)
+	}
+}
+
+// await returns the word of the first batch after generation seen that w
+// takes part in, or false once the pool is closed. It polls the batch
+// word for spinWindow, then parks w on its wake channel: parked is set
+// before the batch word is read again, and run publishes the word before
+// it reads parked, so either w sees the batch or run sees w parked and
+// wakes it. A park that w cancels after run has taken the flag consumes
+// the wake run sends.
+func (p *Pool) await(w *worker, seen uint64) (uint64, bool) {
+	var deadline time.Time
+	for i := 1; ; i++ {
+		if p.quit.Load() {
+			return 0, false
+		}
+		b := p.batch.Load()
+		if b>>32 != seen {
+			if int(b&activeMask) > w.id {
+				return b, true
+			}
+			seen = b >> 32 // a batch without w
+		}
+		if i%spinYield != 0 {
+			continue
+		}
+		runtime.Gosched()
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(spinWindow)
+		}
+		if now.Before(deadline) {
+			continue
+		}
+		w.parked.Store(true)
+		if p.batch.Load()>>32 == seen && !p.quit.Load() {
+			<-w.wake // a batch with w, or Close
+		} else if !w.parked.CompareAndSwap(true, false) {
+			<-w.wake // run took the flag: its wake is on the way
+		}
+		deadline = time.Time{}
 	}
 }
 
 // runWorker drains the worker's own slice, then claims what is left of
-// the batch's other slices in turn; every claim outside its own slice is
-// a steal. Two clock reads per worker per batch keep CPU attribution off
-// the per-task path.
-func (p *Pool) runWorker(w *worker) {
+// the batch's other active slices in turn; every claim outside its own
+// slice is a steal. Two clock reads per worker per batch keep CPU
+// attribution off the per-task path.
+func (p *Pool) runWorker(w *worker, active int) {
 	start := time.Now()
-	for i := 0; i < p.active; i++ {
-		s := &p.workers[(w.id+i)%p.active].share
+	for i := 0; i < active; i++ {
+		s := &p.workers[(w.id+i)%active].share
 		for t, ok := s.claim(); ok; t, ok = s.claim() {
 			if i > 0 {
 				w.steals.Add(1)
@@ -346,17 +447,19 @@ func (p *Pool) recordPanic(r any) {
 	p.faultMu.Unlock()
 }
 
-// Close retires the spawned workers. Run calls after Close degrade to
-// inline serial execution (a usage error, but a benign one in test
-// teardown orderings). Close is idempotent and waits for an in-flight
-// batch.
+// Close retires the spawned workers, spinning or parked, and returns once
+// their goroutines have. Run calls after Close degrade to inline serial
+// execution (a usage error, but a benign one in test teardown orderings).
+// Close is idempotent and waits for an in-flight batch.
 func (p *Pool) Close() {
 	p.once.Do(func() {
 		p.mu.Lock()
 		p.closed = true
+		p.quit.Store(true)
 		for _, w := range p.workers[1:] {
 			close(w.wake)
 		}
 		p.mu.Unlock()
+		p.exited.Wait()
 	})
 }

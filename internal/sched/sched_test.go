@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -442,4 +446,107 @@ func TestEnvRunCreditsBusyNs(t *testing.T) {
 	if !ran || (*Env)(nil).Canceled() {
 		t.Error("a nil Env must run its batch inline and never report canceled")
 	}
+}
+
+// TestSpinParkStressTaskPanic drives the spin-then-park handoff at
+// Threads 2 and 3 with a seeded schedule: batches of 1 to threads+1 tasks,
+// so workers are left out of some batches, separated by no gap, by gaps
+// inside the spin window, and by gaps past it, so workers are caught
+// spinning, parking and parked. Every task must run exactly once per
+// batch and finish before Run returns, a batch with a panicking task must
+// surface it as a *TaskPanic after its siblings ran, and once Close
+// returns the pool's goroutines are gone. A batch that does not return
+// within the watchdog fails the test instead of hanging it. The seed is 1;
+// FLATDD_SCHED_SEED replays another.
+func TestSpinParkStressTaskPanic(t *testing.T) {
+	seed := int64(1)
+	if v := os.Getenv("FLATDD_SCHED_SEED"); v != "" {
+		var err error
+		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+			t.Fatalf("FLATDD_SCHED_SEED=%q: %v", v, err)
+		}
+	}
+	batches := 4000
+	if testing.Short() {
+		batches = 1000
+	}
+	for _, threads := range []int{2, 3} {
+		t.Run(fmt.Sprintf("threads-%d", threads), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed + int64(threads)))
+			base := runtime.NumGoroutine()
+			p := New(threads)
+			for b := 0; b < batches; b++ {
+				if err := stressBatch(p, rng, threads); err != nil {
+					t.Fatalf("seed %d batch %d: %v", seed, b, err)
+				}
+				switch rng.Intn(4) {
+				case 0: // back to back
+				case 1, 2: // inside the spin window
+					for end := time.Now().Add(time.Duration(rng.Intn(int(spinWindow/2))) + time.Microsecond); time.Now().Before(end); {
+					}
+				default: // past it: the workers park
+					time.Sleep(spinWindow + time.Duration(rng.Intn(int(4*spinWindow))))
+				}
+			}
+			p.Close()
+			// Close waits for the workers; the batches' own callers exit
+			// right after handing back their result.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), base)
+				}
+			}
+		})
+	}
+}
+
+// stressBatch runs one batch of 1 to threads+1 tasks on p, one of them
+// panicking one time in eight, and checks what Run promises.
+func stressBatch(p *Pool, rng *rand.Rand, threads int) error {
+	n := 1 + rng.Intn(threads+1)
+	panicker := -1
+	if rng.Intn(8) == 0 {
+		panicker = rng.Intn(n)
+	}
+	runs := make([]atomic.Int32, n)
+	done := make([]atomic.Bool, n)
+	tasks := make([]Task, n)
+	for i := range tasks {
+		iters := rng.Intn(3000)
+		tasks[i] = func() {
+			runs[i].Add(1)
+			spin(iters)
+			done[i].Store(true)
+			if i == panicker {
+				panic(i)
+			}
+		}
+	}
+	ret := make(chan any, 1)
+	go func() {
+		defer func() { ret <- recover() }()
+		p.Run(tasks)
+	}()
+	var rec any
+	select {
+	case rec = <-ret:
+	case <-time.After(10 * time.Second):
+		return errors.New("Run did not return")
+	}
+	for i := range tasks {
+		if got := runs[i].Load(); got != 1 {
+			return fmt.Errorf("task %d of %d ran %d times", i, n, got)
+		}
+		if !done[i].Load() {
+			return fmt.Errorf("Run returned before task %d of %d finished", i, n)
+		}
+	}
+	tp, ok := rec.(*TaskPanic)
+	switch {
+	case panicker < 0 && rec != nil:
+		return fmt.Errorf("Run panicked with %v", rec)
+	case panicker >= 0 && (!ok || tp.Value != panicker):
+		return fmt.Errorf("Run recovered %v (%T), want a *TaskPanic of task %d", rec, rec, panicker)
+	}
+	return nil
 }

@@ -218,10 +218,14 @@ func TestCacheCoalescing(t *testing.T) {
 func TestCacheCoalesceOntoRetryingLeader(t *testing.T) {
 	freg := faults.New(1)
 	freg.Arm(faults.SchedWorkerPanic, faults.Trigger{Nth: 1, Times: 1, Transient: true})
-	// Every pool task also sleeps 250ms, so the rerun stays in flight long
-	// after the fixed retry backoff: the duplicate lands while the leader
-	// is queued or rerunning.
-	freg.Arm(faults.SchedTaskSlow, faults.Trigger{Prob: 1, Delay: 250 * time.Millisecond})
+	// The first 96 pool tasks also sleep 250ms: the faulted attempt's
+	// conversion batch takes at most 32 of them (leaf tasks of at least
+	// 128 amplitudes), so the rerun sleeps through 64 or more, a second or
+	// longer on four workers, long after the fixed retry backoff: the
+	// duplicate lands while the leader is queued or rerunning. The cap
+	// keeps the rerun's DMAV gates, which fork too, from sleeping for
+	// minutes.
+	freg.Arm(faults.SchedTaskSlow, faults.Trigger{Prob: 1, Times: 96, Delay: 250 * time.Millisecond})
 	h := newTestServer(t, serve.Config{Threads: 4, Faults: freg})
 	ctx := context.Background()
 

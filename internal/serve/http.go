@@ -348,15 +348,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error(), "invalid", 0)
 		return
 	}
-	j, replayed, aerr := s.submit(&req, r.Header.Get("traceparent"), tenant,
+	j, v, replayed, aerr := s.submit(&req, r.Header.Get("traceparent"), tenant,
 		r.Header.Get("Idempotency-Key"))
 	if aerr != nil {
 		WriteError(w, aerr.status, aerr.msg, aerr.reason, aerr.retryAfter)
 		return
 	}
-	s.mu.Lock()
-	v := s.viewLocked(j)
-	s.mu.Unlock()
 	// Hand the caller its trace context back: the trace it sent (now
 	// continued by the job's span tree) or the one minted here.
 	w.Header().Set("traceparent", obs.TraceParent(j.span.Trace(), j.span.ID()))

@@ -29,7 +29,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 
 	req := &SubmitRequest{Circuit: "ghz", N: 4}
-	first, _, aerr := s.submit(req, "", DefaultTenant, "first")
+	first, _, _, aerr := s.submit(req, "", DefaultTenant, "first")
 	if aerr != nil {
 		t.Fatal(aerr.msg)
 	}
@@ -86,7 +86,7 @@ func TestTerminalJobRetention(t *testing.T) {
 			jobs, order, idem, MaxRetainedJobs+2, 2*jobs)
 	}
 
-	again, replayed, aerr := s.submit(req, "", DefaultTenant, "first")
+	again, _, replayed, aerr := s.submit(req, "", DefaultTenant, "first")
 	if aerr != nil {
 		t.Fatal(aerr.msg)
 	}
@@ -120,7 +120,7 @@ func waitJobState(t *testing.T, s *Server, j *job, want string) {
 
 func mustSubmit(t *testing.T, s *Server, req *SubmitRequest) *job {
 	t.Helper()
-	j, _, aerr := s.submit(req, "", DefaultTenant, "")
+	j, _, _, aerr := s.submit(req, "", DefaultTenant, "")
 	if aerr != nil {
 		t.Fatalf("submit: %s", aerr.msg)
 	}

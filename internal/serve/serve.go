@@ -499,31 +499,34 @@ func (s *Server) normalize(req *SubmitRequest) (runOptions, error) {
 // admitted job's root span continues that trace. tenant is the validated
 // tenant identity; idemKey, when non-empty, makes the submission
 // idempotent: a repeat with the same key replays the original job
-// (replayed=true) instead of admitting a new one.
-func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string) (j *job, replayed bool, aerr *admissionError) {
+// (replayed=true) instead of admitting a new one. v is the job's view as
+// admission left it, rendered before s.mu drops: from then on a runner
+// may dispatch the job, and the submit response must show the state the
+// job was admitted in.
+func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string) (j *job, v JobView, replayed bool, aerr *admissionError) {
 	c, err := BuildCircuit(req)
 	if err != nil {
 		s.met.rejectInvalid.Inc()
-		return nil, false, &admissionError{status: 400, msg: err.Error(), reason: "invalid"}
+		return nil, v, false, &admissionError{status: 400, msg: err.Error(), reason: "invalid"}
 	}
 	opts, err := s.normalize(req)
 	if err != nil {
 		s.met.rejectInvalid.Inc()
-		return nil, false, &admissionError{status: 400, msg: err.Error(), reason: "invalid"}
+		return nil, v, false, &admissionError{status: 400, msg: err.Error(), reason: "invalid"}
 	}
 	if c.Qubits < 1 {
 		s.met.rejectInvalid.Inc()
-		return nil, false, &admissionError{status: 400, msg: "circuit has no qubits", reason: "invalid"}
+		return nil, v, false, &admissionError{status: 400, msg: "circuit has no qubits", reason: "invalid"}
 	}
 	if c.Qubits > dmav.MaxQubits {
 		s.met.rejectBudget.Inc()
-		return nil, false, &admissionError{status: 413, msg: fmt.Sprintf(
+		return nil, v, false, &admissionError{status: 413, msg: fmt.Sprintf(
 			"circuit has %d qubits, the engine simulates at most %d", c.Qubits, dmav.MaxQubits),
 			reason: "qubit_cap"}
 	}
 	if w := s.flatBytes(c.Qubits, opts); w > s.cfg.MemoryBudget {
 		s.met.rejectBudget.Inc()
-		return nil, false, &admissionError{status: 413, msg: fmt.Sprintf(
+		return nil, v, false, &admissionError{status: 413, msg: fmt.Sprintf(
 			"flat arrays for %d qubits take %d bytes, over the %d-byte budget",
 			c.Qubits, w, s.cfg.MemoryBudget),
 			reason: "memory_budget"}
@@ -532,6 +535,17 @@ func (s *Server) submit(req *SubmitRequest, traceparent, tenant, idemKey string)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j, replayed, aerr = s.admitLocked(c, opts, key, traceparent, tenant, idemKey)
+	if aerr != nil {
+		return nil, v, false, aerr
+	}
+	return j, s.viewLocked(j), replayed, nil
+}
+
+// admitLocked is submit's admission under s.mu: draining and idempotency
+// checks, then the job's disposition — cache hit, coalesced onto an
+// in-flight leader, or queued.
+func (s *Server) admitLocked(c *circuit.Circuit, opts runOptions, key cacheKey, traceparent, tenant, idemKey string) (j *job, replayed bool, aerr *admissionError) {
 	if s.draining {
 		return nil, false, &admissionError{status: 503, msg: "server is draining",
 			reason: "draining", retryAfter: 5}
