@@ -93,11 +93,14 @@ chaos:
 trace-schema:
 	$(GO) test -count=1 -run 'SpanSchemaGolden|TraceWriterSticky' ./internal/obs
 
-# fuzz runs the OpenQASM parser fuzzer for a bounded slice of time, seeded
-# from internal/qasm/testdata/fuzz. A crasher is written to that directory
-# and replays as a regular test case on the next `go test`.
+# fuzz runs two fuzzers for a bounded slice of time each: the OpenQASM
+# parser, seeded from internal/qasm/testdata/fuzz, and the dense block
+# product against DD matrix-matrix multiplication (internal/block). A
+# crasher is written to the package's testdata/fuzz directory and replays
+# as a regular test case on the next `go test`.
 fuzz:
 	$(GO) test -run NoSuchTest -fuzz FuzzParse -fuzztime 10s ./internal/qasm
+	$(GO) test -run NoSuchTest -fuzz FuzzComposeBlocks -fuzztime 10s ./internal/block
 
 # bench-obs reproduces the instrumentation-overhead numbers recorded in
 # EXPERIMENTS.md (run several times and compare pairs; the signal is

@@ -13,6 +13,7 @@
 //     per-thread caching and the MAC cost model
 //   - internal/convert — parallel DD-to-array state conversion
 //   - internal/ewma — the conversion-timing controller
+//   - internal/block — narrow gates as small dense blocks for the DMAV phase
 //   - internal/fusion — DMAV-aware gate fusion and the k-operations baseline
 //   - internal/workloads, internal/harness — benchmark circuits and the
 //     experiment harness reproducing every table and figure of the paper

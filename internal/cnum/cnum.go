@@ -118,6 +118,22 @@ func (t *Table) Lookup(c complex128) complex128 {
 	return complex(re, im)
 }
 
+// defaultTable backs IsZero. Lookup only reads its seeded map, and its
+// counter is nil, so concurrent callers share it safely.
+var defaultTable = NewTable(DefaultTolerance)
+
+// IsZero reports whether c interns to zero at DefaultTolerance: the test
+// by which a DD drops an edge weight. Dense gate blocks count their
+// nonzero entries with it, so their MAC counts agree with the DD's.
+func IsZero(c complex128) bool {
+	// A component this far from zero never snaps to it: only the few
+	// buckets around zero need the table.
+	if math.Abs(real(c)) > 1e-9 || math.Abs(imag(c)) > 1e-9 {
+		return false
+	}
+	return defaultTable.Lookup(c) == 0
+}
+
 // LookupFloat interns a single float component.
 func (t *Table) LookupFloat(x float64) float64 {
 	if x == 0 { // fast path, avoids -0 issues too

@@ -142,3 +142,17 @@ func BenchmarkLookupHit(b *testing.B) {
 		tbl.Lookup(v)
 	}
 }
+
+// TestIsZeroMatchesLookup pins IsZero's shortcut to the table it stands
+// for: at magnitudes on both sides of the zero buckets, and of the 1e-9
+// cut-off, IsZero is Lookup(c) == 0 at DefaultTolerance.
+func TestIsZeroMatchesLookup(t *testing.T) {
+	tab := NewTable(DefaultTolerance)
+	for _, x := range []float64{0, 1e-300, 1e-17, 5e-11, 8.6e-11, 8.8e-11, 1e-10, 2e-10, 9.9e-10, 1e-9, 1.1e-9, 1e-3, 0.5, 1} {
+		for _, c := range []complex128{complex(x, 0), complex(-x, 0), complex(0, x), complex(x, -x), complex(x, 1)} {
+			if got, want := IsZero(c), tab.Lookup(c) == 0; got != want {
+				t.Errorf("IsZero(%v) = %v, Lookup gives zero: %v", c, got, want)
+			}
+		}
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"flatdd/internal/block"
 	"flatdd/internal/circuit"
 	"flatdd/internal/convert"
 	"flatdd/internal/dd"
@@ -281,7 +282,9 @@ type Stats struct {
 	DDTime          time.Duration
 	ConversionTime  time.Duration
 	// FusionTime covers preparing the DMAV phase: building the remaining
-	// gate matrices as DDs and, when enabled, the fusion pass itself.
+	// gates' dense blocks (and the DDs of gates wider than block.Width, or
+	// of every gate under AlwaysCache or KOps) and, when enabled, the
+	// fusion pass itself.
 	FusionTime time.Duration
 	DMAVTime   time.Duration
 	TotalTime  time.Duration
@@ -290,7 +293,7 @@ type Stats struct {
 	FusedGates   int // gates executed in the DMAV phase after fusion
 	DMAVStats    dmav.Stats
 	MemoryBytes  uint64 // working-set estimate (DD nodes + flat arrays)
-	FusionResult *fusion.Result
+	FusionResult *fusion.Result[fusion.Gate]
 	FinalDDSize  int // state-DD size at conversion (or at the end if never converted)
 	TimedOut     bool
 	// Fidelity is a guaranteed lower bound on |<exact|simulated>|^2 after
@@ -741,50 +744,95 @@ func (r *run) convert(env sched.Env, at int) error {
 	return nil
 }
 
-// fuse builds the matrix DDs of the gates from index from on and, when
-// Options.Fusion asks for it, fuses them.
-func (r *run) fuse(from int) ([]dd.MEdge, error) {
+// fuse prepares the gates from index from on for the DMAV phase. A gate
+// on at most block.Width qubits becomes its dense block, built from the
+// circuit gate and never a DD; a wider gate becomes its DD. DMAV-aware
+// fusion runs Algorithm 3 over them, composing blocks densely. Under
+// AlwaysCache every gate runs Algorithm 2, which needs DDs: a block then
+// gets one, the memoized ddsim.BuildGateDD of its gate or, for a fused
+// product, dd.Manager.MultiQubitGate. KOps builds and fuses DDs.
+func (r *run) fuse(from int) ([]fusion.Gate, error) {
 	s := r.s
 	p := r.beginPhase("phase.fuse")
-	gates := make([]dd.MEdge, 0, len(r.c.Gates)-from)
-	var err error
+	src := r.c.Gates[from:]
+	gates := make([]fusion.Gate, 0, len(src))
+	memo := gateMemo{}
 	// Only distinct roots are GC roots: memo entries stay live with them.
-	built := gateMemo{}
 	roots := dd.Roots{}
-	for j := from; j < len(r.c.Gates); j++ {
-		if r.canceled() {
-			err = errAborted
-			break
-		}
-		g, fresh := built.build(s.m, s.n, &r.c.Gates[j])
-		gates = append(gates, g)
-		if !fresh {
-			continue
-		}
+	keep := func(g dd.MEdge) dd.MEdge {
 		roots.M = append(roots.M, g)
 		s.m.CollectIfNeeded(roots)
 		nc := s.m.NodeCount()
 		s.led.ObserveDD(int64(nc), uint64(nc)*dd.NodeBytes)
+		return g
+	}
+	ddOf := func(g *circuit.Gate) dd.MEdge {
+		e, fresh := memo.build(s.m, s.n, g)
+		if fresh {
+			keep(e)
+		}
+		return e
+	}
+	var err error
+	for j := range src {
+		if r.canceled() {
+			err = errAborted
+			break
+		}
+		var b *block.Block
+		if s.opts.Fusion != KOps {
+			b = memo.block(&src[j])
+		}
+		if b != nil {
+			gates = append(gates, fusion.Gate{Block: b})
+		} else {
+			gates = append(gates, fusion.Gate{DD: ddOf(&src[j])})
+		}
 	}
 	if err == nil {
-		// Priced at K1, not at the engine's min(C1, C2): fusion.Fuse's skip
-		// is exact for it, and the plan does not depend on the thread count.
-		costFn := fusion.MACCost()
 		switch s.opts.Fusion {
 		case DMAVAware:
-			res := fusion.Fuse(s.m, gates, costFn)
+			res := fusion.FuseGates(s.n, gates)
 			s.stats.FusionResult = &res
 			gates = res.Gates
 		case KOps:
-			res := fusion.KOperations(s.m, gates, kopsBlock, costFn)
+			// Priced at K1, not at the engine's min(C1, C2): the plan does
+			// not depend on the thread count.
+			dds := make([]dd.MEdge, len(gates))
+			for i, g := range gates {
+				dds[i] = g.DD
+			}
+			kres := fusion.KOperations(s.m, dds, kopsBlock, fusion.MACCost())
+			res := fusion.Result[fusion.Gate]{Runs: kres.Runs, CostBefore: kres.CostBefore,
+				CostAfter: kres.CostAfter, Fusions: kres.Fusions}
+			for _, g := range kres.Gates {
+				res.Gates = append(res.Gates, fusion.Gate{DD: g})
+			}
 			s.stats.FusionResult = &res
 			gates = res.Gates
+		}
+		if s.opts.CacheMode == dmav.AlwaysCache {
+			j := 0
+			for i, g := range gates {
+				run := 1
+				if res := s.stats.FusionResult; res != nil {
+					run = res.Runs[i]
+				}
+				switch {
+				case g.Block == nil:
+				case run == 1:
+					gates[i] = fusion.Gate{DD: ddOf(&src[j])}
+				default:
+					gates[i] = fusion.Gate{DD: keep(g.Block.DD(s.m, s.n))}
+				}
+				j += run
+			}
 		}
 		s.stats.FusedGates = len(gates)
 	}
 	if p.span != nil {
 		p.span.SetAttr("mode", s.opts.Fusion.String())
-		p.span.SetAttr("gates_in", len(r.c.Gates)-from)
+		p.span.SetAttr("gates_in", len(src))
 		p.span.SetAttr("gates_out", len(gates))
 	}
 	s.stats.FusionTime = r.endPhase(p, true)
@@ -793,7 +841,7 @@ func (r *run) fuse(from int) ([]dd.MEdge, error) {
 
 // dmav applies the gates to the flat state on env's pool; gate is the
 // circuit index of the first one.
-func (r *run) dmav(env sched.Env, gates []dd.MEdge, gate int) error {
+func (r *run) dmav(env sched.Env, gates []fusion.Gate, gate int) error {
 	s := r.s
 	p := r.beginPhase("phase.dmav")
 	env.Span = p.span
@@ -806,9 +854,14 @@ func (r *run) dmav(env sched.Env, gates []dd.MEdge, gate int) error {
 			break
 		}
 		gStart := time.Now()
-		// Step runs a narrow gate in place and anything else into the
-		// engine's scratch vector, which it swaps with the state.
-		out, _, serr := s.eng.Step(g, s.state)
+		// A block runs in place; a DD runs into the engine's scratch
+		// vector, which Step swaps with the state.
+		out, serr := s.state, error(nil)
+		if g.Block != nil {
+			_, serr = s.eng.StepBlock(g.Block, s.state)
+		} else {
+			out, _, serr = s.eng.Step(g.DD, s.state)
+		}
 		if errors.Is(serr, dmav.ErrCanceled) {
 			// Canceled mid-multiplication: the engine kept the pre-gate
 			// state and discarded the gate. An in-place gate always
@@ -907,18 +960,20 @@ func (r *run) end(err error) (Stats, error) {
 	return s.stats, err
 }
 
-// gateMemo memoizes ddsim.BuildGateDD for one run. The key is what the
-// DD depends on: the bits of the gate's matrix, its targets in order, and
-// each control's qubit and polarity. The gate's name is not in it, so two
-// spellings of one matrix share an entry, and two matrices that differ in
-// one bit do not.
+// gateMemo memoizes, for one run, each gate's DD (ddsim.BuildGateDD) and
+// its dense block (block.Of). The key is what both depend on: the bits of
+// the gate's matrix, its targets in order, and each control's qubit and
+// polarity. The gate's name is not in it, so two spellings of one matrix
+// share an entry, and two matrices that differ in one bit do not. A
+// repeated gate shares one Block, so the DMAV engine compiles it once.
 type gateMemo struct {
-	byKey map[string]dd.MEdge
-	key   []byte
+	byKey  map[string]dd.MEdge
+	blocks map[string]*block.Block
+	key    []byte
 }
 
-// build returns the gate's DD and whether this call built it.
-func (b *gateMemo) build(m *dd.Manager, n int, g *circuit.Gate) (dd.MEdge, bool) {
+// keyOf sets b.key to g's key and returns it.
+func (b *gateMemo) keyOf(g *circuit.Gate) []byte {
 	k := binary.AppendUvarint(b.key[:0], uint64(len(g.Targets)))
 	for _, t := range g.Targets {
 		k = binary.AppendUvarint(k, uint64(t))
@@ -938,6 +993,12 @@ func (b *gateMemo) build(m *dd.Manager, n int, g *circuit.Gate) (dd.MEdge, bool)
 		}
 	}
 	b.key = k
+	return k
+}
+
+// build returns the gate's DD and whether this call built it.
+func (b *gateMemo) build(m *dd.Manager, n int, g *circuit.Gate) (dd.MEdge, bool) {
+	k := b.keyOf(g)
 	if e, ok := b.byKey[string(k)]; ok {
 		return e, false
 	}
@@ -947,6 +1008,24 @@ func (b *gateMemo) build(m *dd.Manager, n int, g *circuit.Gate) (dd.MEdge, bool)
 	}
 	b.byKey[string(k)] = e
 	return e, true
+}
+
+// block returns the gate's dense block, or nil when the gate acts on more
+// than block.Width qubits.
+func (b *gateMemo) block(g *circuit.Gate) *block.Block {
+	if len(g.Targets)+len(g.Controls) > block.Width {
+		return nil
+	}
+	k := b.keyOf(g)
+	if blk, ok := b.blocks[string(k)]; ok {
+		return blk
+	}
+	blk := block.Of(g)
+	if b.blocks == nil {
+		b.blocks = map[string]*block.Block{}
+	}
+	b.blocks[string(k)] = blk
+	return blk
 }
 
 // conversionBlocked decides, at the moment the controller fires, whether

@@ -25,13 +25,15 @@ func peakFlatBytes(r *obs.LedgerSnapshot) uint64 {
 // dmav.FlatBytes, and a Threads-8 cached run reaches it, so the bound is
 // tight where serve's admission relies on it. The old 48·2^n figure
 // fails here: Threads 4 and 8 cached runs allocate 80 and 144 B per
-// amplitude. -short (the race build) keeps a third of the matrix.
+// amplitude. DMAV-aware plans are capped at block.Width qubits, so the
+// runs that reach the bound are k-operations ones, whose products are
+// not. -short (the race build) keeps two fifths of the matrix.
 func TestFlatBytesBoundsAllocation(t *testing.T) {
 	const n = 12
 	threadCounts := []int{1, 2, 3, 4, 8}
-	fusions := []FusionMode{NoFusion, DMAVAware}
+	fusions := []FusionMode{NoFusion, DMAVAware, KOps}
 	if testing.Short() {
-		threadCounts, fusions = []int{1, 3, 8}, []FusionMode{DMAVAware}
+		threadCounts, fusions = []int{1, 3, 8}, []FusionMode{DMAVAware, KOps}
 	}
 	reached := false
 	for _, family := range []string{"qv", "dnn", "supremacy", "vqe"} {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
 	"flatdd/internal/dmav"
+	"flatdd/internal/ewma"
 	"flatdd/internal/workloads"
 )
 
@@ -40,6 +43,9 @@ func TestGateMemoKeysOnMatrixTargetsAndControls(t *testing.T) {
 		if len(b.byKey) != 2 {
 			t.Fatalf("%s: %d entries, want 2", tc.name, len(b.byKey))
 		}
+		if b.block(&tc.a) == b.block(&tc.b) || len(b.blocks) != 2 {
+			t.Fatalf("%s: %v and %v share a block (%d blocks)", tc.name, tc.a, tc.b, len(b.blocks))
+		}
 	}
 
 	// Repeated identical gates share one entry and one root, whatever
@@ -57,6 +63,18 @@ func TestGateMemoKeysOnMatrixTargetsAndControls(t *testing.T) {
 	}
 	if len(b.byKey) != 1 {
 		t.Fatalf("%d entries for one repeated gate, want 1", len(b.byKey))
+	}
+	// So do their blocks, which the DMAV engine then compiles once.
+	blk := b.block(&h)
+	for i := 0; i < 5; i++ {
+		g := circuit.H(2)
+		g.Name = "hadamard"
+		if b.block(&g) != blk {
+			t.Fatalf("repeat %d: a second block for one gate", i)
+		}
+	}
+	if wide := circuit.MCX([]int{0, 1, 2}, 3); b.block(&wide) != nil {
+		t.Fatal("a four-qubit gate got a block")
 	}
 }
 
@@ -98,6 +116,87 @@ func TestFusionPlanIndependentOfThreads(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNarrowGatesBuildNoDDs drives a run's phases one by one and pins that
+// the fuse and DMAV phases build no DD node under Auto and NeverCache,
+// unfused or DMAV-aware: every dnn and supremacy gate is a block, composed
+// and run without a DD. Under AlwaysCache every gate needs its DD, and the
+// count grows, which shows the probe sees DD work where there is some.
+func TestNarrowGatesBuildNoDDs(t *testing.T) {
+	const n = 12
+	for _, fam := range []string{"dnn", "supremacy"} {
+		c, err := workloads.Build(fam, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []dmav.Mode{dmav.Auto, dmav.NeverCache, dmav.AlwaysCache} {
+			for _, fuse := range []FusionMode{NoFusion, DMAVAware} {
+				s := New(n, Options{Threads: 2, CacheMode: mode, Fusion: fuse, ForceConvertAfter: n})
+				r := &run{s: s, c: c, ctx: t.Context(), start: time.Now()}
+				s.stats = Stats{Gates: c.GateCount(), ConvertedAtGate: -1, Fidelity: 1}
+				r.ctl = ewma.New(s.opts.Beta, s.opts.Epsilon)
+				at, err := r.dd()
+				if err != nil || at != n {
+					t.Fatalf("%s: DD phase ended at gate %d (%v), want %d", fam, at, err, n)
+				}
+				env, release := s.flatEnv(nil)
+				env.Ledger = s.led
+				if err := r.convert(env, at); err != nil {
+					t.Fatal(err)
+				}
+				before := s.m.NodeCount()
+				gates, err := r.fuse(at)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.dmav(env, gates, at); err != nil {
+					t.Fatal(err)
+				}
+				release()
+				after := s.m.NodeCount()
+				name := fmt.Sprintf("%s %v %v", fam, mode, fuse)
+				if mode == dmav.AlwaysCache {
+					if after <= before {
+						t.Errorf("%s: %d DD nodes before the fuse phase, %d after DMAV; want growth", name, before, after)
+					}
+				} else if after != before {
+					t.Errorf("%s: %d DD nodes before the fuse phase, %d after DMAV", name, before, after)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFusionRun is the whole engine on the benchmark's two fusion
+// circuits at Threads 2, with and without DMAV-aware fusion: the A/B that
+// says whether Algorithm 3 pays for itself on wall clock. Reports the
+// fuse and DMAV phases per run and the DMAV gate count beside ns/op.
+func BenchmarkFusionRun(b *testing.B) {
+	for _, w := range []struct {
+		family string
+		n      int
+	}{{"dnn", 15}, {"supremacy", 14}} {
+		c, err := workloads.Build(w.family, w.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, fuse := range []FusionMode{NoFusion, DMAVAware} {
+			b.Run(fmt.Sprintf("%s/%v", c.Name, fuse), func(b *testing.B) {
+				var fuseNs, dmavNs time.Duration
+				var st Stats
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st = New(w.n, Options{Threads: 2, Fusion: fuse}).Run(c)
+					fuseNs += st.FusionTime
+					dmavNs += st.DMAVTime
+				}
+				b.ReportMetric(float64(st.FusedGates), "gates")
+				b.ReportMetric(float64(fuseNs.Microseconds())/float64(b.N)/1e3, "fuse-ms/op")
+				b.ReportMetric(float64(dmavNs.Microseconds())/float64(b.N)/1e3, "dmav-ms/op")
+			})
 		}
 	}
 }

@@ -62,11 +62,13 @@ func randomMixed(n, gates int, seed int64) *circuit.Circuit {
 
 // TestKernelPathMatrix generates the engine-configuration matrix — threads
 // × cache mode × fusion mode — and pins every point to the state-vector
-// oracle at Tol on seeded random circuits. An unfused run that may use
-// Algorithm 1 must also have run gates in place, and an AlwaysCache run
-// none. At n=9 every narrow gate runs inline; at n=14 and n=17 gates fork
-// onto the pool when threads > 1; internal/dmav's TestKernelOpKinds
-// covers both sides gate by gate.
+// oracle at Tol on seeded random circuits. A run that may use Algorithm
+// 1 must also have run gates in place and cached none: every gate of the
+// mix is a block, which runs in place under Auto too. An AlwaysCache run
+// must have run every gate through Algorithm 2, none in place. At n=9
+// every narrow gate runs inline; at n=14 and n=17 gates fork onto the
+// pool when threads > 1; internal/dmav's TestKernelOpKinds covers both
+// sides gate by gate.
 func TestKernelPathMatrix(t *testing.T) {
 	sizes := []struct{ qubits, gates int }{{9, 80}, {14, 120}, {5, 60}, {17, 50}}
 	if testing.Short() {
@@ -96,8 +98,11 @@ func TestKernelPathMatrix(t *testing.T) {
 							t.Fatal(m)
 						}
 						inPlace := reg.Counter("dmav.gates.inplace").Value()
-						if mode == dmav.AlwaysCache && inPlace > 0 || mode != dmav.AlwaysCache && fuse == core.NoFusion && inPlace == 0 {
+						if mode == dmav.AlwaysCache && inPlace > 0 || mode != dmav.AlwaysCache && inPlace == 0 {
 							t.Fatalf("%s: %d gates ran in place", name, inPlace)
+						}
+						if cached := st.DMAVStats.CachedGates; mode == dmav.AlwaysCache && cached != st.DMAVStats.Gates || mode != dmav.AlwaysCache && cached > 0 {
+							t.Fatalf("%s: %d of %d gates ran Algorithm 2", name, cached, st.DMAVStats.Gates)
 						}
 					}
 				}

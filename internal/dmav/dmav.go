@@ -37,15 +37,17 @@
 // engine's own tasks, one per chunk index, which read the gate in flight
 // from the engine: forking a gate allocates nothing.
 //
-// Step runs a gate on the caller's state vector. A narrow gate the cost
-// model sends to Algorithm 1 — support of at most three qubits, and a
-// block that is diagonal, monomial or single-target — runs in place
-// (inplace.go): its block is read from the DD once, the identity rows of
-// unsatisfied controls are skipped, and the rest runs as in-place
-// multiplies, swaps or butterflies with bit-insertion indexing, touching
-// only the amplitudes the gate changes. Any other gate runs Apply into an
-// engine-owned scratch vector, allocated on first need, which Step swaps
-// with the state. Apply keeps the out-of-place W = M·V.
+// A gate on at most block.Width qubits reaches the engine as a dense block
+// (internal/block), never as a DD, and StepBlock runs it in place on the
+// caller's state vector (inplace.go) with Algorithm 1, whatever the mode:
+// the identity rows of unsatisfied controls are skipped, and the rest runs
+// as in-place multiplies, swaps, cycles or butterflies (for a fused
+// product, butterflies then one permutation) with bit-insertion indexing,
+// or, for a block none of these fit, as a small sparse gemv over runs of
+// its 2^k column amplitudes copied to a stack temporary. A wider gate, or
+// any gate of a run that caches every gate, is a DD: Step runs it with
+// Apply into an engine-owned scratch vector, allocated on first need,
+// which it swaps with the state. Apply keeps the out-of-place W = M·V.
 //
 // Any positive thread count is supported; chunks are distributed over
 // the pool and re-balanced by stealing, so worker count and chunk shape
@@ -58,6 +60,7 @@ import (
 	"math/bits"
 	"time"
 
+	"flatdd/internal/block"
 	"flatdd/internal/dd"
 	"flatdd/internal/faults"
 	"flatdd/internal/obs"
@@ -222,18 +225,17 @@ type Stats struct {
 	MACsC1      float64 // sum of C1 (Equation 5) — the no-caching cost
 }
 
-// gatePlan is what the engine knows about one distinct gate root. The cost
-// and the algorithm the engine's mode and the cost pick are filled on first
-// sight; the in-place form by the first Step, and the execution half
-// (everything below built) by the first Apply that needs it — all are pure
-// functions of the root node and the engine shape (the in-place form also
-// of the root weight it was compiled for).
+// gatePlan is what the engine knows about one distinct gate root or block.
+// The cost and the algorithm the engine's mode and the cost pick are
+// filled on first sight, and the execution half (everything below built)
+// by the first Apply that needs it — all pure functions of the root node
+// and the engine shape. A block's plan holds its cost and its compiled
+// in-place form alone.
 type gatePlan struct {
 	cost   GateCost
 	cached bool // Algorithm 2
 
-	ipDone bool
-	ip     *inPlace // nil: not a narrow Algorithm 1 gate, Step runs Apply
+	ip *inPlace // a block's in-place form
 
 	built bool
 	// inline: run on the caller, no fork-join. Fixed per root, so the
@@ -266,13 +268,13 @@ type Engine struct {
 	clogT   uint   // log2(cchunks)
 	ch      uint64 // 2^n / cchunks: rows/cols per cached chunk
 
-	// Memo tables, keyed by gate-DD node. Keys keep the nodes alive,
-	// bounded by the distinct gates evaluated (macMemo, gates) or applied
-	// (plans).
-	macMemo map[*dd.MNode]int64  // dd.MACCountNode
-	support map[*dd.MNode]uint64 // dd.SupportNode, emptied after each gate
+	// Memo tables, keyed by gate-DD node or block. Keys keep the nodes
+	// alive, bounded by the distinct gates evaluated (macMemo, gates) or
+	// applied (plans, blocks).
+	macMemo map[*dd.MNode]int64 // dd.MACCountNode
 	plans   map[*dd.MNode]*plan
 	gates   map[*dd.MNode]*gatePlan
+	blocks  map[*block.Block]*gatePlan
 
 	// Scratch of assignCache, reused across roots: per-chunk border
 	// tasks, chunk -> buffer, buffer count, per-buffer segment occupancy
@@ -285,9 +287,8 @@ type Engine struct {
 
 	buffers [][]complex128 // partial-output buffers 1, 2, … (0 is W), grown on demand
 
-	// scratch is Step's output vector for a gate that does not run in
-	// place, allocated on the first such gate; each of them swaps it with
-	// the caller's state vector.
+	// scratch is Step's output vector, allocated on the first gate DD
+	// Step runs; each of them swaps it with the caller's state vector.
 	scratch []complex128
 
 	// env is the run environment: env.Pool executes chunk batches under
@@ -347,7 +348,7 @@ type engMetrics struct {
 	gates         *obs.Counter
 	cachedGates   *obs.Counter
 	uncachedGates *obs.Counter // cost model (or mode) bypassed the cache
-	inPlaceGates  *obs.Counter // uncached gates Step ran in place
+	inPlaceGates  *obs.Counter // blocks StepBlock ran in place
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	macsModeled   *obs.Counter
@@ -379,8 +380,7 @@ func cacheChunks(n, threads int) int {
 // figure memory budgets compare: core's degradation check and the serve
 // layer's admission and dispatch. n must be at most MaxQubits. It is a
 // bound, not the usual cost: Step allocates the scratch vector only for a
-// gate that does not run in place, so a run whose gates all do allocates
-// the state alone.
+// gate DD, so a run whose gates are all blocks allocates the state alone.
 func FlatBytes(n, threads int, mode Mode) uint64 {
 	arrays := uint64(2)
 	if mode != NeverCache {
@@ -410,9 +410,9 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 		cchunks: cchunks,
 		clogT:   uint(bits.TrailingZeros(uint(cchunks))),
 		macMemo: make(map[*dd.MNode]int64),
-		support: make(map[*dd.MNode]uint64),
 		plans:   make(map[*dd.MNode]*plan),
 		gates:   make(map[*dd.MNode]*gatePlan),
+		blocks:  make(map[*block.Block]*gatePlan),
 		firstOf: make(map[*dd.MNode]int),
 	}
 	e.ch = e.dim >> e.clogT
@@ -458,9 +458,9 @@ func (e *Engine) SetPool(p *sched.Pool) {
 //     gate), frequent enough that an abort is observed well within one
 //     gate. Once it fires, Apply returns early with a partial output
 //     vector and without updating Stats; the caller discards the output
-//     and stops applying gates. Step's in-place path never polls it: a
-//     gate that writes the state itself must finish, or the state is torn.
-//     Step's out-of-place path returns ErrCanceled with the state intact.
+//     and stops applying gates. StepBlock never polls it: a gate that
+//     writes the state itself must finish, or the state is torn. Step
+//     returns ErrCanceled with the state intact.
 //   - Span parents the pool batches, which appear as "dmav.rows" /
 //     "dmav.chunks" / "dmav.sum" / "dmav.inplace" children carrying the
 //     scheduler's per-batch attribution.
@@ -538,7 +538,7 @@ func newEngMetrics(r *obs.Registry) *engMetrics {
 // stops there and the kernel starts there.
 func (e *Engine) borderLevel() int { return e.n - int(e.clogT) - 1 }
 
-// ErrCanceled is Step's error for an out-of-place gate that the run's
+// ErrCanceled is Step's error for a gate that the run's
 // cancel probe stopped midway: the state vector passed in is unchanged.
 var ErrCanceled = errors.New("dmav: gate canceled")
 
@@ -557,17 +557,12 @@ func (e *Engine) Apply(M dd.MEdge, V, W []complex128) (GateCost, error) {
 	return cost, nil
 }
 
-// Step applies M to the state vector V and returns the vector that holds
-// the result. A gate whose support has at most three qubits and that the
-// cost model sends to Algorithm 1 runs in place — diagonal, monomial or
-// single-target, touching only the amplitudes it changes — and Step
-// returns V. Any other gate runs Apply into the engine's scratch vector,
-// allocated on the first such gate, and Step returns the scratch and
-// keeps V as the next scratch: the caller must not use V again.
-//
-// An in-place gate does not poll the cancel probe: it completes and counts
-// as applied. An out-of-place gate that the probe stops midway returns V,
-// unchanged, with ErrCanceled; its partial product stays in the scratch.
+// Step applies the gate DD M to the state vector V and returns the vector
+// that holds the result: M runs Apply into the engine's scratch vector,
+// allocated on the first such gate, and Step returns the scratch and keeps
+// V as the next scratch: the caller must not use V again. A gate the
+// probe stops midway returns V, unchanged, with ErrCanceled; its partial
+// product stays in the scratch.
 func (e *Engine) Step(M dd.MEdge, V []complex128) ([]complex128, GateCost, error) {
 	if uint64(len(V)) != e.dim {
 		return V, GateCost{}, fmt.Errorf("dmav: vector length %d, want %d", len(V), e.dim)
@@ -578,11 +573,6 @@ func (e *Engine) Step(M dd.MEdge, V []complex128) ([]complex128, GateCost, error
 	if M.IsZero() {
 		clear(V)
 		return V, GateCost{}, nil
-	}
-	g := e.gate(M.N)
-	if ip := e.inPlaceOf(g, M); ip != nil {
-		e.applyInPlace(g, ip, V)
-		return V, g.cost, nil
 	}
 	if e.scratch == nil {
 		e.scratch = make([]complex128, e.dim)
@@ -595,6 +585,27 @@ func (e *Engine) Step(M dd.MEdge, V []complex128) ([]complex128, GateCost, error
 	}
 	e.scratch = V
 	return W, cost, nil
+}
+
+// StepBlock applies block b to the state vector V in place with Algorithm
+// 1, under every mode: a block has no cached form. Its cost is K1 =
+// 2^(n−k)·nnz, and C2 is not evaluated (it reads as C1). The block is
+// compiled on first use and memoized by pointer, so a run shares one
+// Block per distinct gate. StepBlock does not poll the cancel probe: a
+// gate that writes the state itself must finish, or the state is torn.
+func (e *Engine) StepBlock(b *block.Block, V []complex128) (GateCost, error) {
+	if uint64(len(V)) != e.dim {
+		return GateCost{}, fmt.Errorf("dmav: vector length %d, want %d", len(V), e.dim)
+	}
+	g, ok := e.blocks[b]
+	if !ok {
+		k1 := b.MACs(e.n)
+		c1 := float64(k1) / float64(e.threads)
+		g = &gatePlan{cost: GateCost{K1: k1, C1: c1, C2: c1}, ip: e.compileBlock(b, k1)}
+		e.blocks[b] = g
+	}
+	e.applyInPlace(g, g.ip, V)
+	return g.cost, nil
 }
 
 // apply is Apply on checked vectors. It reports false when the cancel

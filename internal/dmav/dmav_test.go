@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"flatdd/internal/block"
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
 	"flatdd/internal/statevec"
+	"flatdd/internal/workloads"
 )
 
 const eps = 1e-9
@@ -496,38 +498,73 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
-// BenchmarkStep is BenchmarkApply's counterpart for Step on Algorithm 1:
-// narrow gates run in place, the fused block through Apply and the
-// scratch swap. B/op must read 0.
+// BenchmarkStep is BenchmarkApply's counterpart for the DMAV phase's own
+// paths: narrow gates as blocks through StepBlock, in place, and the fused
+// DD through Step (Apply and the scratch swap). "cycle" is the monomial
+// block CX(1,2)·CX(0,1) — one swap and one 4-cycle, at a stride — and
+// "cx2" the two CX blocks it replaces; "cycletop" is the same product on
+// the top three qubits, at unit stride; "ladder" is CX·RY·CX on three qubits (butterflies,
+// then a move) and "dense3" a block dense on three qubits. B/op must read
+// 0.
 func BenchmarkStep(b *testing.B) {
+	blk := func(gs ...circuit.Gate) []*block.Block {
+		out := make([]*block.Block, len(gs))
+		for i := range gs {
+			out[i] = block.Of(&gs[i])
+		}
+		return out
+	}
 	for _, n := range []int{10, 12, 14, 16, 20} {
 		m := dd.New(n)
 		V := randAmps(rand.New(rand.NewSource(1)), n)
+		cx01, cx12 := circuit.CX(0, 1), circuit.CX(1, 2)
+		cxlo, cxhi := circuit.CX(n-3, n-2), circuit.CX(n-2, n-1)
+		dense, _ := denseSupport(0, n/2, n-1)
+		sparse, _ := ladder(0, n/2, n-1)
 		gates := []struct {
-			name string
-			M    dd.MEdge
+			name   string
+			blocks []*block.Block // run in turn by StepBlock; nil: M runs through Step
+			M      dd.MEdge
 		}{
-			{"q0", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, 0))},
-			{"q1", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, 1))},
-			{"qmid", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, n/2))},
-			{"qtop", gateDD(m, n, circuit.U3(0.3, 0.2, 0.1, n-1))},
-			{"cz", gateDD(m, n, circuit.CZ(2, n-3))},
-			{"cx", gateDD(m, n, circuit.CX(n-3, n/2-2))},
-			{"ccx", gateDD(m, n, circuit.CCX(0, n/2-2, n-3))},
-			{"fused", denseBlock(m, n)},
+			{"q0", blk(circuit.U3(0.3, 0.2, 0.1, 0)), dd.MEdge{}},
+			{"q1", blk(circuit.U3(0.3, 0.2, 0.1, 1)), dd.MEdge{}},
+			{"qmid", blk(circuit.U3(0.3, 0.2, 0.1, n/2)), dd.MEdge{}},
+			{"qtop", blk(circuit.U3(0.3, 0.2, 0.1, n-1)), dd.MEdge{}},
+			{"cz", blk(circuit.CZ(2, n-3)), dd.MEdge{}},
+			{"cx", blk(circuit.CX(n-3, n/2-2)), dd.MEdge{}},
+			{"ccx", blk(circuit.CCX(0, n/2-2, n-3)), dd.MEdge{}},
+			{"cx2", blk(cx01, cx12), dd.MEdge{}},
+			{"cycle", []*block.Block{block.Mul(block.Of(&cx12), block.Of(&cx01))}, dd.MEdge{}},
+			{"cycletop", []*block.Block{block.Mul(block.Of(&cxhi), block.Of(&cxlo))}, dd.MEdge{}},
+			{"ladder", []*block.Block{sparse}, dd.MEdge{}},
+			{"dense3", []*block.Block{dense}, dd.MEdge{}},
+			{"fused", nil, denseBlock(m, n)},
 		}
 		for _, g := range gates {
 			for _, threads := range []int{1, 2} {
 				b.Run(fmt.Sprintf("n=%d/%s/t%d", n, g.name, threads), func(b *testing.B) {
 					e := New(m, n, threads, NeverCache)
 					defer e.Close()
-					state, cost, _ := e.Step(g.M, V) // compile outside the timer
+					state := append([]complex128(nil), V...)
+					step := func() (cost float64) {
+						if g.blocks == nil {
+							var c GateCost
+							state, c, _ = e.Step(g.M, state)
+							return c.Cost()
+						}
+						for _, blk := range g.blocks {
+							c, _ := e.StepBlock(blk, state)
+							cost += c.Cost()
+						}
+						return cost
+					}
+					cost := step() // compile outside the timer
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						state, _, _ = e.Step(g.M, state)
+						step()
 					}
-					macs := cost.Cost() * float64(threads) * float64(b.N)
+					macs := cost * float64(threads) * float64(b.N)
 					b.ReportMetric(macs/b.Elapsed().Seconds(), "MACs/s")
 				})
 			}
@@ -555,8 +592,8 @@ func denseBlock(m *dd.Manager, n int) dd.MEdge {
 
 // TestApplySteadyStateAllocationFree: once a root's plan is memoized, a
 // repeated Apply — inline or as pool batches, either algorithm — must not
-// allocate, and neither must a repeated Step, in place (NeverCache) or
-// through the scratch vector (AlwaysCache).
+// allocate, and neither must a repeated Step (through the scratch vector)
+// or StepBlock (in place).
 func TestApplySteadyStateAllocationFree(t *testing.T) {
 	// At n=17 a single-qubit gate (2^18 MACs) and a CZ (2^17) are both
 	// over inlineBelowMACs: inline at Threads 1, forked at Threads 2.
@@ -581,8 +618,15 @@ func TestApplySteadyStateAllocationFree(t *testing.T) {
 				}
 				state, _, _ := e.Step(M, append([]complex128(nil), V...))
 				if a := testing.AllocsPerRun(10, func() { state, _, _ = e.Step(M, state) }); a != 0 {
-					t.Errorf("mode=%v threads=%d in place=%v: %v allocs per steady-state Step",
-						mode, threads, e.gates[M.N].ip != nil, a)
+					t.Errorf("mode=%v threads=%d: %v allocs per steady-state Step", mode, threads, a)
+				}
+			}
+			for _, g := range []circuit.Gate{circuit.CZ(3, 9), circuit.H(n - 1), circuit.CCX(0, 8, n-1), circuit.FSim(0.3, 0.2, 1, 12)} {
+				b := block.Of(&g)
+				state := append([]complex128(nil), V...)
+				e.StepBlock(b, state)
+				if a := testing.AllocsPerRun(10, func() { e.StepBlock(b, state) }); a != 0 {
+					t.Errorf("mode=%v threads=%d %s: %v allocs per steady-state StepBlock", mode, threads, g.Name, a)
 				}
 			}
 			e.Close()
@@ -645,5 +689,75 @@ func TestCostModelC2FixedSIMDWidth(t *testing.T) {
 	want := float64(c.K2)/thr + dim/(4*thr)*(float64(c.Hits)/thr+float64(c.Buffers))
 	if c.C2 != want {
 		t.Fatalf("C2 = %v, want %v at d=4", c.C2, want)
+	}
+}
+
+// BenchmarkCachedNarrowGates is the per-gate A/B of the cache decision,
+// narrow half: on the benchmark's two engine circuits it takes every
+// distinct gate on at most block.Width qubits whose DD an Auto engine at
+// Threads 2 sends to Algorithm 2 (the gates Auto cached before narrow
+// gates became blocks), and runs the set both ways at Threads 1 and 2 —
+// Algorithm 2 through Apply on the DD (alg2), Algorithm 1 in place through
+// StepBlock (inplace). ns/gate is the figure to compare.
+func BenchmarkCachedNarrowGates(b *testing.B) {
+	for _, w := range []struct {
+		family string
+		n      int
+	}{{"dnn", 15}, {"supremacy", 14}} {
+		c, err := workloads.Build(w.family, w.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := w.n
+		m := dd.New(n)
+		auto := New(m, n, 2, Auto)
+		var Ms []dd.MEdge
+		var bs []*block.Block
+		seen := map[*dd.MNode]bool{}
+		for i := range c.Gates {
+			blk := block.Of(&c.Gates[i])
+			M := ddsim.BuildGateDD(m, n, &c.Gates[i])
+			if blk == nil || seen[M.N] || !auto.EvaluateCost(M).UseCache() {
+				continue
+			}
+			seen[M.N] = true
+			Ms, bs = append(Ms, M), append(bs, blk)
+		}
+		V := randAmps(rand.New(rand.NewSource(1)), n)
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/alg2/t%d", c.Name, threads), func(b *testing.B) {
+				e := New(m, n, threads, AlwaysCache)
+				defer e.Close()
+				cur, next := append([]complex128(nil), V...), make([]complex128, len(V))
+				for _, M := range Ms { // compile outside the timer
+					e.Apply(M, cur, next)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, M := range Ms {
+						e.Apply(M, cur, next)
+						cur, next = next, cur
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(Ms)), "ns/gate")
+				b.ReportMetric(float64(len(Ms)), "gates")
+			})
+			b.Run(fmt.Sprintf("%s/inplace/t%d", c.Name, threads), func(b *testing.B) {
+				e := New(m, n, threads, Auto)
+				defer e.Close()
+				state := append([]complex128(nil), V...)
+				for _, blk := range bs {
+					e.StepBlock(blk, state)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, blk := range bs {
+						e.StepBlock(blk, state)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bs)), "ns/gate")
+				b.ReportMetric(float64(len(bs)), "gates")
+			})
+		}
 	}
 }

@@ -4,16 +4,10 @@ import (
 	"math/bits"
 	"time"
 
-	"flatdd/internal/dd"
+	"flatdd/internal/block"
 )
 
-// maxInPlaceSupport is the widest gate support the in-place path takes: a
-// 2^3×2^3 block covers CX, CCX, SWAP, CZ, CP, fSim and every controlled or
-// uncontrolled single-qubit gate with up to two controls.
-const maxInPlaceSupport = 3
-
-// ipKind is the shape of a narrow gate's block, which decides how the gate
-// runs in place.
+// ipKind is the shape of a block, which decides how it runs in place.
 type ipKind uint8
 
 const (
@@ -23,10 +17,16 @@ const (
 	// ipMono: every row and column of the block has one nonzero entry (X,
 	// CX, CCX, SWAP, fSim(π/2,·)): swaps and cycles with phases.
 	ipMono
-	// ipSingle: the rows that are not the identity pair up across one
-	// target bit (H, U3, a controlled rotation): a 2×2 butterfly per pair,
-	// on the subspace where the controls hold.
-	ipSingle
+	// ipPairs: rows and columns pair up (H, U3, a controlled rotation on
+	// the subspace where its controls hold, fSim): a 2×2 butterfly per
+	// pair, and a scale per lone entry that is not 1.
+	ipPairs
+	// ipPairsMoved: as ipPairs, then a permutation that moves each pair's
+	// results to its rows — a rotation fused between CX or CZ gates.
+	ipPairsMoved
+	// ipDense: any other block (a fused product dense on several qubits):
+	// gather its 2^k amplitudes, one sparse gemv, scatter them back.
+	ipDense
 )
 
 // ipOpKind is what one in-place step does at a base index.
@@ -38,19 +38,25 @@ const (
 	opSwapPhase                 // V[o0], V[o1] = w0·V[o1], w1·V[o0]
 	opPair                      // 2×2 block w over (V[o0], V[o1])
 	opCycle                     // V[o_i] = w_i·V[o_{i+1}] around the cycle
+	opDense                     // V[o_r] = Σ_c B[r][c]·V[o_c] over the block's nonzero entries
 )
 
 // ipOp is one step of an in-place gate. off holds amplitude offsets from
-// the base index, one per block row the step writes.
+// the base index, one per block row the step writes (opDense: one per
+// block row).
 type ipOp struct {
 	kind ipOpKind
 	off  []uint64
 	w    []complex128
+	// opDense: the rows it writes (identity rows are left out), each with
+	// terms entries w[i·terms+j] in columns cols[i·terms+j]: its nonzero
+	// entries, padded with zeros to the longest row's count.
+	rows, cols []uint8
+	terms      int
 }
 
-// inPlace is the compiled in-place form of a narrow gate, memoized in its
-// gatePlan for the root weight f it was built with (the identity rows the
-// ops skip depend on it).
+// inPlace is the compiled in-place form of a block, memoized in the
+// block's gatePlan.
 //
 // The amplitude index splits into the support bits, which index the block
 // (offsets in off), and the rest, numbered j in [0, total). The two lowest
@@ -64,7 +70,6 @@ type ipOp struct {
 // of j, so chunks write disjoint amplitudes.
 type inPlace struct {
 	kind   ipKind
-	f      complex128
 	levels []uint // support levels, ascending
 	ops    []ipOp
 
@@ -93,47 +98,20 @@ func (ip *inPlace) index(j uint64) uint64 {
 	return x + b*ip.strB + a*ip.strA
 }
 
-// inPlaceOf returns the in-place form of gate M, compiling it on first use
-// (or when M's root weight differs from the memoized form's), or nil when
-// the gate runs through Apply's kernel: the cost model sent it to
-// Algorithm 2, its support is wider than maxInPlaceSupport, or its block
-// is dense on more than one target.
-func (e *Engine) inPlaceOf(g *gatePlan, M dd.MEdge) *inPlace {
-	if g.cached {
-		return nil
-	}
-	if !g.ipDone || g.ip != nil && g.ip.f != M.W {
-		g.ip, g.ipDone = e.compileInPlace(g, M), true
-	}
-	return g.ip
-}
-
-// compileInPlace reads the gate's 2^|s|×2^|s| block from the DD once and
-// classifies it: diagonal, monomial, single-target, or none of these (nil).
-func (e *Engine) compileInPlace(g *gatePlan, M dd.MEdge) *inPlace {
-	// A block on k qubits has at most 2^k entries per row, so a denser gate
-	// (a fused block) is ruled out before its DD is walked.
-	if g.cost.K1 > int64(e.dim)<<maxInPlaceSupport {
-		return nil
-	}
-	// The memo serves one walk: kept across gates, it would hold a key for
-	// every node of every distinct gate of the run.
-	sup := dd.SupportNode(M.N, e.support)
-	clear(e.support)
-	k := bits.OnesCount64(sup)
-	if k > maxInPlaceSupport {
-		return nil
-	}
-	ip := &inPlace{f: M.W}
-	for l := 0; l < e.n; l++ {
-		if sup>>uint(l)&1 != 0 {
-			ip.levels = append(ip.levels, uint(l))
-		}
-	}
+// compileBlock classifies block b — diagonal, monomial, pairs (with or
+// without a permutation) or dense — and compiles its in-place ops; k1 is
+// its MAC count, which decides whether it forks. The identity rows of
+// unsatisfied controls get no op.
+func (e *Engine) compileBlock(b *block.Block, k1 int64) *inPlace {
+	k := len(b.Qubits)
 	d := 1 << k
-	var B [1 << maxInPlaceSupport][1 << maxInPlaceSupport]complex128
-	readBlock(M, ip.levels, &B)
-
+	B := func(r, c int) complex128 { return b.U[r*d+c] }
+	ip := &inPlace{}
+	var sup uint64
+	for _, q := range b.Qubits {
+		ip.levels = append(ip.levels, uint(q))
+		sup |= 1 << uint(q)
+	}
 	off := func(r int) uint64 {
 		var o uint64
 		for b, l := range ip.levels {
@@ -145,56 +123,89 @@ func (e *Engine) compileInPlace(g *gatePlan, M dd.MEdge) *inPlace {
 	}
 	ident := func(r int) bool {
 		for c := 0; c < d; c++ {
-			if c == r && B[r][c] != 1 || c != r && B[r][c] != 0 {
+			if c == r && B(r, c) != 1 || c != r && B(r, c) != 0 {
 				return false
 			}
 		}
 		return true
 	}
-	// perm[r] is the column of row r's last nonzero entry (-1 for a zero
-	// row); mono stays true only if every row and column has exactly one.
-	var perm [1 << maxInPlaceSupport]int
-	diag, mono := true, true
-	var colUsed [1 << maxInPlaceSupport]bool
-	for r := 0; r < d; r++ {
-		perm[r] = -1
-		for c := 0; c < d; c++ {
-			if B[r][c] == 0 {
-				continue
-			}
-			if c != r {
-				diag = false
-			}
-			if perm[r] >= 0 || colUsed[c] {
-				mono = false
-			}
-			perm[r] = c
-			colUsed[c] = true
+	// Group rows and columns by the block's nonzero entries (union-find over
+	// d row and d column nodes). When every group has one row and one
+	// column, or two of each, the block is a butterfly per two-by-two
+	// group and a scale per lone entry, each writing its results into its
+	// own columns' amplitudes (slots), followed by one permutation that
+	// moves every slot to its row. slot[r] is the column whose slot holds
+	// row r's result, and mw[r] the weight the move applies.
+	var parent [2 << block.Width]int
+	for x := range parent[:2*d] {
+		parent[x] = x
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
 		}
-		if perm[r] < 0 {
-			mono = false
+		return x
+	}
+	for r := 0; r < d; r++ {
+		for c := 0; c < d; c++ {
+			if B(r, c) != 0 {
+				parent[find(r)] = find(d + c)
+			}
+		}
+	}
+	// The first two rows and columns of each group, by root, and how many
+	// each group has.
+	var rows, cols [2 << block.Width][2]int
+	var nr, nc [2 << block.Width]int
+	for r := 0; r < d; r++ {
+		x, y := find(r), find(d+r)
+		if nr[x] < 2 {
+			rows[x][nr[x]] = r
+		}
+		if nc[y] < 2 {
+			cols[y][nc[y]] = r
+		}
+		nr[x]++
+		nc[y]++
+	}
+	paired := true
+	for x := range nr[:2*d] {
+		if nr[x] != nc[x] || nr[x] > 2 {
+			paired = false
+		}
+	}
+	var slot [1 << block.Width]int
+	var mw [1 << block.Width]complex128
+	var pairs []ipOp
+	for x := range nr[:2*d] {
+		switch R, C := rows[x], cols[x]; {
+		case !paired || nr[x] == 0:
+		case nr[x] == 1:
+			slot[R[0]], mw[R[0]] = C[0], B(R[0], C[0])
+		default:
+			ra, rb := R[0], R[1]
+			if rb == C[0] || ra == C[1] {
+				ra, rb = rb, ra
+			}
+			slot[ra], slot[rb], mw[ra], mw[rb] = C[0], C[1], 1, 1
+			pairs = append(pairs, ipOp{kind: opPair, off: []uint64{off(C[0]), off(C[1])},
+				w: []complex128{B(ra, C[0]), B(ra, C[1]), B(rb, C[0]), B(rb, C[1])}})
 		}
 	}
 	switch {
-	case diag:
-		ip.kind = ipDiag
-		for r := 0; r < d; r++ {
-			if B[r][r] != 1 {
-				ip.ops = append(ip.ops, ipOp{kind: opScale, off: []uint64{off(r)}, w: []complex128{B[r][r]}})
-			}
-		}
-	case mono:
-		ip.kind = ipMono
-		var seen [1 << maxInPlaceSupport]bool
+	case paired:
+		ip.ops = pairs
+		var seen [1 << block.Width]bool
+		moved := false
 		for r := 0; r < d; r++ {
 			if seen[r] {
 				continue
 			}
 			var op ipOp
-			for x := r; !seen[x]; x = perm[x] {
+			for x := r; !seen[x]; x = slot[x] {
 				seen[x] = true
 				op.off = append(op.off, off(x))
-				op.w = append(op.w, B[x][perm[x]])
+				op.w = append(op.w, mw[x])
 			}
 			switch {
 			case len(op.off) == 1 && op.w[0] == 1:
@@ -208,22 +219,49 @@ func (e *Engine) compileInPlace(g *gatePlan, M dd.MEdge) *inPlace {
 			default:
 				op.kind = opCycle
 			}
+			moved = moved || len(op.off) > 1
 			ip.ops = append(ip.ops, op)
 		}
+		switch {
+		case len(pairs) == 0 && !moved:
+			ip.kind = ipDiag
+		case len(pairs) == 0:
+			ip.kind = ipMono
+		case !moved:
+			ip.kind = ipPairs
+		default:
+			ip.kind = ipPairsMoved
+		}
 	default:
-		t := singleTarget(&B, d, ident)
-		if t < 0 {
-			return nil // a dense multi-target block: Apply's kernel runs it faster
-		}
-		ip.kind = ipSingle
+		ip.kind = ipDense
+		op := ipOp{kind: opDense}
 		for r := 0; r < d; r++ {
-			r1 := r | 1<<uint(t)
-			if r == r1 || ident(r) && ident(r1) {
-				continue
+			op.off = append(op.off, off(r))
+			if !ident(r) {
+				op.rows = append(op.rows, uint8(r))
+				nnz := 0
+				for c := 0; c < d; c++ {
+					if B(r, c) != 0 {
+						nnz++
+					}
+				}
+				op.terms = max(op.terms, nnz, 1) // a zero row still writes its zeros
 			}
-			ip.ops = append(ip.ops, ipOp{kind: opPair, off: []uint64{off(r), off(r1)},
-				w: []complex128{B[r][r], B[r][r1], B[r1][r], B[r1][r1]}})
 		}
+		for _, r := range op.rows {
+			j := len(op.w)
+			for c := 0; c < d; c++ {
+				if B(int(r), c) != 0 {
+					op.w = append(op.w, B(int(r), c))
+					op.cols = append(op.cols, uint8(c))
+				}
+			}
+			for len(op.w) < j+op.terms {
+				op.w = append(op.w, 0)
+				op.cols = append(op.cols, 0)
+			}
+		}
+		ip.ops = append(ip.ops, op)
 	}
 
 	// The two lowest gaps, each from a non-support level up to the next
@@ -252,73 +290,19 @@ func (e *Engine) compileInPlace(g *gatePlan, M dd.MEdge) *inPlace {
 		switch op.kind {
 		case opPair:
 			ip.macs += 4 * int64(ip.total)
+		case opDense:
+			ip.macs += int64(len(op.w)) * int64(ip.total)
 		default:
 			ip.macs += int64(len(op.off)) * int64(ip.total)
 		}
 	}
 
-	ip.inline = e.threads == 1 || g.cost.K1 < inlineBelowMACs
+	ip.inline = e.threads == 1 || k1 < inlineBelowMACs
 	ip.parts = 1
 	if !ip.inline {
 		ip.parts = min(uint64(chunksPerThread*e.threads), ip.total)
 	}
 	return ip
-}
-
-// readBlock writes M's block over the support levels into B: entry (r, c)
-// is the weight product of the DD path whose row and column bits at
-// support level levels[b] are bit b of r and c, and whose row and column
-// bits agree at every other level (where every node is I⊗child).
-func readBlock(M dd.MEdge, levels []uint, B *[1 << maxInPlaceSupport][1 << maxInPlaceSupport]complex128) {
-	var rec func(n *dd.MNode, r, c int, w complex128)
-	rec = func(n *dd.MNode, r, c int, w complex128) {
-		if n.Level == dd.TerminalLevel {
-			B[r][c] = w
-			return
-		}
-		b := -1
-		for i, l := range levels {
-			if int(n.Level) == int(l) {
-				b = i
-			}
-		}
-		if b < 0 {
-			rec(n.E[0].N, r, c, w*n.E[0].W)
-			return
-		}
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				if ch := n.E[2*i+j]; !ch.IsZero() {
-					rec(ch.N, r|i<<uint(b), c|j<<uint(b), w*ch.W)
-				}
-			}
-		}
-	}
-	rec(M.N, 0, 0, M.W)
-}
-
-// singleTarget returns the block bit t such that every row that is not
-// the identity has its nonzero entries in its own column and the column
-// that differs from it in bit t alone, or -1 if no bit does.
-func singleTarget(B *[1 << maxInPlaceSupport][1 << maxInPlaceSupport]complex128, d int, ident func(int) bool) int {
-	for t := 0; 1<<uint(t) < d; t++ {
-		ok := true
-		for r := 0; r < d && ok; r++ {
-			if ident(r) {
-				continue
-			}
-			for c := 0; c < d; c++ {
-				if B[r][c] != 0 && c != r && c != r^1<<uint(t) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return t
-		}
-	}
-	return -1
 }
 
 // applyInPlace runs a compiled in-place gate on V, inline or as one pool
@@ -393,12 +377,12 @@ func (e *Engine) runInPlace(ip *inPlace, j0, j1 uint64) {
 // inner stride runs as a range loop over equal-length slices, which the
 // compiler compiles without bounds checks.
 func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
-	span := (na-1)*sa + 1
+	reach := (na-1)*sa + 1
 	switch op.kind {
 	case opScale:
 		w := op.w[0]
 		for i := uint64(0); i < nb; i++ {
-			v := V[x+i*sb+op.off[0]:][:span]
+			v := V[x+i*sb+op.off[0]:][:reach]
 			if sa == 1 {
 				scalarMulInto(v, v, w)
 				continue
@@ -409,7 +393,7 @@ func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 		}
 	case opSwap:
 		for i := uint64(0); i < nb; i++ {
-			v0 := V[x+i*sb+op.off[0]:][:span]
+			v0 := V[x+i*sb+op.off[0]:][:reach]
 			v1 := V[x+i*sb+op.off[1]:][:len(v0)]
 			if sa == 1 {
 				for t := range v0 {
@@ -424,7 +408,7 @@ func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 	case opSwapPhase:
 		w0, w1 := op.w[0], op.w[1]
 		for i := uint64(0); i < nb; i++ {
-			v0 := V[x+i*sb+op.off[0]:][:span]
+			v0 := V[x+i*sb+op.off[0]:][:reach]
 			v1 := V[x+i*sb+op.off[1]:][:len(v0)]
 			if sa == 1 {
 				for t := range v0 {
@@ -439,7 +423,7 @@ func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 	case opPair:
 		a00, a01, a10, a11 := op.w[0], op.w[1], op.w[2], op.w[3]
 		for i := uint64(0); i < nb; i++ {
-			v0 := V[x+i*sb+op.off[0]:][:span]
+			v0 := V[x+i*sb+op.off[0]:][:reach]
 			v1 := V[x+i*sb+op.off[1]:][:len(v0)]
 			if sa == 1 {
 				for t := range v0 {
@@ -456,16 +440,150 @@ func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 			}
 		}
 	case opCycle:
+		if len(op.off) <= 4 && unit(op.w) {
+			op.rotate(V, x, nb, sb, reach, sa)
+			break
+		}
+		// Each piece runs the cycle over slices: the first element's run is
+		// saved in a temporary, every other run moves down one step, and
+		// the temporary closes the cycle.
 		m := len(op.off) - 1
+		var tmp [cycleRun]complex128
 		for i := uint64(0); i < nb; i++ {
-			for t := uint64(0); t < na; t++ {
-				y := x + i*sb + t*sa
-				first := V[y+op.off[0]]
-				for c := 0; c < m; c++ {
-					V[y+op.off[c]] = op.w[c] * V[y+op.off[c+1]]
+			for t0 := uint64(0); t0 < na; t0 += cycleRun {
+				y := x + i*sb + t0*sa
+				k := min(cycleRun, na-t0)
+				reach := (k-1)*sa + 1
+				if sa == 1 {
+					copy(tmp[:k], V[y+op.off[0]:][:k])
+					for c := 0; c < m; c++ {
+						moveScaled(V[y+op.off[c]:][:k], V[y+op.off[c+1]:][:k], op.w[c])
+					}
+					moveScaled(V[y+op.off[m]:][:k], tmp[:k], op.w[m])
+					continue
 				}
-				V[y+op.off[m]] = op.w[m] * first
+				v := V[y+op.off[0]:][:reach]
+				for t, j := uint64(0), 0; t < reach; t, j = t+sa, j+1 {
+					tmp[j] = v[t]
+				}
+				for c := 0; c < m; c++ {
+					dst, src, w := V[y+op.off[c]:][:reach], V[y+op.off[c+1]:][:reach], op.w[c]
+					if w == 1 {
+						for t := uint64(0); t < reach; t += sa {
+							dst[t] = src[t]
+						}
+						continue
+					}
+					for t := uint64(0); t < reach; t += sa {
+						dst[t] = w * src[t]
+					}
+				}
+				v, w := V[y+op.off[m]:][:reach], op.w[m]
+				if w == 1 {
+					for t, j := uint64(0), 0; t < reach; t, j = t+sa, j+1 {
+						v[t] = tmp[j]
+					}
+					continue
+				}
+				for t, j := uint64(0), 0; t < reach; t, j = t+sa, j+1 {
+					v[t] = w * tmp[j]
+				}
+			}
+		}
+	case opDense:
+		// Per run of at most denseRun elements: copy the block's column
+		// runs into a temporary, then sum each written row over its
+		// nonzero entries, two columns at a time — straight into V at unit
+		// stride, else into a second temporary that is scattered.
+		var in [1 << block.Width][denseRun]complex128
+		var out [denseRun]complex128
+		T := op.terms
+		for i := uint64(0); i < nb; i++ {
+			for t0 := uint64(0); t0 < na; t0 += denseRun {
+				y := x + i*sb + t0*sa
+				k := min(denseRun, na-t0)
+				reach := (k-1)*sa + 1
+				for c, o := range op.off {
+					v := V[y+o:][:reach]
+					if sa == 1 {
+						copy(in[c][:k], v)
+						continue
+					}
+					for t, j := uint64(0), 0; t < reach; t, j = t+sa, j+1 {
+						in[c][j] = v[t]
+					}
+				}
+				for r, rw := range op.rows {
+					dst := out[:k]
+					if sa == 1 {
+						dst = V[y+op.off[rw]:][:k]
+					}
+					w, cols := op.w[r*T:(r+1)*T], op.cols[r*T:(r+1)*T]
+					for j := 0; j < T; j += 2 {
+						if j+1 == T {
+							span(dst, in[cols[j]][:k], w[j], j == 0)
+							break
+						}
+						row(dst, in[cols[j]][:k], in[cols[j+1]][:k], w[j], w[j+1], j == 0)
+					}
+					if sa != 1 {
+						v := V[y+op.off[rw]:][:reach]
+						for t, j := uint64(0), 0; t < reach; t, j = t+sa, j+1 {
+							v[t] = dst[j]
+						}
+					}
+				}
 			}
 		}
 	}
+}
+
+// denseRun is the most elements one step of a dense block covers at a
+// time: its 2^k column runs stay in a temporary on the stack.
+const denseRun = 64
+
+// rotate runs a unit-weight cycle of three or four rows in one pass: each
+// element's amplitudes rotate in registers. At a stride (a CX ladder on
+// the lowest qubits) one pass per row costs 1.6× as much; at unit stride
+// the two tie.
+func (op *ipOp) rotate(V []complex128, x, nb, sb, reach, sa uint64) {
+	for i := uint64(0); i < nb; i++ {
+		y := x + i*sb
+		v0 := V[y+op.off[0]:][:reach]
+		v1 := V[y+op.off[1]:][:len(v0)]
+		v2 := V[y+op.off[2]:][:len(v0)]
+		if len(op.off) == 3 {
+			for t := uint64(0); t < uint64(len(v0)); t += sa {
+				v0[t], v1[t], v2[t] = v1[t], v2[t], v0[t]
+			}
+			continue
+		}
+		v3 := V[y+op.off[3]:][:len(v0)]
+		for t := uint64(0); t < uint64(len(v0)); t += sa {
+			v0[t], v1[t], v2[t], v3[t] = v1[t], v2[t], v3[t], v0[t]
+		}
+	}
+}
+
+// unit reports whether every weight is 1.
+func unit(w []complex128) bool {
+	for _, x := range w {
+		if x != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// cycleRun is the most elements one step of a cycle moves at a time: the
+// temporary that closes the cycle stays on the stack.
+const cycleRun = 64
+
+// moveScaled sets dst = w·src; a unit weight is a copy.
+func moveScaled(dst, src []complex128, w complex128) {
+	if w == 1 {
+		copy(dst, src)
+		return
+	}
+	scalarMulInto(dst, src, w)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"flatdd/internal/block"
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
 	"flatdd/internal/faults"
@@ -20,8 +21,8 @@ import (
 // randomNarrowGate draws a gate on at most three qubits: single-qubit
 // gates of every block shape, one or two controls of either polarity on a
 // dense, diagonal or permutation target, two-qubit permutations, phases
-// and fSim, a phased three-qubit permutation (cycles longer than two) and
-// a dense two-qubit block, which stays on Apply's kernel.
+// and fSim, a phased three-qubit permutation (cycles longer than two), a
+// rotation fused between two CX gates and a dense two-qubit block.
 func randomNarrowGate(rng *rand.Rand, n int) circuit.Gate {
 	qs := rng.Perm(n)[:min(n, 3)]
 	u2 := func() circuit.Gate {
@@ -42,7 +43,7 @@ func randomNarrowGate(rng *rand.Rand, n int) circuit.Gate {
 			return circuit.U3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), qs[0])
 		}
 	}
-	switch k := rng.Intn(6); {
+	switch k := rng.Intn(7); {
 	case k == 0 || n < 2:
 		return u2()
 	case k == 1 || k == 2 && n < 3:
@@ -70,18 +71,30 @@ func randomNarrowGate(rng *rand.Rand, n int) circuit.Gate {
 			return circuit.FSim(rng.NormFloat64(), rng.NormFloat64(), qs[0], qs[1])
 		}
 	case k == 4 && n >= 3:
-		// A random permutation of the eight basis states with unit phases.
+		// A random permutation of the eight basis states, with random
+		// phases of modulus one or without phases.
 		d := 8
 		u := make([][]complex128, d)
+		phased := rng.Intn(2) == 0
 		for r, c := range rng.Perm(d) {
 			u[r] = make([]complex128, d)
-			u[r][c] = cmplx.Exp(complex(0, rng.NormFloat64()))
+			u[r][c] = 1
+			if phased {
+				u[r][c] = cmplx.Exp(complex(0, rng.NormFloat64()))
+			}
 		}
 		return circuit.Gate{Name: "perm3", Targets: qs, U: u}
+	case k == 5 && n >= 3:
+		b, _ := ladder(qs[0], qs[1], qs[2])
+		u := make([][]complex128, 8)
+		for r := range u {
+			u[r] = b.U[8*r : 8*r+8]
+		}
+		return circuit.Gate{Name: "ladder", Targets: b.Qubits, U: u}
 	default:
 		g := circuit.U3(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), qs[0])
 		h := circuit.FSim(rng.NormFloat64(), rng.NormFloat64(), qs[0], qs[1])
-		// h·(g⊗I) is dense on both qubits: the block Step leaves to Apply.
+		// h·(g⊗I) is dense on both qubits: a dense-support block.
 		u := make([][]complex128, 4)
 		for r := range u {
 			u[r] = make([]complex128, 4)
@@ -97,17 +110,17 @@ func randomNarrowGate(rng *rand.Rand, n int) circuit.Gate {
 	}
 }
 
-// TestStepMatchesApplySeeded runs random narrow gates through Step and
-// Apply from the same state. A monomial gate of the circuit library (X, Y,
-// CX, CCX, SWAP, iSWAP, fSim(π/2,·)) must give bit-equal amplitudes. The
-// random phased permutation multiplies three path weights, which Apply's
-// 4×4 block groups in another order, so it and every other gate agree to
-// 1e-12. Registers stay at n ≤ 10, so every gate runs inline;
+// TestStepMatchesApplySeeded runs random narrow gates as blocks through
+// StepBlock and as DDs through Apply from the same state. A monomial gate
+// whose entries are 0, ±1 or ±i (X, Y, CX, CCX, SWAP, iSWAP) must give
+// bit-equal amplitudes. Every gate agrees with the statevec oracle to
+// 1e-12; Apply is not the reference there, since the DD's weights are
+// snapped to cnum's 2^-34 grid while the block's entries are the gate's
+// own. Registers stay at n ≤ 10, so every gate runs inline;
 // TestKernelOpKinds covers the pooled side.
 func TestStepMatchesApplySeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	kinds := map[ipKind]bool{}
-	fellBack := 0
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(10)
 		threads := 1 + rng.Intn(3)
@@ -121,34 +134,33 @@ func TestStepMatchesApplySeeded(t *testing.T) {
 			if _, err := e.Apply(M, V, W); err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.Step(M, append([]complex128(nil), V...))
-			if err != nil {
+			b := block.Of(&g)
+			got := append([]complex128(nil), V...)
+			if _, err := e.StepBlock(b, got); err != nil {
 				t.Fatal(err)
 			}
-			ip := e.gates[M.N].ip
-			if ip == nil {
-				fellBack++
-			} else {
-				kinds[ip.kind] = true
+			ip := e.blocks[b].ip
+			kinds[ip.kind] = true
+			bitEqual := ip.kind == ipMono
+			for _, u := range b.U {
+				bitEqual = bitEqual && math.Abs(real(u)) == math.Trunc(math.Abs(real(u))) && math.Abs(imag(u)) == math.Trunc(math.Abs(imag(u)))
 			}
-			bitEqual := ip != nil && ip.kind == ipMono && g.Name != "perm3"
-			for j := range W {
-				if bitEqual && got[j] != W[j] || cmplx.Abs(got[j]-W[j]) > 1e-12 {
-					t.Fatalf("trial %d n=%d threads=%d %s%v controls %v (in place: %v): amplitude %d is %v, Apply gives %v",
-						trial, n, threads, g.Name, g.Targets, g.Controls, ip != nil, j, got[j], W[j])
+			sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+			sv.Apply(&g)
+			for j, want := range sv.Amplitudes() {
+				if bitEqual && got[j] != W[j] || cmplx.Abs(got[j]-want) > 1e-12 {
+					t.Fatalf("trial %d n=%d threads=%d %s%v controls %v (kind %d): amplitude %d is %v, Apply gives %v, the oracle %v",
+						trial, n, threads, g.Name, g.Targets, g.Controls, ip.kind, j, got[j], W[j], want)
 				}
 			}
-			copy(V, W)
+			copy(V, got)
 		}
 		e.Close()
 	}
-	for k := ipDiag; k <= ipSingle; k++ {
+	for k := ipDiag; k <= ipDense; k++ {
 		if !kinds[k] {
 			t.Errorf("no gate ran in place as kind %d", k)
 		}
-	}
-	if fellBack == 0 {
-		t.Error("no dense two-qubit block fell back to Apply's kernel")
 	}
 }
 
@@ -167,9 +179,9 @@ func TestFaultCancelDuringInPlaceGates(t *testing.T) {
 	}
 	V := randAmps(rand.New(rand.NewSource(18)), n)
 	m := dd.New(n)
-	Ms := make([]dd.MEdge, len(gates))
-	for i, g := range gates {
-		Ms[i] = gateDD(m, n, g)
+	bs := make([]*block.Block, len(gates))
+	for i := range gates {
+		bs[i] = block.Of(&gates[i])
 	}
 	pool := sched.New(2)
 	defer pool.Close()
@@ -186,18 +198,16 @@ func TestFaultCancelDuringInPlaceGates(t *testing.T) {
 		// The stream repeats until the cancel lands, as a run's gate loop
 		// polls between gates.
 		for !e.env.Canceled() {
-			M := Ms[applied%len(Ms)]
-			out, _, err := e.Step(M, state)
-			if err != nil {
+			b := bs[applied%len(bs)]
+			if _, err := e.StepBlock(b, state); err != nil {
 				t.Fatalf("delay %v: gate %d: %v", delay, applied, err)
 			}
-			if ip := e.gates[M.N].ip; ip == nil || ip.inline {
+			if e.blocks[b].ip.inline {
 				t.Fatalf("gate %d did not run in place on the pool", applied)
 			}
 			if e.env.Canceled() {
 				midGate++
 			}
-			state = out
 			applied++
 		}
 		timer.Stop()
@@ -230,11 +240,11 @@ func TestFaultCancelDuringInPlaceGates(t *testing.T) {
 }
 
 // TestFaultCancelDuringForkedGates cancels a stream that alternates
-// in-place and out-of-place gates at n=14 on two threads, where every gate
-// forks onto the engine's own pool, and injected task slowness stretches
-// each gate so the cancel lands inside one. An in-place gate completes and
-// counts; an out-of-place gate returns ErrCanceled and hands back the
-// pre-gate state, bit for bit. Either way the state equals the oracle
+// in-place blocks (StepBlock) and out-of-place DDs (Step, the fSims) at
+// n=14 on two threads, where every gate forks onto the engine's own pool,
+// and injected task slowness stretches each gate so the cancel lands
+// inside one. An in-place gate completes and counts; an out-of-place gate
+// returns ErrCanceled and hands back the pre-gate state, bit for bit. Either way the state equals the oracle
 // after the gates Stats counts, and once Close has retired the engine's
 // pool no goroutine of the run is left.
 func TestFaultCancelDuringForkedGates(t *testing.T) {
@@ -247,8 +257,13 @@ func TestFaultCancelDuringForkedGates(t *testing.T) {
 	V := randAmps(rand.New(rand.NewSource(14)), n)
 	m := dd.New(n)
 	Ms := make([]dd.MEdge, len(gates))
+	bs := make([]*block.Block, len(gates))
 	for i, g := range gates {
-		Ms[i] = gateDD(m, n, g)
+		if g.Name == "fsim" {
+			Ms[i] = gateDD(m, n, g)
+		} else {
+			bs[i] = block.Of(&g)
+		}
 	}
 	reg := faults.New(1)
 	reg.Arm(faults.SchedTaskSlow, faults.Trigger{Prob: 1, Delay: 200 * time.Microsecond})
@@ -266,17 +281,26 @@ func TestFaultCancelDuringForkedGates(t *testing.T) {
 		applied := 0
 		timer := time.AfterFunc(delay, cancel)
 		for !e.env.Canceled() {
+			if b := bs[applied%len(bs)]; b != nil {
+				if _, err := e.StepBlock(b, state); err != nil {
+					t.Fatalf("in-place gate %d: %v", applied, err)
+				}
+				if e.blocks[b].ip.inline {
+					t.Fatalf("gate %d ran inline", applied)
+				}
+				if e.env.Canceled() {
+					inPlaceCancels++
+				}
+				applied++
+				continue
+			}
 			M := Ms[applied%len(Ms)]
 			copy(before, state)
 			out, _, err := e.Step(M, state)
-			g := e.gates[M.N]
-			if g.inline || g.ip != nil && g.ip.inline {
+			if e.gates[M.N].inline {
 				t.Fatalf("gate %d ran inline", applied)
 			}
 			if errors.Is(err, ErrCanceled) {
-				if g.ip != nil {
-					t.Fatalf("in-place gate %d returned ErrCanceled", applied)
-				}
 				if &out[0] != &state[0] {
 					t.Fatal("a canceled gate did not hand back the state it was given")
 				}
@@ -290,9 +314,6 @@ func TestFaultCancelDuringForkedGates(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if g.ip != nil && e.env.Canceled() {
-				inPlaceCancels++
 			}
 			state = out
 			applied++
@@ -321,6 +342,37 @@ func TestFaultCancelDuringForkedGates(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the engines closed their pools, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestStepBlockZeroRows: a block with zero rows (not a unitary, but a
+// gate matrix the circuit IR accepts) writes zeros there, as Apply does
+// for the gate's DD.
+func TestStepBlockZeroRows(t *testing.T) {
+	const n = 4
+	rng := rand.New(rand.NewSource(4))
+	m := dd.New(n)
+	for _, u := range [][][]complex128{
+		{{0, 0}, {0, 0}},
+		{{0, 0}, {0.5, 1}},
+		{{1, 0, 0, 0}, {0, 0, 0, 0}, {0, 0.5, 0.5, 0}, {0, 0, 0, 0}},
+	} {
+		g := circuit.Gate{Name: "u", Targets: []int{1, 3}[:len(u)/2], U: u}
+		V := randAmps(rng, n)
+		W := make([]complex128, len(V))
+		e := New(m, n, 1, NeverCache)
+		if _, err := e.Apply(gateDD(m, n, g), V, W); err != nil {
+			t.Fatal(err)
+		}
+		got := append([]complex128(nil), V...)
+		if _, err := e.StepBlock(block.Of(&g), got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range W {
+			if cmplx.Abs(got[i]-W[i]) > 1e-12 {
+				t.Fatalf("%v: amplitude %d is %v, Apply gives %v", u, i, got[i], W[i])
+			}
 		}
 	}
 }

@@ -2,10 +2,13 @@ package fusion
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"flatdd/internal/block"
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
 	"flatdd/internal/ddsim"
@@ -104,27 +107,29 @@ func TestFusePreservesSemantics(t *testing.T) {
 }
 
 func TestFuseMergesDiagonalGates(t *testing.T) {
-	// A run of RZ/CZ diagonal gates fuses into few matrices: the product
-	// of diagonals is diagonal with the same MAC count as one gate.
+	// A run of RZ/CZ diagonal gates on block.Width qubits of a wider
+	// register fuses into one matrix: the product of diagonals is diagonal
+	// with the same MAC count as one gate. A diagonal gate on one more
+	// qubit would widen the product past the cap, so it starts a new one.
 	n := 6
+	qs := []int{1, 3, 4, 0, 2}[:block.Width]
 	m := dd.New(n)
 	c := circuit.New("diag", n)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20; i++ {
 		if i%3 == 2 {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a == b {
-				b = (a + 1) % n
-			}
-			c.Append(circuit.CZ(a, b))
+			a := rng.Intn(len(qs))
+			c.Append(circuit.CZ(qs[a], qs[(a+1)%len(qs)]))
 		} else {
-			c.Append(circuit.RZ(rng.NormFloat64(), rng.Intn(n)))
+			c.Append(circuit.RZ(rng.NormFloat64(), qs[rng.Intn(len(qs))]))
 		}
 	}
+	c.Append(circuit.RZ(0.3, 5))
 	gates := gateDDs(m, c)
 	res := Fuse(m, gates, costFn(m, n))
-	if len(res.Gates) != 1 {
-		t.Fatalf("20 diagonal gates fused into %d matrices, want 1", len(res.Gates))
+	if len(res.Gates) != 2 || res.Runs[0] != 20 {
+		t.Fatalf("20 diagonal gates on %v and one on qubit 5 fused into %d matrices (runs %v), want 2 (20, 1)",
+			qs, len(res.Gates), res.Runs)
 	}
 	if res.CostAfter >= res.CostBefore {
 		t.Fatalf("fusion did not reduce cost: %v -> %v", res.CostBefore, res.CostAfter)
@@ -181,12 +186,19 @@ func TestFuseTieRule(t *testing.T) {
 }
 
 // fuseAlwaysMultiply is Algorithm 3 without the disjoint-support skip: it
-// multiplies every candidate and keeps the product on a strict win.
-func fuseAlwaysMultiply(m *dd.Manager, G []dd.MEdge, cost CostFunc) Result {
-	var res Result
+// multiplies every candidate within the width cap and keeps the product on
+// a strict win.
+func fuseAlwaysMultiply(m *dd.Manager, G []dd.MEdge, cost CostFunc) Result[dd.MEdge] {
+	var res Result[dd.MEdge]
+	sup := map[*dd.MNode]uint64{}
 	mp, cp := G[0], cost(G[0])
 	for _, mi := range G[1:] {
 		ci := cost(mi)
+		if bits.OnesCount64(dd.SupportNode(mi.N, sup)|dd.SupportNode(mp.N, sup)) > block.Width {
+			res.Gates = append(res.Gates, mp)
+			mp, cp = mi, ci
+			continue
+		}
 		mip := m.MulMM(mi, mp)
 		if cip := cost(mip); cip < ci+cp {
 			mp, cp = mip, cip
@@ -327,9 +339,51 @@ func TestFuseBeatsKOperationsOnMixedCircuit(t *testing.T) {
 	}
 }
 
+// dmavGates returns the DMAV-phase form of c's gates, as core builds it:
+// a block for a gate on at most block.Width qubits, a DD otherwise.
+func dmavGates(m *dd.Manager, c *circuit.Circuit) []Gate {
+	out := make([]Gate, len(c.Gates))
+	for i := range c.Gates {
+		if b := block.Of(&c.Gates[i]); b != nil {
+			out[i] = Gate{Block: b}
+		} else {
+			out[i] = Gate{DD: ddsim.BuildGateDD(m, c.Qubits, &c.Gates[i])}
+		}
+	}
+	return out
+}
+
+// TestFuseGatesPlanEqualsDDFuse pins the block walk to the DD one: at the
+// same width cap and cost (K1), FuseGates over dense blocks merges the
+// same runs of gates as Fuse over gate DDs, and prices them the same.
+func TestFuseGatesPlanEqualsDDFuse(t *testing.T) {
+	for _, fam := range []string{"supremacy", "dnn", "qv"} {
+		for _, n := range []int{6, 9, 12} {
+			for seed := int64(1); seed <= 4; seed++ {
+				c, err := workloads.Build(fam, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := dd.New(n)
+				want := Fuse(m, gateDDs(m, c), MACCost())
+				got := FuseGates(n, dmavGates(m, c))
+				if got.Fusions != want.Fusions || !slices.Equal(got.Runs, want.Runs) {
+					t.Fatalf("%s n=%d seed %d: blocks merge runs %v (%d fusions), DDs %v (%d)",
+						fam, n, seed, got.Runs, got.Fusions, want.Runs, want.Fusions)
+				}
+				if got.CostBefore != want.CostBefore || got.CostAfter != want.CostAfter {
+					t.Fatalf("%s n=%d seed %d: block cost %v -> %v, DD cost %v -> %v",
+						fam, n, seed, got.CostBefore, got.CostAfter, want.CostBefore, want.CostAfter)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFusePhase is the engine's fuse phase on the benchmark's two
-// engine gate lists: build every gate's DD, then run Algorithm 3 priced
-// as core prices it.
+// engine gate lists, both ways: build every gate's DD and run Algorithm 3
+// over DDs (dd), or build every gate's block and run it over blocks
+// (blocks), which is what core does.
 func BenchmarkFusePhase(b *testing.B) {
 	for _, w := range []struct {
 		family string
@@ -339,12 +393,21 @@ func BenchmarkFusePhase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.Name, func(b *testing.B) {
+		b.Run(c.Name+"/dd", func(b *testing.B) {
 			b.ReportAllocs()
 			var out int
 			for i := 0; i < b.N; i++ {
 				m := dd.New(c.Qubits)
 				out = len(Fuse(m, gateDDs(m, c), MACCost()).Gates)
+			}
+			b.ReportMetric(float64(out), "gates_out")
+		})
+		b.Run(c.Name+"/blocks", func(b *testing.B) {
+			b.ReportAllocs()
+			var out int
+			for i := 0; i < b.N; i++ {
+				m := dd.New(c.Qubits)
+				out = len(FuseGates(c.Qubits, dmavGates(m, c)).Gates)
 			}
 			b.ReportMetric(float64(out), "gates_out")
 		})
