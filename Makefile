@@ -16,18 +16,23 @@ test:
 	$(GO) test ./...
 
 # check is the pre-commit gate: gofmt cleanliness (bench/ excluded, it
-# is frozen with the benchmark), full vet, the race detector over the
-# whole module in short mode (the sched pool, DMAV workers, conversion
-# tasks, and the obs registry all run concurrently, and core's
-# share-nothing test runs one dd.Manager per goroutine against a shared
-# pool and registry; short mode keeps the differential and stress suites
-# at their quick defaults).
+# is frozen with the benchmark), full vet (its asmdecl check covers
+# internal/dmav's assembly), an arm64 build and a purego vet and test of
+# the engine packages (the Go kernel table, with no assembly), the race
+# detector over the whole module in short mode (the sched pool, DMAV
+# workers, conversion tasks, and the obs registry all run concurrently,
+# and core's share-nothing test runs one dd.Manager per goroutine against
+# a shared pool and registry; short mode keeps the differential and
+# stress suites at their quick defaults).
 check:
 	@out=$$(gofmt -l $$(find . -path ./bench -prune -o -name '*.go' -print)); \
 	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+	$(GO) vet -tags purego ./...
 	$(MAKE) staticcheck
 	$(GO) test -race -short ./...
+	$(GO) test -tags purego -short ./internal/dmav/... ./internal/core/... ./internal/difftest/...
 	$(MAKE) faults
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
@@ -93,14 +98,16 @@ chaos:
 trace-schema:
 	$(GO) test -count=1 -run 'SpanSchemaGolden|TraceWriterSticky' ./internal/obs
 
-# fuzz runs two fuzzers for a bounded slice of time each: the OpenQASM
-# parser, seeded from internal/qasm/testdata/fuzz, and the dense block
-# product against DD matrix-matrix multiplication (internal/block). A
+# fuzz runs three fuzzers for a bounded slice of time each: the OpenQASM
+# parser, seeded from internal/qasm/testdata/fuzz, the dense block
+# product against DD matrix-matrix multiplication (internal/block), and
+# the DMAV assembly kernels against their Go twins, bit for bit. A
 # crasher is written to the package's testdata/fuzz directory and replays
 # as a regular test case on the next `go test`.
 fuzz:
 	$(GO) test -run NoSuchTest -fuzz FuzzParse -fuzztime 10s ./internal/qasm
 	$(GO) test -run NoSuchTest -fuzz FuzzComposeBlocks -fuzztime 10s ./internal/block
+	$(GO) test -run NoSuchTest -fuzz FuzzKernels -fuzztime 10s ./internal/dmav
 
 # bench-obs reproduces the instrumentation-overhead numbers recorded in
 # EXPERIMENTS.md (run several times and compare pairs; the signal is

@@ -15,11 +15,12 @@ import (
 	"flatdd/internal/workloads"
 )
 
-// faultCircuit is a pooled-size workload: n=12 gives a 4096-amplitude
-// state, the smallest size the DMAV/conversion paths batch onto the
+// faultCircuit is a pooled-size workload: n=13 gives an 8192-amplitude
+// state, the smallest size at which the DMAV phase's single-qubit gates
+// (2^14 MACs, dmav's inlineBelowMACs) and the conversion batch onto the
 // scheduler pool instead of running inline — which is where worker
 // panics must be contained.
-func faultCircuit(t *testing.T) (int, int) { return 12, 40 }
+func faultCircuit(t *testing.T) (int, int) { return 13, 40 }
 
 func TestFaultWorkerPanicContained(t *testing.T) {
 	n, gates := faultCircuit(t)

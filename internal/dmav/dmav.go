@@ -30,7 +30,7 @@
 // and a loop.
 //
 // A gate forks onto the pool once its planned work reaches
-// inlineBelowMACs = 2^13 multiply-accumulates, which at n=12 and up is
+// inlineBelowMACs = 2^14 multiply-accumulates, which at n=13 and up is
 // every single-qubit gate. The pool's workers spin for a while after each
 // batch, so inside a gate stream a fork costs about 2 µs and the second
 // vCPU shares even the small gates of an n=14 stream. The pool runs the
@@ -48,6 +48,10 @@
 // any gate of a run that caches every gate, is a DD: Step runs it with
 // Apply into an engine-owned scratch vector, allocated on first need,
 // which it swaps with the state. Apply keeps the out-of-place W = M·V.
+//
+// The inner loops of the in-place ops and of the span and row kernels run
+// through one kernel table (kernels.go): AVX2 assembly on amd64 CPUs that
+// have it, bit-identical Go loops elsewhere and under the purego build tag.
 //
 // Any positive thread count is supported; chunks are distributed over
 // the pool and re-balanced by stealing, so worker count and chunk shape
@@ -68,8 +72,10 @@ import (
 )
 
 // DefaultSIMDWidth is the d of Equation 6 — the number of data
-// elements a SIMD lane processes at once (AVX2 in the paper; the unrolled
-// Go kernels in kernels.go play that role here).
+// elements one SIMD instruction processes: four float64 in an AVX2
+// register, as in the paper. The AVX2 kernels (kernels_amd64.s) hold two
+// complex128 amplitudes per register; the cost model uses the constant
+// whichever kernel table runs.
 const DefaultSIMDWidth = 4
 
 // chunksPerThread is the target over-decomposition factor of the
@@ -90,18 +96,20 @@ const rowChunks = 16
 // algorithm, counting a copied or scaled element as one — under which a
 // gate runs on the calling goroutine instead of forking onto the pool.
 // The pool's workers spin between batches (internal/sched), so inside a
-// gate stream a fork costs about 2 µs (sched.batch_us_p50), and the cutoff
-// sits at the crossover measured on the 2-vCPU reference box (go1.24;
-// EXPERIMENTS.md, "Spin-then-park pool workers"). BenchmarkStep, forked
-// against inline: a single-qubit gate loses at 2^11 MACs (n=10, 0.73×)
-// and wins from 2^13 up (n=12, 1.3–1.5×; n=14, 1.4–1.9×); a CZ, CX or CCX,
-// 2^n MACs, loses alone at n=12 and n=14 and wins at n=16 (1.3–1.7×). In
-// a stream each worker keeps its half of the state in its own cache, and
-// the supremacy DMAV phase at Threads 2 is fastest with the cutoff at
-// 2^13: n=11 ties Threads 1 (8.2 vs 7.8 ms; 2^12 gives 10.8), n=13 runs
-// 27 vs 35 ms and n=14 53 vs 78. Beyond two vCPUs the crossover is
-// unmeasured.
-const inlineBelowMACs = 1 << 13
+// gate stream a fork costs about 2 µs (sched.batch_us_p50), while with the
+// AVX2 kernels a single-qubit gate at n=14 (2^15 MACs) takes 10–15 µs
+// inline. The cutoff is the best of 2^12, 2^13 and 2^14 on the supremacy
+// DMAV phase at Threads 2 (2-vCPU reference box, go1.24, median of nine
+// runs; EXPERIMENTS.md, "AVX2 kernels"): at n=12 2^14 runs 12.5 ms against
+// 20.0 at 2^13, which forks the single-qubit gates (Threads 1: 11.6); at
+// n=11, 13 and 14 the two fork the same gates (n=14: 43.7 and 44.2 ms;
+// Threads 1: 45.5). At n=13 the forked single-qubit gates (2^14 MACs) lose
+// to Threads 1 (27.4 against 20.1 ms), but a cutoff of 2^15 that runs
+// them inline also inlines n=14's CZ and T gates, 2^14 MACs too, and
+// makes n=14 slower (48.2 ms): one MAC count cannot tell the two apart,
+// because the op kinds run at different rates per MAC. Beyond two vCPUs
+// the crossover is unmeasured.
+const inlineBelowMACs = 1 << 14
 
 // Mode selects the caching policy of an Engine.
 type Mode int

@@ -379,16 +379,20 @@ func (e *Engine) runInPlace(ip *inPlace, j0, j1 uint64) {
 func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 	reach := (na-1)*sa + 1
 	switch op.kind {
-	case opScale:
-		w := op.w[0]
-		for i := uint64(0); i < nb; i++ {
-			v := V[x+i*sb+op.off[0]:][:reach]
-			if sa == 1 {
-				scalarMulInto(v, v, w)
-				continue
-			}
-			for t := uint64(0); t < uint64(len(v)); t += sa {
-				v[t] *= w
+	case opScale, opSwapPhase, opPair:
+		// The kernel table walks runs of consecutive amplitudes: the inner
+		// loop's at a unit stride; the outer loop's when it walks
+		// consecutive amplitudes (a gate on qubit 1 or 2, whose short runs
+		// runInPlace puts outside) or takes one step (one-amplitude runs,
+		// as on qubit 0); else one-amplitude runs for each outer step.
+		switch {
+		case sa == 1:
+			op.runs(V, x, nb, sb, na)
+		case nb == 1 || sb == 1:
+			op.runs(V, x, na, sa, nb)
+		default:
+			for i := uint64(0); i < nb; i++ {
+				op.runs(V, x+i*sb, na, sa, 1)
 			}
 		}
 	case opSwap:
@@ -403,40 +407,6 @@ func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 			}
 			for t := uint64(0); t < uint64(len(v0)); t += sa {
 				v0[t], v1[t] = v1[t], v0[t]
-			}
-		}
-	case opSwapPhase:
-		w0, w1 := op.w[0], op.w[1]
-		for i := uint64(0); i < nb; i++ {
-			v0 := V[x+i*sb+op.off[0]:][:reach]
-			v1 := V[x+i*sb+op.off[1]:][:len(v0)]
-			if sa == 1 {
-				for t := range v0 {
-					v0[t], v1[t] = w0*v1[t], w1*v0[t]
-				}
-				continue
-			}
-			for t := uint64(0); t < uint64(len(v0)); t += sa {
-				v0[t], v1[t] = w0*v1[t], w1*v0[t]
-			}
-		}
-	case opPair:
-		a00, a01, a10, a11 := op.w[0], op.w[1], op.w[2], op.w[3]
-		for i := uint64(0); i < nb; i++ {
-			v0 := V[x+i*sb+op.off[0]:][:reach]
-			v1 := V[x+i*sb+op.off[1]:][:len(v0)]
-			if sa == 1 {
-				for t := range v0 {
-					p, q := v0[t], v1[t]
-					v0[t] = a00*p + a01*q
-					v1[t] = a10*p + a11*q
-				}
-				continue
-			}
-			for t := uint64(0); t < uint64(len(v0)); t += sa {
-				p, q := v0[t], v1[t]
-				v0[t] = a00*p + a01*q
-				v1[t] = a10*p + a11*q
 			}
 		}
 	case opCycle:
@@ -535,6 +505,27 @@ func (op *ipOp) run(V []complex128, x, nb, sb, na, sa uint64) {
 				}
 			}
 		}
+	}
+}
+
+// runs applies a scale, swap-phase or pair op through the kernel table at
+// the bases x + i·s + t, i < n, t < l.
+func (op *ipOp) runs(V []complex128, x, n, s, l uint64) {
+	reach := (n-1)*s + l
+	v0 := V[x+op.off[0]:][:reach]
+	switch op.kind {
+	case opScale:
+		scaleRuns(v0, v0, int(n), int(s), int(l), op.w[0])
+	case opSwapPhase:
+		swapPhaseRuns(v0, V[x+op.off[1]:][:reach], int(n), int(s), int(l), op.w[0], op.w[1])
+	case opPair:
+		w := (*[4]complex128)(op.w)
+		if l == 1 && s == 2 && op.off[1] == op.off[0]+1 {
+			// Qubit 0: the pairs are adjacent.
+			pairAdj(V[x+op.off[0]:][:2*n], w)
+			return
+		}
+		pairRuns(v0, V[x+op.off[1]:][:reach], int(n), int(s), int(l), w)
 	}
 }
 
