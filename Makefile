@@ -91,12 +91,15 @@ chaos:
 	FLATDD_CHAOS_SEED=$${FLATDD_CHAOS_SEED:-1} $(GO) test -race -count=1 -timeout 300s ./internal/cluster/
 
 # trace-schema pins the span JSONL wire format (the golden file under
-# internal/obs/testdata) and the TraceWriter's sticky-error contract:
-# external consumers parse the stream, so a field rename is a breaking
-# change this target catches. Regenerate deliberately with
-# UPDATE_SPAN_GOLDEN=1 go test ./internal/obs -run SpanSchemaGolden.
+# internal/obs/testdata), the TraceWriter's sticky-error contract and the
+# gate lines `flatdd -trace-out` writes next to the spans (the golden file
+# under cmd/flatdd/testdata): external consumers parse the stream, so a
+# field rename is a breaking change this target catches. Regenerate
+# deliberately with UPDATE_SPAN_GOLDEN=1 go test ./internal/obs -run
+# SpanSchemaGolden and go test ./cmd/flatdd -run GoldenGHZ -update.
 trace-schema:
 	$(GO) test -count=1 -run 'SpanSchemaGolden|TraceWriterSticky' ./internal/obs
+	$(GO) test -count=1 -run 'TraceOut' ./cmd/flatdd
 
 # fuzz runs three fuzzers for a bounded slice of time each: the OpenQASM
 # parser, seeded from internal/qasm/testdata/fuzz, the dense block

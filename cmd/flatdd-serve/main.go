@@ -50,7 +50,7 @@ func main() {
 		grace     = flag.Duration("grace", 10*time.Second, "drain grace for in-flight jobs on SIGTERM")
 		retries   = flag.Int("retries", 2, "max re-queues of a job that fails with a transient engine fault (0 = off)")
 		integrity = flag.Int("integrity-every", 0, "NaN/Inf/norm-sweep job states every N DMAV gates (0 = off)")
-		traceOut  = flag.String("trace-out", "", "append span + per-gate trace events as JSONL to this file (empty = off)")
+		traceOut  = flag.String("trace-out", "", "append the span stream as JSONL to this file (empty = off)")
 		logFormat = flag.String("log-format", "text", "request log format on stderr: text, json, or off")
 		cacheMB   = flag.Int("cache-budget-mb", 64, "result cache budget in MiB: repeat submissions of a circuit complete without an engine run (0 = off)")
 	)

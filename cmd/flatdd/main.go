@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/cmplx"
 	"math/rand"
 	"os"
@@ -107,8 +108,8 @@ func main() {
 			MemoryBudget:   uint64(*memMB) << 20,
 			IntegrityEvery: *integrity,
 		}
-		// With -trace-out, per-gate events and phase spans share one
-		// buffered TraceWriter so the JSONL stream interleaves safely.
+		// With -trace-out, gate lines and phase spans share one buffered
+		// TraceWriter, so the JSONL stream interleaves safely.
 		var tw *obs.TraceWriter
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
@@ -118,7 +119,6 @@ func main() {
 			}
 			defer f.Close()
 			tw = obs.NewTraceWriter(f)
-			opts.TraceWriter = tw
 		}
 		switch *fusionF {
 		case "none":
@@ -141,20 +141,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "flatdd: unknown cache mode %q\n", *cache)
 			os.Exit(1)
 		}
+		var printTo io.Writer
 		if *trace {
-			opts.Trace = func(e core.TraceEvent) {
-				mark := ""
-				if e.Converted {
-					mark = "  <= convert to DMAV"
-				}
-				if e.Phase == core.PhaseDD {
-					fmt.Printf("  gate %4d [dd]   size=%-8d ewma=%-10.1f %v%s\n",
-						e.GateIndex, e.DDSize, e.EWMA, e.Duration, mark)
-				} else {
-					fmt.Printf("  gate %4d [dmav] %v\n", e.GateIndex, e.Duration)
-				}
-			}
+			printTo = os.Stdout
 		}
+		opts.Trace = traceHook(printTo, tw)
 		// The run context carries the timeout and Ctrl-C/SIGTERM: the
 		// engine observes either within one gate (core.RunContext).
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -164,28 +155,8 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		// Root the run under a fresh trace so the engine's phase spans
-		// (phase.dd, phase.convert, phase.fuse, phase.dmav and the pool
-		// batches under them) land in the JSONL stream.
-		var root *obs.Span
-		if tw != nil {
-			root = obs.NewTracer(tw).Root("run", obs.TraceID{}, obs.SpanID{})
-			root.SetAttr("circuit", c.Name)
-			root.SetAttr("qubits", c.Qubits)
-			root.SetAttr("gates", c.GateCount())
-			ctx = obs.ContextWithSpan(ctx, root)
-		}
 		sim := core.New(c.Qubits, opts)
-		st, err := sim.RunContext(ctx, c)
-		if root != nil {
-			if err != nil {
-				root.SetAttr("error", err.Error())
-			}
-			root.End()
-			if ferr := tw.Flush(); ferr != nil {
-				fmt.Fprintln(os.Stderr, "flatdd: trace-out:", ferr)
-			}
-		}
+		st, err := runTraced(ctx, sim, c, tw)
 		switch {
 		case errors.Is(err, core.ErrDeadlineExceeded):
 			fmt.Println("TIMED OUT")

@@ -23,16 +23,9 @@ func main() {
 	fmt.Printf("supremacy circuit: %d qubits (grid), %d gates, depth %d\n\n",
 		c.Qubits, c.GateCount(), c.Depth())
 
-	// FlatDD with a per-gate trace so we can watch the switch happen.
-	var converted int
-	opts := core.Options{Threads: 4, Trace: func(e core.TraceEvent) {
-		if e.Converted {
-			converted = e.GateIndex
-		}
-	}}
-	flat := harness.RunFlatDD(c, opts, time.Minute)
-	fmt.Printf("FlatDD:    %10v  (DD phase until gate %d, then parallel DMAV)\n",
-		flat.Runtime, converted)
+	flat := harness.RunFlatDD(c, core.Options{Threads: 4}, time.Minute)
+	fmt.Printf("FlatDD:    %10v  (DD phase for %d gates, then parallel DMAV)\n",
+		flat.Runtime, flat.ConvertedAt)
 	fmt.Printf("           dd=%v convert=%v dmav=%v, %d/%d DMAV gates used caching\n",
 		flat.Stats.DDTime, flat.Stats.ConversionTime, flat.Stats.DMAVTime,
 		flat.Stats.DMAVStats.CachedGates, flat.Stats.DMAVStats.Gates)

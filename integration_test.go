@@ -85,7 +85,6 @@ func TestFlatDDConfigurationsAgree(t *testing.T) {
 		{Threads: 4, CacheMode: dmav.NeverCache},
 		{Threads: 4, Fusion: core.DMAVAware},
 		{Threads: 4, Fusion: core.KOps},
-		{Threads: 4, SequentialConversion: true},
 		{Threads: 4, Beta: 0.5, Epsilon: 1.5},
 	}
 	for i, opts := range configs {

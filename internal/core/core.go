@@ -195,20 +195,10 @@ type Options struct {
 	// ForceConvertAfter, when positive, forces conversion right after
 	// this many gates, bypassing the controller (used by experiments).
 	ForceConvertAfter int
-	// SequentialConversion uses the sequential DDSIM-style DD-to-array
-	// conversion instead of the parallel algorithm (Figure 13 ablation).
-	SequentialConversion bool
-	// Trace, when non-nil, receives one event per gate. It is backed by the
-	// same per-gate event stream as TraceWriter; both may be set.
+	// Trace, when non-nil, receives one event per gate, on the goroutine
+	// that called RunContext. It is the engine's only per-gate output
+	// (Figures 3 and 11); phase spans travel on the run's context.
 	Trace func(TraceEvent)
-	// TraceWriter, when non-nil, receives the per-gate event stream as
-	// JSON Lines: one {"event":"gate",...} object per gate and a final
-	// {"event":"run",...} summary. The schema is documented in DESIGN.md
-	// ("Observability"). The writer may be shared with request spans (the
-	// serve layer, or a CLI tracing whole runs): one writer means one
-	// buffer and no interleaving corruption. It is flushed when the run
-	// ends; closing the underlying sink stays the owner's job.
-	TraceWriter *obs.TraceWriter
 	// Metrics, when non-nil, wires every engine layer (dd unique/compute
 	// tables, cnum, conversion, DMAV, the EWMA controller and this
 	// simulator's phase loop) into the registry. When nil, the hot paths
@@ -360,29 +350,6 @@ type coreMetrics struct {
 	integrityChecks  *obs.Counter
 }
 
-// traceRecord is the JSONL wire form of one per-gate event.
-type traceRecord struct {
-	Event      string  `json:"event"` // "gate"
-	Gate       int     `json:"gate"`
-	Phase      string  `json:"phase"` // "dd" | "dmav"
-	DDSize     int     `json:"dd_size"`
-	EWMA       float64 `json:"ewma"`
-	DurationNs int64   `json:"duration_ns"`
-	Converted  bool    `json:"converted"`
-}
-
-// runRecord is the JSONL summary line emitted once at the end of a run.
-type runRecord struct {
-	Event       string  `json:"event"` // "run"
-	Gates       int     `json:"gates"`
-	ConvertedAt int     `json:"converted_at"`
-	FinalPhase  string  `json:"final_phase"`
-	TotalNs     int64   `json:"total_ns"`
-	PeakDDNodes int     `json:"peak_dd_nodes"`
-	TimedOut    bool    `json:"timed_out"`
-	Fidelity    float64 `json:"fidelity"`
-}
-
 // New returns a simulator for n qubits.
 func New(n int, opts Options) *Simulator {
 	o := opts
@@ -428,28 +395,6 @@ func New(n int, opts Options) *Simulator {
 	}
 	return s
 }
-
-// emitTrace fans one per-gate event out to the callback and the JSONL
-// writer (whichever are configured).
-func (s *Simulator) emitTrace(ev TraceEvent) {
-	if s.opts.Trace != nil {
-		s.opts.Trace(ev)
-	}
-	if s.opts.TraceWriter != nil {
-		s.opts.TraceWriter.Emit(traceRecord{
-			Event:      "gate",
-			Gate:       ev.GateIndex,
-			Phase:      ev.Phase.String(),
-			DDSize:     ev.DDSize,
-			EWMA:       ev.EWMA,
-			DurationNs: ev.Duration.Nanoseconds(),
-			Converted:  ev.Converted,
-		})
-	}
-}
-
-// tracing reports whether per-gate events need to be materialized.
-func (s *Simulator) tracing() bool { return s.opts.Trace != nil || s.opts.TraceWriter != nil }
 
 // Qubits returns the register size.
 func (s *Simulator) Qubits() int { return s.n }
@@ -653,8 +598,8 @@ func (r *run) dd() (int, error) {
 			s.met.ddSize.Set(int64(size))
 			s.met.gateDDNs.Observe(time.Since(gStart).Nanoseconds())
 		}
-		if s.tracing() {
-			s.emitTrace(TraceEvent{
+		if s.opts.Trace != nil {
+			s.opts.Trace(TraceEvent{
 				GateIndex: i, Phase: PhaseDD, DDSize: size, EWMA: r.ctl.Average(),
 				Duration: time.Since(gStart), Converted: convertNow,
 			})
@@ -696,23 +641,18 @@ func (r *run) convert(env sched.Env, at int) error {
 	p := r.beginPhase("phase.convert")
 	if p.span != nil {
 		p.span.SetAttr("amps", uint64(1)<<uint(s.n))
-		p.span.SetAttr("sequential", s.opts.SequentialConversion)
 	}
 	s.state = make([]complex128, uint64(1)<<uint(s.n))
 	s.led.AddFlat(int64(len(s.state)) * 16)
 	var err error
-	if s.opts.SequentialConversion {
-		s.m.FillArray(s.sim.State(), s.n, s.state)
-	} else {
-		env.Span = p.span
-		ok, cerr := convert.ParallelIntoEnv(s.sim.State(), s.n, s.state, &env)
-		if cerr != nil {
-			// Internal invariant (we sized the array ourselves), but
-			// contain rather than crash: surface it as an engine fault.
-			err = newEngineFault(cerr)
-		} else if !ok {
-			err = errAborted
-		}
+	env.Span = p.span
+	ok, cerr := convert.ParallelIntoEnv(s.sim.State(), s.n, s.state, &env)
+	if cerr != nil {
+		// Internal invariant (we sized the array ourselves), but
+		// contain rather than crash: surface it as an engine fault.
+		err = newEngineFault(cerr)
+	} else if !ok {
+		err = errAborted
 	}
 	if err == nil && r.canceled() {
 		err = errAborted
@@ -720,7 +660,7 @@ func (r *run) convert(env sched.Env, at int) error {
 	if p.span != nil {
 		p.span.SetAttr("completed", err == nil)
 	}
-	s.stats.ConversionTime = r.endPhase(p, s.opts.SequentialConversion)
+	s.stats.ConversionTime = r.endPhase(p, false)
 	if err != nil {
 		// Drop the partial array and stay in the DD phase (the state DD
 		// is untouched), so the simulator remains queryable.
@@ -880,8 +820,8 @@ func (r *run) dmav(env sched.Env, gates []fusion.Gate, gate int) error {
 			s.met.gatesDMAV.Inc()
 			s.met.gateDMAVNs.Observe(time.Since(gStart).Nanoseconds())
 		}
-		if s.tracing() {
-			s.emitTrace(TraceEvent{
+		if s.opts.Trace != nil {
+			s.opts.Trace(TraceEvent{
 				GateIndex: gate, Phase: PhaseDMAV, Duration: time.Since(gStart),
 			})
 		}
@@ -944,19 +884,6 @@ func (r *run) end(err error) (Stats, error) {
 		flat = max(flat, pc.PeakFlatBytes)
 	}
 	s.stats.MemoryBytes += flat
-	if tw := s.opts.TraceWriter; tw != nil {
-		tw.Emit(runRecord{
-			Event:       "run",
-			Gates:       s.stats.Gates,
-			ConvertedAt: s.stats.ConvertedAtGate,
-			FinalPhase:  s.phase.String(),
-			TotalNs:     s.stats.TotalTime.Nanoseconds(),
-			PeakDDNodes: s.stats.PeakDDNodes,
-			TimedOut:    s.stats.TimedOut,
-			Fidelity:    s.stats.Fidelity,
-		})
-		tw.Flush() //nolint:errcheck // trace output is best-effort
-	}
 	return s.stats, err
 }
 

@@ -83,7 +83,6 @@ func TestMatchesStatevecAllConfigurations(t *testing.T) {
 		{ForceConvertAfter: 3, CacheMode: dmav.NeverCache},
 		{ForceConvertAfter: 2, Fusion: DMAVAware, Threads: 4},
 		{ForceConvertAfter: 2, Fusion: KOps, Threads: 2},
-		{ForceConvertAfter: 4, SequentialConversion: true},
 	}
 	for ci, opts := range configs {
 		n := 4 + rng.Intn(3)

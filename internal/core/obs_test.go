@@ -1,15 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"flag"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"regexp"
 	"testing"
 
 	"flatdd/internal/circuit"
@@ -18,8 +12,6 @@ import (
 	"flatdd/internal/statevec"
 	"flatdd/internal/workloads"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestControllerFiresOnFinalGate is the controller-driven companion of
 // TestConversionOnLastGateStaysDD: instead of forcing conversion on the
@@ -68,107 +60,6 @@ func TestControllerFiresOnFinalGate(t *testing.T) {
 		if !approx(got[i], w) {
 			t.Fatalf("amplitude %d: %v, want %v", i, got[i], w)
 		}
-	}
-}
-
-// durationFields zeroes the wall-clock fields of a JSONL trace so runs are
-// byte-comparable across machines.
-var durationFields = regexp.MustCompile(`"(duration_ns|total_ns)":\d+`)
-
-func normalizeTrace(b []byte) []byte {
-	return durationFields.ReplaceAll(b, []byte(`"$1":0`))
-}
-
-// TestJSONLTraceGoldenGHZ locks down the JSONL schema with a golden file:
-// a GHZ run is fully deterministic (gate order, phases, DD sizes, EWMA
-// values) apart from wall-clock durations, which are normalized to 0.
-// Regenerate with `go test ./internal/core/ -run GoldenGHZ -update`.
-func TestJSONLTraceGoldenGHZ(t *testing.T) {
-	var buf bytes.Buffer
-	s := New(4, Options{TraceWriter: obs.NewTraceWriter(&buf)})
-	s.Run(ghz(4))
-	got := normalizeTrace(buf.Bytes())
-
-	golden := filepath.Join("testdata", "ghz_trace.golden.jsonl")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (run with -update to create it): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("JSONL trace differs from golden file.\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestJSONLTracePhaseFlip drives a run that converts mid-circuit and
-// checks the JSONL stream end to end: every line parses, per-gate lines
-// carry the documented fields, the phase flips from "dd" to "dmav" exactly
-// at ConvertedAtGate, and the final "run" line summarizes the run. The
-// callback and the JSONL writer receive the same event stream.
-func TestJSONLTracePhaseFlip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 7
-	c := randomCircuit(rng, n, 50)
-	var buf bytes.Buffer
-	callbacks := 0
-	s := New(n, Options{
-		ForceConvertAfter: 10,
-		TraceWriter:       obs.NewTraceWriter(&buf),
-		Trace:             func(TraceEvent) { callbacks++ },
-	})
-	st := s.Run(c)
-	if st.ConvertedAtGate != 10 {
-		t.Fatalf("ConvertedAtGate = %d, want 10", st.ConvertedAtGate)
-	}
-	if callbacks != 50 {
-		t.Fatalf("callback saw %d events, want 50", callbacks)
-	}
-
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 51 { // 50 gate lines + 1 run line
-		t.Fatalf("got %d JSONL lines, want 51", len(lines))
-	}
-	for i, line := range lines[:50] {
-		var rec map[string]any
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v", i, err)
-		}
-		for _, field := range []string{"event", "gate", "phase", "dd_size", "ewma", "duration_ns", "converted"} {
-			if _, ok := rec[field]; !ok {
-				t.Fatalf("line %d missing field %q: %s", i, field, line)
-			}
-		}
-		if rec["event"] != "gate" || int(rec["gate"].(float64)) != i {
-			t.Fatalf("line %d has event=%v gate=%v", i, rec["event"], rec["gate"])
-		}
-		wantPhase := "dd"
-		if i >= 10 {
-			wantPhase = "dmav"
-		}
-		if rec["phase"] != wantPhase {
-			t.Fatalf("gate %d phase = %v, want %s", i, rec["phase"], wantPhase)
-		}
-		if conv := rec["converted"].(bool); conv != (i == 9) {
-			t.Fatalf("gate %d converted = %v", i, conv)
-		}
-	}
-	var run map[string]any
-	if err := json.Unmarshal(lines[50], &run); err != nil {
-		t.Fatalf("run line is not valid JSON: %v", err)
-	}
-	if run["event"] != "run" || int(run["converted_at"].(float64)) != 10 ||
-		run["final_phase"] != "dmav" || int(run["gates"].(float64)) != 50 {
-		t.Fatalf("run record: %s", lines[50])
-	}
-	if run["timed_out"].(bool) {
-		t.Fatal("run record claims a timeout")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the simulator's unified observability layer: a
 // lightweight metrics registry (atomic counters, gauges and fixed-bucket
-// histograms, Go stdlib only), a JSONL trace writer for per-gate events,
-// and HTTP export of live metric values plus pprof.
+// histograms, Go stdlib only), spans and the JSONL trace writer they
+// stream to, and HTTP export of live metric values plus pprof.
 //
 // The design goal is that instrumentation can stay compiled into every hot
 // path at zero cost when disabled: all handle types (Counter, Gauge,

@@ -102,11 +102,11 @@ type Config struct {
 	// Faults, when non-nil, arms fault injection on the shared pool and
 	// every job's engine (tests only; production servers leave it nil).
 	Faults *faults.Registry
-	// TraceJSONL, when non-nil, receives the span stream (and each job's
-	// per-gate engine events) as JSON Lines on one shared writer. Spans
-	// are always collected in memory for the flight recorder; this sink
-	// additionally persists them. The writer is flushed as jobs finish;
-	// closing the underlying file stays the caller's job.
+	// TraceJSONL, when non-nil, receives the span stream as JSON Lines:
+	// every line is one span, keyed by its trace ID. Spans are always
+	// collected in memory for the flight recorder; this sink additionally
+	// persists them. The writer is flushed as jobs finish; closing the
+	// underlying file stays the caller's job.
 	TraceJSONL io.Writer
 	// Logger receives structured job-lifecycle logs keyed by job and
 	// trace ID (default: discard).
@@ -1054,7 +1054,6 @@ func (s *Server) execute(ctx context.Context, j *job) (res *JobResult, entry *ca
 		Metrics:        s.reg,
 		IntegrityEvery: s.cfg.IntegrityEvery,
 		Faults:         s.cfg.Faults,
-		TraceWriter:    s.tw, // nil without Config.TraceJSONL; shared so gate events and spans interleave safely
 		Ledger:         j.ledger,
 	})
 	st, err := sim.RunContext(ctx, j.circ)

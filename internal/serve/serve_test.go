@@ -433,7 +433,7 @@ func TestInFlightCapRespected(t *testing.T) {
 func TestJobTimeoutFails(t *testing.T) {
 	h := newTestServer(t, serve.Config{Threads: 2})
 	req := slowSubmit(1)
-	req.TimeoutMS = 30 // far below the QV runtime
+	req.TimeoutMS = 1 // far below the QV n=16 runtime (tens of milliseconds)
 	v := h.submit(req)
 	got := h.waitState(v.ID, serve.StateFailed, serve.StateDone)
 	if got.State == serve.StateDone {

@@ -108,12 +108,21 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("phase.dd parent = %s, want run span %s", byName["phase.dd"].Parent, byName["run"].Span)
 	}
 
-	// The JSONL sink carries the same spans (plus the engine's per-gate
-	// events, all on one writer).
+	// The JSONL sink carries the same spans, and nothing but spans: every
+	// line names its trace, so concurrent jobs' lines can be told apart.
 	out := sink.String()
-	for _, want := range []string{`"event":"span"`, `"name":"job"`, `"name":"phase.dd"`, callerTrace} {
+	for _, want := range []string{`"name":"job"`, `"name":"phase.dd"`, callerTrace} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace sink missing %q", want)
+		}
+	}
+	for i, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var r obs.SpanRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("sink line %d is not JSON: %v: %s", i, err, line)
+		}
+		if r.Event != "span" || len(r.Trace) != 32 {
+			t.Errorf("sink line %d is not a span with a trace ID: %s", i, line)
 		}
 	}
 }
