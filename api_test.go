@@ -1,69 +1,55 @@
 package flatdd
 
-// The exported-API gate: every exported top-level function, method, type,
-// constant and variable under internal/ and cmd/ must be referenced from at least one
-// non-test file of the module (bench/ and examples/ count). A name that
-// only tests reach belongs in its package's _test.go files, or on the
-// allowlist below with the reason it stays.
+// The dead-code gate: every package-level function, type, constant and
+// variable under internal/ and cmd/, and every method there, must be used
+// by at least one non-test file of the module (bench/ and examples/
+// count). A name that only tests
+// reach belongs in its package's _test.go files, or on the allowlist
+// below with the reason it stays.
+//
+// Names are resolved with go/types over the non-test sources of every
+// package of the module, so a method counts as used only when a call
+// selects that method of that type. A method that implements an
+// interface the module uses (one it calls through or passes values as,
+// or one the standard library calls: see implicitSrc) counts as used.
 //
 // The engine's two structs get the same check per field: every field of
 // core.Options must be set — as a composite-literal key or an assignment
 // target — and every field of core.Stats read by some non-test file
-// outside internal/core, or be on fieldAllowlist with a reason. Fields
-// are matched by name only, so a field whose name another struct's field
-// shares passes too.
+// outside internal/core, or be on fieldAllowlist with a reason.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// apiAllowlist holds the exported names that stay without a non-test
-// caller, keyed as "<package path>.<Name>" or "<package path>.<Type>.<Method>".
+// apiAllowlist holds the names that stay without a non-test caller,
+// keyed as "<package path>.<Name>" or "<package path>.<Type>.<Method>".
 var apiAllowlist = map[string]string{
 	"flatdd/internal/faults.New":                      "fault injection is armed from tests only, by design (no CLI flag); production passes a nil registry",
 	"flatdd/internal/faults.Registry.Arm":             "arms an injection point; the sched, core, serve and cluster fault suites call it",
 	"flatdd/internal/faults.Registry.Disarm":          "heals an injection point mid-run; the cluster chaos suite revives replicas with it",
-	"flatdd/internal/dd.Manager.Reorder":              "variable reordering is kept until the wide-register DD workload decides its fate (ROADMAP item 5)",
 	"flatdd/internal/dd.Manager.SetGCThreshold":       "GC-stress knob the dd and ddsim suites use to force collections mid-circuit",
 	"flatdd/internal/dd.Manager.VectorFromAmplitudes": "builds a state DD from amplitudes; the dd and convert suites construct their inputs with it",
 	"flatdd/internal/circuit.MCX":                     "multi-controlled X, the gate the QASM writer decomposes; the circuit, qasm and statevec suites build it",
 	"flatdd/internal/serve/client.WithTenant":         "public client option of the v1 API; the serve and cmd end-to-end suites use it",
-}
-
-// interfaceMethods are method names that satisfy standard-library
-// interfaces (error, fmt.Stringer, http.Handler, sort and heap
-// interfaces): they are called through the interface, never by name.
-var interfaceMethods = map[string]bool{
-	"Error": true, "Unwrap": true, "String": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-}
-
-// goFile is one parsed source file of the module.
-type goFile struct {
-	pkg  string // import path of its package
-	test bool
-	f    *ast.File
-}
-
-// apiDecl is one exported top-level declaration.
-type apiDecl struct {
-	pkg, name string
-	recv      string // receiver type for a method, "" otherwise
-	pos       token.Position
-}
-
-func (d apiDecl) key() string {
-	if d.recv != "" {
-		return d.pkg + "." + d.recv + "." + d.name
-	}
-	return d.pkg + "." + d.name
+	"flatdd/internal/serve/client.Client.Result":      "public v1 client call (GET /v1/jobs/{id}/result); the serve, cluster and cmd end-to-end suites use it",
+	"flatdd/internal/serve/client.Client.Jobs":        "public v1 client call (GET /v1/jobs); the serve, cluster and cmd end-to-end suites list jobs with it",
+	"flatdd/internal/testproc.Start":                  "test-process infrastructure: the cmd smoke suites start their server children with it so none outlives the test binary",
 }
 
 // fieldAllowlist holds the core.Options fields no non-test file outside
@@ -73,113 +59,202 @@ var fieldAllowlist = map[string]string{
 	"Stats.FusionResult": "the fusion pass's plan (fusions, modeled cost before and after); core's fusion tests check the plan through it",
 }
 
-// parseModule parses every .go file of the module outside hidden and
-// testdata directories.
-func parseModule(t *testing.T) (*token.FileSet, []goFile) {
-	t.Helper()
-	fset := token.NewFileSet()
-	var files []goFile
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// implicitSrc is type-checked with the module: it mentions the
+// interfaces the standard library calls through on its own (fmt formats
+// errors and Stringers, errors.Is and errors.As unwrap), which module
+// code need not mention where it passes a value on.
+const implicitSrc = `package implicit
+
+import "fmt"
+
+var (
+	_ error
+	_ fmt.Stringer
+	_ interface{ Unwrap() error }
+)
+`
+
+// modulePkg is one type-checked package of the module, non-test files only.
+type modulePkg struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+}
+
+// moduleSource is the module's non-test source, parsed and type-checked.
+type moduleSource struct {
+	fset   *token.FileSet
+	pkgs   []*modulePkg // in dependency order
+	byPath map[string]*types.Package
+}
+
+// loadModule type-checks every package of the module once per test
+// binary. Module packages are checked from source in dependency order,
+// so one object stands for each declaration wherever it is used; the
+// standard library comes from the export data `go list -export` names.
+var loadModule = sync.OnceValues(func() (*moduleSource, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json", "./...").Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			err = fmt.Errorf("%v: %s", err, ee.Stderr)
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	var list []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
 		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
+		list = append(list, p)
+	}
+	exports := map[string]string{}
+	for _, p := range list {
+		exports[p.ImportPath] = p.Export
+	}
+	ms := &moduleSource{fset: token.NewFileSet(), byPath: map[string]*types.Package{}}
+	std := importer.ForCompiler(ms.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := "flatdd"
-		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
-			pkg += "/" + dir
-		}
-		files = append(files, goFile{pkg: pkg, test: strings.HasSuffix(path, "_test.go"), f: f})
-		return nil
+		return os.Open(exports[path])
 	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := ms.byPath[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	check := func(path string, files []*ast.File) error {
+		mp := &modulePkg{path: path, files: files, info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		conf := types.Config{Importer: imp}
+		tp, err := conf.Check(path, ms.fset, files, mp.info)
+		if err != nil {
+			return fmt.Errorf("type-checking %s: %w", path, err)
+		}
+		ms.byPath[path] = tp
+		ms.pkgs = append(ms.pkgs, mp)
+		return nil
+	}
+	for _, p := range list {
+		if p.Standard {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(ms.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		if err := check(p.ImportPath, files); err != nil {
+			return nil, err
+		}
+	}
+	f, err := parser.ParseFile(ms.fset, "implicit.go", implicitSrc, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	if err := check("implicit", []*ast.File{f}); err != nil {
+		return nil, err
+	}
+	return ms, nil
+})
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func mustLoadModule(t *testing.T) *moduleSource {
+	t.Helper()
+	ms, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, files
+	return ms
+}
+
+// apiDecl is one declaration the gate checks.
+type apiDecl struct {
+	obj types.Object
+	key string
+	pos token.Position
 }
 
 func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
-	fset, files := parseModule(t)
+	ms := mustLoadModule(t)
+	used := map[types.Object]bool{}
+	ifaces := map[*types.Interface]bool{} // interfaces the module uses
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
+	}
+	addIfaces := func(typ types.Type) {
+		addIface(typ)
+		if sig, ok := typ.(*types.Signature); ok {
+			for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					addIface(tup.At(i).Type())
+				}
+			}
+		}
+	}
 	var decls []apiDecl
-	imported := map[string]bool{}         // import paths some non-test file imports
-	local := map[string]map[string]bool{} // package -> identifiers its non-test files use
-	selected := map[string]bool{}         // selector names used by non-test files
-	qualified := map[string]bool{}        // "<import path>.<Name>" used by non-test files
-	mains := map[string]bool{}
-	for _, gf := range files {
-		if gf.test {
-			continue
+	for _, p := range ms.pkgs {
+		for _, tv := range p.info.Types {
+			addIfaces(tv.Type)
 		}
-		if gf.f.Name.Name == "main" {
-			mains[gf.pkg] = true
-		}
-		if strings.HasPrefix(gf.pkg, "flatdd/internal/") || strings.HasPrefix(gf.pkg, "flatdd/cmd/") {
-			decls = append(decls, exportedDecls(fset, gf)...)
-		}
-		names := map[string]string{} // local import name -> import path
-		for _, im := range gf.f.Imports {
-			path := strings.Trim(im.Path.Value, `"`)
-			imported[path] = true
-			name := path[strings.LastIndex(path, "/")+1:]
-			if im.Name != nil {
-				name = im.Name.Name
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				var owner types.Object // a function's calls to itself are no use
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					owner = p.info.Defs[fd.Name]
+					decl = &ast.FuncDecl{Name: fd.Name, Type: fd.Type, Body: fd.Body} // the receiver's type is no use
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if obj := p.info.Uses[id]; obj != nil && obj != owner {
+							used[origin(obj)] = true
+							addIfaces(obj.Type())
+						}
+					}
+					return true
+				})
 			}
-			names[name] = path
-		}
-		if local[gf.pkg] == nil {
-			local[gf.pkg] = map[string]bool{}
-		}
-		for name := range usedIdents(gf.f) {
-			local[gf.pkg][name] = true
-		}
-		ast.Inspect(gf.f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			if strings.HasPrefix(p.path, "flatdd/internal/") || strings.HasPrefix(p.path, "flatdd/cmd/") {
+				decls = append(decls, gatedDecls(ms.fset, p, f)...)
 			}
-			selected[sel.Sel.Name] = true
-			if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] != "" {
-				qualified[names[x.Name]+"."+sel.Sel.Name] = true
-			}
-			return true
-		})
+		}
 	}
 
 	var missing []string
 	allowed := map[string]bool{} // allowlist entries still needed
 	for _, d := range decls {
-		switch {
-		case !mains[d.pkg] && !imported[d.pkg]:
-			// A package no non-test file imports is test support
-			// (difftest, testproc): its whole API serves tests.
-			continue
-		case d.recv != "":
-			if interfaceMethods[d.name] || selected[d.name] {
-				continue
-			}
-		case local[d.pkg][d.name] || qualified[d.pkg+"."+d.name]:
+		if used[d.obj] || implementsUsed(d.obj, ifaces) {
 			continue
 		}
-		if apiAllowlist[d.key()] != "" {
-			allowed[d.key()] = true
+		if apiAllowlist[d.key] != "" {
+			allowed[d.key] = true
 			continue
 		}
-		missing = append(missing, d.key()+" ("+d.pos.String()+")")
+		missing = append(missing, d.key+" ("+d.pos.String()+")")
 	}
 	sort.Strings(missing)
 	for _, m := range missing {
-		t.Errorf("exported %s has no non-test caller: delete it, move it into a _test.go file, or allowlist it with a reason", m)
+		t.Errorf("%s has no non-test caller: delete it, move it into a _test.go file, or allowlist it with a reason", m)
 	}
 	for k, reason := range apiAllowlist {
 		if !allowed[k] {
@@ -194,74 +269,143 @@ func TestEveryExportedNameHasANonTestCaller(t *testing.T) {
 	}
 }
 
-func TestEveryOptionIsSetAndEveryStatIsRead(t *testing.T) {
-	_, files := parseModule(t)
-	fields := map[string][]string{} // "Options" | "Stats" -> field names
-	set := map[string]bool{}        // names set outside internal/core
-	read := map[string]bool{}       // names read outside internal/core
-	for _, gf := range files {
-		if gf.test {
-			continue
+// gatedDecls lists the declarations of one file the gate checks: every
+// package-level name but init, main and _, and every method.
+func gatedDecls(fset *token.FileSet, p *modulePkg, f *ast.File) []apiDecl {
+	var out []apiDecl
+	add := func(id *ast.Ident, key string) {
+		if id.Name != "init" && id.Name != "main" && id.Name != "_" {
+			out = append(out, apiDecl{obj: p.info.Defs[id], key: p.path + "." + key, pos: fset.Position(id.Pos())})
 		}
-		if gf.pkg == "flatdd/internal/core" {
-			ast.Inspect(gf.f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok || (ts.Name.Name != "Options" && ts.Name.Name != "Stats") {
-					return true
-				}
-				if st, ok := ts.Type.(*ast.StructType); ok {
-					for _, f := range st.Fields.List {
-						for _, id := range f.Names {
-							fields[ts.Name.Name] = append(fields[ts.Name.Name], id.Name)
-						}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name, d.Name.Name)
+			} else {
+				add(d.Name, recvNamed(p.info.Defs[d.Name]).Obj().Name()+"."+d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add(sp.Name, sp.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(id, id.Name)
 					}
-				}
-				return false
-			})
-			continue
-		}
-		assigned := map[*ast.SelectorExpr]bool{}
-		ast.Inspect(gf.f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CompositeLit:
-				for _, e := range x.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							set[id.Name] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, l := range x.Lhs {
-					if sel, ok := l.(*ast.SelectorExpr); ok {
-						set[sel.Sel.Name] = true
-						assigned[sel] = x.Tok == token.ASSIGN
-					}
-				}
-			case *ast.SelectorExpr:
-				if !assigned[x] {
-					read[x.Sel.Name] = true
 				}
 			}
-			return true
-		})
+		}
 	}
-	if len(fields["Options"]) == 0 || len(fields["Stats"]) == 0 {
-		t.Fatalf("core.Options or core.Stats not found: %v", fields)
+	return out
+}
+
+// implementsUsed reports whether obj is a method that implements a
+// method of one of the interfaces the module uses.
+func implementsUsed(obj types.Object, ifaces map[*types.Interface]bool) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	recv := recvNamed(fn)
+	for it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Id() == fn.Id() && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// recvNamed returns the named type a method is declared on.
+func recvNamed(obj types.Object) *types.Named {
+	typ := obj.(*types.Func).Type().(*types.Signature).Recv().Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	return typ.(*types.Named)
+}
+
+// origin maps an instantiated generic function, method or field to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+func TestEveryOptionIsSetAndEveryStatIsRead(t *testing.T) {
+	ms := mustLoadModule(t)
+	core := ms.byPath["flatdd/internal/core"]
+	if core == nil {
+		t.Fatal("flatdd/internal/core not loaded")
+	}
+	fields := map[*types.Var]string{} // field -> "<Type>.<Field>"
+	for _, typ := range []string{"Options", "Stats"} {
+		obj := core.Scope().Lookup(typ)
+		st, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			t.Fatalf("core.%s is not a struct", typ)
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			fields[st.Field(i)] = typ + "." + st.Field(i).Name()
+		}
+	}
+	seen := map[string]bool{} // Options fields set and Stats fields read outside internal/core
+	for _, p := range ms.pkgs {
+		if p.path == "flatdd/internal/core" {
+			continue
+		}
+		for _, f := range p.files {
+			assigned := map[*ast.Ident]bool{} // selector names a plain assignment writes
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := x.Key.(*ast.Ident); ok {
+						if key := fields[fieldOf(p, id)]; strings.HasPrefix(key, "Options.") {
+							seen[key] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range x.Lhs {
+						if sel, ok := l.(*ast.SelectorExpr); ok {
+							if key := fields[fieldOf(p, sel.Sel)]; strings.HasPrefix(key, "Options.") {
+								seen[key] = true
+							}
+							assigned[sel.Sel] = x.Tok == token.ASSIGN
+						}
+					}
+				case *ast.SelectorExpr:
+					if key := fields[fieldOf(p, x.Sel)]; strings.HasPrefix(key, "Stats.") && !assigned[x.Sel] {
+						seen[key] = true
+					}
+				}
+				return true
+			})
+		}
 	}
 	allowed := map[string]bool{} // allowlist entries still needed
-	for typ, seen := range map[string]map[string]bool{"Options": set, "Stats": read} {
-		for _, f := range fields[typ] {
-			key := typ + "." + f
-			switch {
-			case seen[f]:
-			case fieldAllowlist[key] != "":
-				allowed[key] = true
-			case typ == "Options":
-				t.Errorf("core.%s is set by no non-test file outside internal/core: delete it or allowlist it with a reason", key)
-			default:
-				t.Errorf("core.%s is read by no non-test file outside internal/core: delete it or allowlist it with a reason", key)
-			}
+	keys := make([]string, 0, len(fields))
+	for _, key := range fields {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		switch {
+		case seen[key]:
+		case fieldAllowlist[key] != "":
+			allowed[key] = true
+		case strings.HasPrefix(key, "Options."):
+			t.Errorf("core.%s is set by no non-test file outside internal/core: delete it or allowlist it with a reason", key)
+		default:
+			t.Errorf("core.%s is read by no non-test file outside internal/core: delete it or allowlist it with a reason", key)
 		}
 	}
 	for k, reason := range fieldAllowlist {
@@ -274,97 +418,10 @@ func TestEveryOptionIsSetAndEveryStatIsRead(t *testing.T) {
 	}
 }
 
-// exportedDecls lists the exported top-level functions, methods, types,
-// constants and variables of one file.
-func exportedDecls(fset *token.FileSet, gf goFile) []apiDecl {
-	var out []apiDecl
-	for _, decl := range gf.f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if !d.Name.IsExported() {
-				continue
-			}
-			ad := apiDecl{pkg: gf.pkg, name: d.Name.Name, pos: fset.Position(d.Pos())}
-			if d.Recv != nil && len(d.Recv.List) == 1 {
-				ad.recv = recvName(d.Recv.List[0].Type)
-				if !ast.IsExported(ad.recv) {
-					continue // a method of an unexported type is not API
-				}
-			}
-			out = append(out, ad)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch sp := spec.(type) {
-				case *ast.TypeSpec:
-					if sp.Name.IsExported() {
-						out = append(out, apiDecl{pkg: gf.pkg, name: sp.Name.Name, pos: fset.Position(sp.Pos())})
-					}
-				case *ast.ValueSpec:
-					for _, id := range sp.Names {
-						if id.IsExported() {
-							out = append(out, apiDecl{pkg: gf.pkg, name: id.Name, pos: fset.Position(id.Pos())})
-						}
-					}
-				}
-			}
-		}
+// fieldOf returns the struct field an identifier uses, or nil.
+func fieldOf(p *modulePkg, id *ast.Ident) *types.Var {
+	if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+		return v.Origin()
 	}
-	return out
-}
-
-// recvName returns the type name of a method receiver (T, *T, T[K] or *T[K]).
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// usedIdents returns the unqualified identifiers a file uses, leaving out
-// the ones that declare something (function, type, field, variable and
-// constant names, struct literal keys) and selector names, which
-// TestEveryExportedNameHasANonTestCaller matches separately.
-func usedIdents(f *ast.File) map[string]bool {
-	declared := map[*ast.Ident]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			declared[x.Name] = true
-		case *ast.TypeSpec:
-			declared[x.Name] = true
-		case *ast.Field:
-			for _, id := range x.Names {
-				declared[id] = true
-			}
-		case *ast.ValueSpec:
-			for _, id := range x.Names {
-				declared[id] = true
-			}
-		case *ast.KeyValueExpr:
-			if id, ok := x.Key.(*ast.Ident); ok {
-				declared[id] = true
-			}
-		case *ast.SelectorExpr:
-			declared[x.Sel] = true
-		}
-		return true
-	})
-	used := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !declared[id] {
-			used[id.Name] = true
-		}
-		return true
-	})
-	return used
+	return nil
 }

@@ -296,16 +296,6 @@ func benchBufferSharing(b *testing.B, share bool) {
 func BenchmarkAblationBufferSharingOn(b *testing.B)  { benchBufferSharing(b, true) }
 func BenchmarkAblationBufferSharingOff(b *testing.B) { benchBufferSharing(b, false) }
 
-// State approximation (extension): exact vs approximated DD phase. A
-// one-byte memory budget vetoes the conversion, so both runs stay DD-only.
-func BenchmarkAblationApproxOff(b *testing.B) {
-	runFlatDD(b, benchDNN(), core.Options{Threads: 4, MemoryBudget: 1})
-}
-
-func BenchmarkAblationApproxOn(b *testing.B) {
-	runFlatDD(b, benchDNN(), core.Options{Threads: 4, MemoryBudget: 1, ApproxBudget: 0.001})
-}
-
 // ---- Instrumentation overhead: the DMAV kernel with metrics disabled
 // (nil registry, the default) vs enabled (live registry). The disabled
 // pair must stay within noise of each other — every instrumentation site

@@ -52,7 +52,6 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write a JSONL per-gate trace to this file (FlatDD)")
 		listen    = flag.String("listen", "", "serve /debug/metrics, /debug/vars and /debug/pprof on this address during the run (e.g. :6060, :0)")
 		timeout   = flag.Duration("timeout", 0, "abort after this duration (0 = none)")
-		approx    = flag.Float64("approx", 0, "DD-phase state-approximation budget per pruning pass (0 = exact)")
 		memMB     = flag.Int("memory-budget-mb", 0, "flat-array memory budget in MiB; over-budget runs stay DD-only (0 = unlimited, FlatDD)")
 		integrity = flag.Int("integrity-every", 0, "NaN/Inf/norm-sweep the flat state every N DMAV gates (0 = off, FlatDD)")
 		emit      = flag.String("emit", "", "write the loaded circuit as OpenQASM 2.0 to this file and exit")
@@ -103,8 +102,7 @@ func main() {
 	switch *engine {
 	case "flatdd":
 		opts := core.Options{
-			Threads: *threads, Beta: *beta, Epsilon: *epsilon,
-			ApproxBudget: *approx, Metrics: reg,
+			Threads: *threads, Beta: *beta, Epsilon: *epsilon, Metrics: reg,
 			MemoryBudget:   uint64(*memMB) << 20,
 			IntegrityEvery: *integrity,
 		}
@@ -188,10 +186,6 @@ func main() {
 		}
 		fmt.Printf("total: %v, peak DD nodes: %d, est. memory: %.2f MB\n",
 			st.TotalTime, st.PeakDDNodes, float64(st.MemoryBytes)/1e6)
-		if st.Approximations > 0 {
-			fmt.Printf("approximation: %d pruning passes, fidelity >= %.6f\n",
-				st.Approximations, st.Fidelity)
-		}
 		printResources(st.Resources)
 		printMetrics(reg.Snapshot())
 		printTop(sim.TopAmplitudes(*top), c.Qubits)

@@ -61,16 +61,6 @@ func (c *Circuit) Depth() int {
 	return depth
 }
 
-// Validate re-checks every gate against the register size.
-func (c *Circuit) Validate() error {
-	for i := range c.Gates {
-		if err := c.Gates[i].Validate(c.Qubits); err != nil {
-			return fmt.Errorf("gate %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // String renders a short human-readable summary plus the gate list.
 func (c *Circuit) String() string {
 	var b strings.Builder

@@ -2,7 +2,10 @@ package circuit
 
 // Test helpers over circuits and gates that only the suites need.
 
-import "math/cmplx"
+import (
+	"fmt"
+	"math/cmplx"
+)
 
 // TwoQubitGateCount returns the number of gates touching 2+ qubits.
 func (c *Circuit) TwoQubitGateCount() int {
@@ -35,4 +38,14 @@ func (g *Gate) IsUnitary(tol float64) bool {
 		}
 	}
 	return true
+}
+
+// Validate re-checks every gate against the register size.
+func (c *Circuit) Validate() error {
+	for i := range c.Gates {
+		if err := c.Gates[i].Validate(c.Qubits); err != nil {
+			return fmt.Errorf("gate %d: %w", i, err)
+		}
+	}
+	return nil
 }

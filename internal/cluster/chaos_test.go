@@ -426,6 +426,61 @@ func TestClusterKillReviveMidBurst(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverKeepsTrace: failover re-submits a job under the
+// trace context its first replica handed back, so the survivor's copy
+// continues the caller's trace. The coordinator's not-found rule relies
+// on it: a replica's job under another trace ID is another job.
+func TestClusterFailoverKeepsTrace(t *testing.T) {
+	f := newFleet(t, 3, serveConfigForChaos(), chaosClusterConfig())
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const callerTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	// QV n=16 is still running on its replica when the replica dies.
+	resp, err := f.c.Submit(ctx, &serve.SubmitRequest{Circuit: "qv", N: 16, Seed: 1, TimeoutMS: 60_000},
+		client.WithTraceParent("00-"+callerTrace+"-00f067aa0ba902b7-01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := resp.Job.Replica
+	if victim == "" || resp.Job.Trace != callerTrace {
+		t.Fatalf("submit view: replica %q, trace %q; want a replica and trace %s", victim, resp.Job.Trace, callerTrace)
+	}
+	f.replicaOf(victim).kill()
+	f.waitReplicaState(victim, cluster.ReplicaDead, 10*time.Second)
+
+	var v *serve.JobView
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if v, err = f.c.Job(ctx, resp.Job.ID); err != nil {
+			t.Fatal(err)
+		}
+		if v.Replica != victim {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still placed on dead replica %s: %+v", victim, v)
+		}
+	}
+	if v.State == serve.StateFailed {
+		t.Fatalf("failover lost the job: %s / %s", v.Reason, v.Error)
+	}
+	for i, r := range f.replicas {
+		if r.name != v.Replica {
+			continue
+		}
+		rc := f.replicaClient(i)
+		rv, err := rc.Job(ctx, f.remoteID(ctx, rc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rv.Trace != callerTrace {
+			t.Fatalf("survivor %s runs the job under trace %s, want the caller's %s", v.Replica, rv.Trace, callerTrace)
+		}
+		return
+	}
+	t.Fatalf("coordinator places the job on unknown replica %q", v.Replica)
+}
+
 // TestClusterInjectedReplicaDown drives the membership state machine
 // through the faults registry instead of a real kill: the per-replica
 // cluster.replica.down point makes probes and RPCs fail while armed.

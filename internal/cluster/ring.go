@@ -92,12 +92,3 @@ func (r *ring) Preference(key string, max int) []string {
 	}
 	return out
 }
-
-// Owner returns the key's first-choice replica.
-func (r *ring) Owner(key string) string {
-	pref := r.Preference(key, 1)
-	if len(pref) == 0 {
-		return ""
-	}
-	return pref[0]
-}

@@ -94,3 +94,12 @@ func TestRingEmpty(t *testing.T) {
 		t.Fatalf("empty ring returned owner %q", got)
 	}
 }
+
+// Owner returns the key's first-choice replica.
+func (r *ring) Owner(key string) string {
+	pref := r.Preference(key, 1)
+	if len(pref) == 0 {
+		return ""
+	}
+	return pref[0]
+}

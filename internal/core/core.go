@@ -33,7 +33,6 @@ import (
 	"flatdd/internal/fusion"
 	"flatdd/internal/obs"
 	"flatdd/internal/sched"
-	"flatdd/internal/statevec"
 )
 
 // Sentinel errors returned by RunContext when a run terminates early.
@@ -204,13 +203,6 @@ type Options struct {
 	// simulator's phase loop) into the registry. When nil, the hot paths
 	// pay one pointer check per instrumentation site and nothing else.
 	Metrics *obs.Registry
-	// ApproxBudget, when positive, enables DD state approximation [97]
-	// during the DD phase: whenever the state DD exceeds approxThreshold
-	// nodes, edges carrying up to ApproxBudget probability mass are pruned.
-	// The cumulative fidelity is reported in Stats.Fidelity. This is an
-	// extension beyond the paper (which simulates exactly); it trades
-	// bounded fidelity loss for a smaller DD and a later conversion.
-	ApproxBudget float64
 	// MemoryBudget, when positive, caps the flat-array working set in
 	// bytes. If dmav.FlatBytes(n, Threads, CacheMode) exceeds the budget
 	// when the conversion controller fires, the conversion is suppressed
@@ -239,9 +231,8 @@ type Options struct {
 
 // The engine's fixed parameters.
 const (
-	kopsBlock       = 4    // block size k of FusionMode KOps
-	approxThreshold = 256  // state-DD node count above which ApproxBudget prunes
-	integrityTol    = 1e-6 // allowed |norm−1| of the integrity sweep (skipped when ApproxBudget > 0)
+	kopsBlock    = 4    // block size k of FusionMode KOps
+	integrityTol = 1e-6 // allowed |norm−1| of the integrity sweep
 )
 
 // TraceEvent records the execution of one gate (Figures 3 and 11).
@@ -286,13 +277,6 @@ type Stats struct {
 	FusionResult *fusion.Result[fusion.Gate]
 	FinalDDSize  int // state-DD size at conversion (or at the end if never converted)
 	TimedOut     bool
-	// Fidelity is a guaranteed lower bound on |<exact|simulated>|^2 after
-	// any state approximations (1 when approximation is off). Per-step
-	// fidelities f_i compose through the angle metric:
-	// F >= cos^2(sum_i arccos(sqrt(f_i))).
-	Fidelity float64
-	// Approximations counts how many pruning passes ran.
-	Approximations int
 	// Degraded reports that the run suppressed its DD→flat conversion and
 	// completed DD-only (graceful degradation); DegradedReason says why:
 	// "register_too_wide" (more than dmav.MaxQubits qubits),
@@ -396,14 +380,8 @@ func New(n int, opts Options) *Simulator {
 	return s
 }
 
-// Qubits returns the register size.
-func (s *Simulator) Qubits() int { return s.n }
-
 // Phase returns the current engine phase.
 func (s *Simulator) Phase() Phase { return s.phase }
-
-// Stats returns the statistics of the last Run.
-func (s *Simulator) Stats() Stats { return s.stats }
 
 // Run simulates the circuit from |0...0> and returns the final statistics.
 // Run may be called once per Simulator. It is RunContext on a background
@@ -465,8 +443,6 @@ type run struct {
 	// suppressConvert pins the run to the DD phase after a degradation
 	// decision (the controller may keep firing; it must not re-trigger).
 	suppressConvert bool
-	// approxAngle accumulates arccos(sqrt(f_i)) over approximation steps.
-	approxAngle float64
 }
 
 // errAborted is what a phase returns when the run's context is done; end
@@ -479,7 +455,7 @@ var errAborted = errors.New("core: run aborted")
 // DMAV — and every terminal path returns through end.
 func (r *run) runContext() (Stats, error) {
 	s := r.s
-	s.stats = Stats{Gates: r.c.GateCount(), ConvertedAtGate: -1, Fidelity: 1}
+	s.stats = Stats{Gates: r.c.GateCount(), ConvertedAtGate: -1}
 	r.span = obs.SpanFromContext(r.ctx)
 	r.ctl = ewma.New(s.opts.Beta, s.opts.Epsilon)
 	if s.met != nil {
@@ -554,8 +530,8 @@ func (r *run) endPhase(p openPhase, sequential bool) time.Duration {
 	return d
 }
 
-// dd runs the DD phase: gates apply to the state DD, pruned when
-// approximation is on, while the EWMA controller watches its size. It
+// dd runs the DD phase: gates apply to the state DD while the EWMA
+// controller watches its size. It
 // returns the index of the first gate left for the flat phase.
 func (r *run) dd() (int, error) {
 	s, gates := r.s, r.c.Gates
@@ -569,15 +545,6 @@ func (r *run) dd() (int, error) {
 		}
 		gStart := time.Now()
 		size := s.sim.ApplyGate(&gates[i])
-		if s.opts.ApproxBudget > 0 && size > approxThreshold {
-			approx, fid := s.m.Approximate(s.sim.State(), s.n, s.opts.ApproxBudget)
-			if fid < 1 {
-				s.sim.SetState(approx)
-				r.approxAngle += math.Acos(math.Sqrt(math.Max(0, math.Min(1, fid))))
-				s.stats.Approximations++
-				size = s.m.VSize(approx)
-			}
-		}
 		s.led.ObserveDD(int64(size), uint64(size)*dd.NodeBytes)
 		convertNow := r.ctl.Observe(size)
 		if f := s.opts.ForceConvertAfter; f > 0 {
@@ -866,11 +833,6 @@ func (r *run) end(err error) (Stats, error) {
 		}
 	}
 	s.stats.TotalTime = time.Since(r.start)
-	if r.approxAngle > 0 {
-		a := math.Min(r.approxAngle, math.Pi/2)
-		c := math.Cos(a)
-		s.stats.Fidelity = c * c
-	}
 	s.stats.PeakDDNodes = s.m.PeakNodeCount()
 	s.led.End()
 	snap := s.led.Snapshot()
@@ -977,9 +939,8 @@ func (s *Simulator) conversionBlocked() string {
 }
 
 // integritySweep scans the flat state for NaN/Inf amplitudes and checks
-// the norm against 1 within integrityTol. The norm check is skipped when
-// approximation is on (pruning legitimately sheds probability mass);
-// NaN/Inf amplitudes are excluded from the norm and counted separately.
+// the norm against 1 within integrityTol. NaN/Inf amplitudes are excluded
+// from the norm and counted separately.
 func (s *Simulator) integritySweep(gate int) error {
 	if s.met != nil {
 		s.met.integrityChecks.Inc()
@@ -998,8 +959,7 @@ func (s *Simulator) integritySweep(gate int) error {
 		}
 		norm += re*re + im*im
 	}
-	normOK := s.opts.ApproxBudget > 0 || math.Abs(norm-1) <= integrityTol
-	if nans == 0 && infs == 0 && normOK {
+	if nans == 0 && infs == 0 && math.Abs(norm-1) <= integrityTol {
 		return nil
 	}
 	if s.met != nil {
@@ -1042,40 +1002,6 @@ func (s *Simulator) flatEnv(cancel func() bool) (env sched.Env, release func()) 
 	}
 	env.Pool = sched.New(s.opts.Threads)
 	return env, env.Pool.Close
-}
-
-// ProbabilityOfQubit returns P(qubit q = 1) of the current state,
-// whichever representation it lives in.
-func (s *Simulator) ProbabilityOfQubit(q int) float64 {
-	if s.phase == PhaseDD {
-		return s.sim.ProbabilityOfQubit(q)
-	}
-	mask := uint64(1) << uint(q)
-	var p1 float64
-	for i, a := range s.state {
-		if uint64(i)&mask != 0 {
-			p1 += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	return p1
-}
-
-// MeasureQubit projectively measures one qubit of the final state,
-// collapsing it in place, and returns the outcome. In the DD phase the
-// collapse operates on the decision diagram; after conversion it operates
-// on the flat array.
-func (s *Simulator) MeasureQubit(q int, rng *rand.Rand) int {
-	if s.phase == PhaseDD {
-		return s.sim.MeasureQubit(q, rng)
-	}
-	sv := statevecView(s.state, s.n)
-	return sv.MeasureQubit(q, rng)
-}
-
-// statevecView wraps the DMAV-phase amplitude array in a statevec.State so
-// the measurement machinery is shared.
-func statevecView(amps []complex128, n int) *statevec.State {
-	return statevec.FromAmplitudes(amps, 1)
 }
 
 // TopAmplitudes returns the k largest-magnitude basis states of the final

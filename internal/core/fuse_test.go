@@ -136,7 +136,7 @@ func TestNarrowGatesBuildNoDDs(t *testing.T) {
 			for _, fuse := range []FusionMode{NoFusion, DMAVAware} {
 				s := New(n, Options{Threads: 2, CacheMode: mode, Fusion: fuse, ForceConvertAfter: n})
 				r := &run{s: s, c: c, ctx: t.Context(), start: time.Now()}
-				s.stats = Stats{Gates: c.GateCount(), ConvertedAtGate: -1, Fidelity: 1}
+				s.stats = Stats{Gates: c.GateCount(), ConvertedAtGate: -1}
 				r.ctl = ewma.New(s.opts.Beta, s.opts.Epsilon)
 				at, err := r.dd()
 				if err != nil || at != n {

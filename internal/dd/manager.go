@@ -281,8 +281,3 @@ func (m *Manager) MakeMNode(level int, e [4]MEdge) MEdge {
 	}
 	return MEdge{top, n}
 }
-
-// pythag returns sqrt(a^2+b^2) without undue overflow.
-func pythag(a, b float64) float64 {
-	return cmplx.Abs(complex(a, b))
-}

@@ -27,9 +27,6 @@ func (m *Manager) scaleM(e MEdge, w complex128) MEdge {
 	return MEdge{wc, e.N}
 }
 
-// ScaleV returns e scaled by the scalar w (canonicalized).
-func (m *Manager) ScaleV(e VEdge, w complex128) VEdge { return m.scaleV(e, w) }
-
 // Add returns the sum of two vector DDs. Operands must stem from this
 // manager and describe vectors of the same dimension.
 func (m *Manager) Add(a, b VEdge) VEdge {

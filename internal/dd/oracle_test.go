@@ -5,6 +5,7 @@ package dd
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 )
 
@@ -170,14 +171,35 @@ func (m *Manager) MaxAmplitude(e VEdge, n int) (AmpEntry, error) {
 	return top[0], nil
 }
 
-// PermuteIndexBits computes the amplitude-index gather of Reorder: bit i
-// of the result is bit perm[i] of idx... inverse direction: the returned
-// index is the ORIGINAL index holding the amplitude that Reorder places at
-// position idx.
-func PermuteIndexBits(idx uint64, perm []int) uint64 {
-	var out uint64
-	for i, p := range perm {
-		out |= (idx >> uint(i) & 1) << uint(p)
+// Norm returns the 2-norm of the vector DD, computed by a memoized upward
+// pass over the unique nodes (O(nodes)). With division-based node
+// normalization sub-trees are not unit vectors, so the norm is
+// |W| * sqrt(S(root)) where S is the squared sub-tree norm.
+func (m *Manager) Norm(e VEdge) float64 {
+	if e.IsZero() {
+		return 0
 	}
-	return out
+	return cmplx.Abs(e.W) * math.Sqrt(subtreeNorm2(e.N, map[*VNode]float64{}))
+}
+
+// subtreeNorm2 returns S(n), the squared 2-norm of the sub-vector rooted
+// at node n with an implicit incoming weight of 1:
+//
+//	S(terminal) = 1,  S(n) = sum_i |w_i|^2 * S(child_i).
+func subtreeNorm2(n *VNode, memo map[*VNode]float64) float64 {
+	if n.Level == TerminalLevel {
+		return 1
+	}
+	if s, ok := memo[n]; ok {
+		return s
+	}
+	var s float64
+	for _, c := range n.E {
+		if !c.IsZero() {
+			w := cmplx.Abs(c.W)
+			s += w * w * subtreeNorm2(c.N, memo)
+		}
+	}
+	memo[n] = s
+	return s
 }

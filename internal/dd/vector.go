@@ -1,10 +1,6 @@
 package dd
 
-import (
-	"fmt"
-	"math"
-	"math/cmplx"
-)
+import "fmt"
 
 // BasisState returns the vector DD of the computational basis state
 // |idx> on n qubits. Bit k of idx is the value of qubit k.
@@ -136,48 +132,4 @@ func (m *Manager) VSize(e VEdge) int {
 		walk(e.N)
 	}
 	return len(seen)
-}
-
-// Norm returns the 2-norm of the vector DD, computed by a memoized upward
-// pass over the unique nodes (O(nodes)). With division-based node
-// normalization sub-trees are not unit vectors, so the norm is
-// |W| * sqrt(S(root)) where S is the squared sub-tree norm.
-func (m *Manager) Norm(e VEdge) float64 {
-	if e.IsZero() {
-		return 0
-	}
-	memo := make(map[*VNode]float64)
-	return cmplx.Abs(e.W) * math.Sqrt(m.subtreeNorm2(e.N, memo))
-}
-
-// SubtreeNorm2 returns S(n), the squared 2-norm of the sub-vector rooted at
-// node n with an implicit incoming weight of 1:
-//
-//	S(terminal) = 1,  S(n) = sum_i |w_i|^2 * S(child_i).
-//
-// memo caches S per node across calls that share the map; pass nil for a
-// one-shot query.
-func (m *Manager) SubtreeNorm2(n *VNode, memo map[*VNode]float64) float64 {
-	if memo == nil {
-		memo = make(map[*VNode]float64)
-	}
-	return m.subtreeNorm2(n, memo)
-}
-
-func (m *Manager) subtreeNorm2(n *VNode, memo map[*VNode]float64) float64 {
-	if n.Level == TerminalLevel {
-		return 1
-	}
-	if s, ok := memo[n]; ok {
-		return s
-	}
-	var s float64
-	for _, c := range n.E {
-		if !c.IsZero() {
-			w := cmplx.Abs(c.W)
-			s += w * w * m.subtreeNorm2(c.N, memo)
-		}
-	}
-	memo[n] = s
-	return s
 }

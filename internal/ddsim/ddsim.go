@@ -65,9 +65,6 @@ func NewWithManager(m *dd.Manager, n int) *Simulator {
 // Manager returns the simulator's DD manager.
 func (s *Simulator) Manager() *dd.Manager { return s.m }
 
-// Qubits returns the register size.
-func (s *Simulator) Qubits() int { return s.n }
-
 // State returns the current state DD.
 func (s *Simulator) State() dd.VEdge { return s.state }
 
@@ -120,6 +117,3 @@ func (s *Simulator) ToArray() []complex128 {
 
 // StateSize returns the node count of the current state DD.
 func (s *Simulator) StateSize() int { return s.m.VSize(s.state) }
-
-// Norm returns the 2-norm of the current state.
-func (s *Simulator) Norm() float64 { return s.m.Norm(s.state) }

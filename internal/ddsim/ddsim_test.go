@@ -105,7 +105,11 @@ func TestNormPreserved(t *testing.T) {
 	s := New(8)
 	c := randomCircuit(rng, 8, 60)
 	s.Run(c)
-	if n := s.Norm(); math.Abs(n-1) > 1e-7 {
+	var norm2 float64
+	for _, a := range s.ToArray() {
+		norm2 += real(a)*real(a) + imag(a)*imag(a)
+	}
+	if n := math.Sqrt(norm2); math.Abs(n-1) > 1e-7 {
 		t.Fatalf("norm %v, want 1", n)
 	}
 }

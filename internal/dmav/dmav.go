@@ -433,17 +433,9 @@ func New(m *dd.Manager, n, threads int, mode Mode) *Engine {
 // occWords is the length in words of one buffer's segment-occupancy set.
 func (e *Engine) occWords() int { return (e.cchunks + 63) / 64 }
 
-// Threads returns the effective worker count: max(1, requested), capped
-// at 2^n and not rounded to a power of two — New(m, n, 3, mode).Threads()
-// == 3.
-func (e *Engine) Threads() int { return e.threads }
-
 // CacheChunks returns the cached-path column-space chunk count: the next
-// power of two ≥ Threads(), capped at 2^n.
+// power of two ≥ the worker count, capped at 2^n.
 func (e *Engine) CacheChunks() int { return e.cchunks }
-
-// Mode returns the caching policy.
-func (e *Engine) Mode() Mode { return e.mode }
 
 // SetPool injects a shared scheduler pool, leaving the rest of the
 // environment as it is. The caller keeps ownership of the pool's

@@ -3,6 +3,7 @@ package dmav
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -31,6 +32,14 @@ func randAmps(rng *rand.Rand, n int) []complex128 {
 		amps[i] /= complex(norm, 0)
 	}
 	return amps
+}
+
+// stateFrom returns a statevec state holding a copy of amps, applied with
+// the given number of workers.
+func stateFrom(amps []complex128, threads int) *statevec.State {
+	s := statevec.New(bits.Len(uint(len(amps)))-1, threads)
+	copy(s.Amplitudes(), amps)
+	return s
 }
 
 func randomGate(rng *rand.Rand, n int) circuit.Gate {
@@ -84,7 +93,7 @@ func TestApplyMatchesOracleAllModes(t *testing.T) {
 
 				V := randAmps(rng, n)
 				// Oracle: statevec application of the same gate.
-				sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+				sv := stateFrom(V, 1)
 				sv.Apply(&g)
 				want := sv.Amplitudes()
 
@@ -132,7 +141,7 @@ func TestApplyPooledMatchesOracle(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				g := randomGate(rng, n)
 				M := ddsim.BuildGateDD(m, n, &g)
-				sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 2)
+				sv := stateFrom(V, 2)
 				sv.Apply(&g)
 				want := sv.Amplitudes()
 				e.Apply(M, V, W)
@@ -173,7 +182,7 @@ func TestCachedAndUncachedAgree(t *testing.T) {
 }
 
 // TestThreadsArbitraryCount is the ISSUE 3 regression test: thread
-// counts are no longer rounded down to a power of two. Threads() keeps
+// counts are no longer rounded down to a power of two. The engine keeps
 // the requested count (clamped to [1, 2^n]); only the cached-path chunk
 // count (CacheChunks) rounds up to a power of two, because the
 // border-level column split must stay aligned with the DD.
@@ -181,7 +190,7 @@ func TestThreadsArbitraryCount(t *testing.T) {
 	m := dd.New(5)
 	cases := map[int]int{1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 7, 8: 8, 16: 16, 100: 32}
 	for in, want := range cases {
-		if got := New(m, 5, in, Auto).Threads(); got != want {
+		if got := New(m, 5, in, Auto).threads; got != want {
 			t.Errorf("threads %d -> %d, want %d", in, got, want)
 		}
 	}
@@ -192,10 +201,10 @@ func TestThreadsArbitraryCount(t *testing.T) {
 		}
 	}
 	// Clamped to [1, 2^n].
-	if got := New(m, 2, 16, Auto).Threads(); got != 4 {
+	if got := New(m, 2, 16, Auto).threads; got != 4 {
 		t.Errorf("threads capped: got %d, want 4", got)
 	}
-	if got := New(m, 5, -3, Auto).Threads(); got != 1 {
+	if got := New(m, 5, -3, Auto).threads; got != 1 {
 		t.Errorf("threads floored: got %d, want 1", got)
 	}
 }
@@ -235,7 +244,7 @@ func TestThreadsThreeCorrect(t *testing.T) {
 			e := New(m, n, 3, mode)
 			e.Apply(M, V, W)
 			e.Close()
-			sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+			sv := stateFrom(V, 1)
 			sv.Apply(&g)
 			for i, a := range sv.Amplitudes() {
 				if !approx(W[i], a) {

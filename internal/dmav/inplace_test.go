@@ -15,7 +15,6 @@ import (
 	"flatdd/internal/dd"
 	"flatdd/internal/faults"
 	"flatdd/internal/sched"
-	"flatdd/internal/statevec"
 )
 
 // randomNarrowGate draws a gate on at most three qubits: single-qubit
@@ -145,7 +144,7 @@ func TestStepMatchesApplySeeded(t *testing.T) {
 			for _, u := range b.U {
 				bitEqual = bitEqual && math.Abs(real(u)) == math.Trunc(math.Abs(real(u))) && math.Abs(imag(u)) == math.Trunc(math.Abs(imag(u)))
 			}
-			sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+			sv := stateFrom(V, 1)
 			sv.Apply(&g)
 			for j, want := range sv.Amplitudes() {
 				if bitEqual && got[j] != W[j] || cmplx.Abs(got[j]-want) > 1e-12 {
@@ -222,7 +221,7 @@ func TestFaultCancelDuringInPlaceGates(t *testing.T) {
 		if math.Abs(norm-1) > 1e-9 {
 			t.Fatalf("delay %v: norm %v after %d gates", delay, norm, applied)
 		}
-		sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+		sv := stateFrom(V, 1)
 		for i := 0; i < applied; i++ {
 			sv.Apply(&gates[i%len(gates)])
 		}
@@ -323,7 +322,7 @@ func TestFaultCancelDuringForkedGates(t *testing.T) {
 		if got := e.Stats().Gates; got != applied {
 			t.Fatalf("delay %v: Stats counts %d gates, %d applied", delay, got, applied)
 		}
-		sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 1)
+		sv := stateFrom(V, 1)
 		for i := 0; i < applied; i++ {
 			sv.Apply(&gates[i%len(gates)])
 		}

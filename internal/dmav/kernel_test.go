@@ -9,7 +9,6 @@ import (
 	"flatdd/internal/block"
 	"flatdd/internal/circuit"
 	"flatdd/internal/dd"
-	"flatdd/internal/statevec"
 )
 
 // opGates lists, for an n-qubit register, gates that between them reach
@@ -104,7 +103,7 @@ func TestKernelOpKinds(t *testing.T) {
 			want []complex128
 		}
 		oracle := func(gs ...circuit.Gate) []complex128 {
-			sv := statevec.FromAmplitudes(append([]complex128(nil), V...), 2)
+			sv := stateFrom(V, 2)
 			for i := range gs {
 				sv.Apply(&gs[i])
 			}

@@ -20,7 +20,6 @@ package faults
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -152,21 +151,6 @@ func (r *Registry) Disarm(name string) {
 	p.mu.Unlock()
 }
 
-// Names returns the sorted names of every point seen so far.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.points))
-	for n := range r.points {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // draw returns one uniform float from the seeded generator.
 func (r *Registry) draw() float64 {
 	r.mu.Lock()
@@ -186,24 +170,6 @@ type Point struct {
 	armed bool
 	hits  int64
 	fires int64
-}
-
-// Name returns the point's catalog name ("" on nil).
-func (p *Point) Name() string {
-	if p == nil {
-		return ""
-	}
-	return p.name
-}
-
-// Hits returns how many times the hook site was reached.
-func (p *Point) Hits() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits
 }
 
 // Fire records one hit and returns the injected fault if the trigger

@@ -75,6 +75,7 @@ func ablationBufferSharing(cfg Config) {
 			}
 		}
 		elapsed := time.Since(start)
+		eng.Close()
 		label := "on (paper)"
 		bufs := maxBuf
 		if !share {

@@ -28,3 +28,19 @@ func (w *WindowedHistogram) Window() time.Duration {
 	}
 	return w.window
 }
+
+// Count returns the number of observations (0 for a nil Histogram).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.n.Load()
+}
+
+// Sum returns the sum of all observations (0 for a nil Histogram).
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}

@@ -122,22 +122,6 @@ func (h *Histogram) Observe(v int64) {
 	h.n.Add(1)
 }
 
-// Count returns the number of observations (0 for a nil Histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of all observations (0 for a nil Histogram).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // DurationBuckets is the default set of histogram bounds for nanosecond
 // latencies: 1µs up to ~1s in powers of four, 11 buckets plus overflow.
 func DurationBuckets() []int64 {

@@ -34,7 +34,7 @@ func TestParseFileAdderComputes(t *testing.T) {
 	want := uint64(0)
 	want |= 1 << 1 // a0 = 1
 	want |= 1 << 5 // carry out
-	if p := s.Probability(want); math.Abs(p-1) > 1e-9 {
+	if p := prob(s, want); math.Abs(p-1) > 1e-9 {
 		t.Fatalf("adder file result wrong: P(%b) = %v", want, p)
 	}
 }
@@ -50,8 +50,8 @@ func TestParseFileVQEFragment(t *testing.T) {
 	}
 	s := statevec.New(4, 1)
 	s.ApplyCircuit(c)
-	if math.Abs(s.Norm()-1) > 1e-9 {
-		t.Fatalf("norm %v", s.Norm())
+	if math.Abs(norm(s)-1) > 1e-9 {
+		t.Fatalf("norm %v", norm(s))
 	}
 }
 

@@ -51,8 +51,10 @@ func FuzzParse(f *testing.F) {
 		if c == nil {
 			t.Fatal("nil circuit without error")
 		}
-		if verr := c.Validate(); verr != nil {
-			t.Fatalf("parser produced invalid circuit: %v", verr)
+		for i := range c.Gates {
+			if verr := c.Gates[i].Validate(c.Qubits); verr != nil {
+				t.Fatalf("parser produced invalid gate %d: %v", i, verr)
+			}
 		}
 	})
 }

@@ -198,7 +198,7 @@ CX q[0], q[1];
 	// correlation P(00)+P(11)=1.
 	s := statevec.New(2, 1)
 	s.ApplyCircuit(c)
-	p := s.Probability(0) + s.Probability(3)
+	p := prob(s, 0) + prob(s, 3)
 	if math.Abs(p-1) > eps {
 		t.Fatalf("U/CX Bell correlation %v", p)
 	}
@@ -277,8 +277,8 @@ swap q[0],q[1]; iswap q[0],q[1]; cswap q[0],q[1],q[2]; rzz(0.2) q[0],q[1];
 	}
 	s := statevec.New(3, 1)
 	s.ApplyCircuit(c)
-	if math.Abs(s.Norm()-1) > eps {
-		t.Fatalf("norm after all gates: %v", s.Norm())
+	if math.Abs(norm(s)-1) > eps {
+		t.Fatalf("norm after all gates: %v", norm(s))
 	}
 }
 

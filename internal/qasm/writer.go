@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/cmplx"
 	"strings"
 
 	"flatdd/internal/circuit"
@@ -256,31 +255,4 @@ func nameOr(name, from, to string) string {
 		return to
 	}
 	return name
-}
-
-// globalPhaseFree reports whether two unitaries differ only by a global
-// phase (a helper for the writer round-trip tests).
-func globalPhaseFree(a, b [][]complex128, tol float64) bool {
-	var phase complex128
-	for r := range a {
-		for c := range a[r] {
-			if cmplx.Abs(b[r][c]) > tol {
-				phase = a[r][c] / b[r][c]
-				goto found
-			}
-		}
-	}
-	return true
-found:
-	if math.Abs(cmplx.Abs(phase)-1) > tol {
-		return false
-	}
-	for r := range a {
-		for c := range a[r] {
-			if cmplx.Abs(a[r][c]-phase*b[r][c]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -60,9 +60,11 @@ func roundTrip(t *testing.T, c *circuit.Circuit) {
 	for i := range amps {
 		amps[i] /= complex(norm, 0)
 	}
-	s1 := statevec.FromAmplitudes(append([]complex128(nil), amps...), 1)
+	s1 := statevec.New(c.Qubits, 1)
+	copy(s1.Amplitudes(), amps)
 	s1.ApplyCircuit(c)
-	s2 := statevec.FromAmplitudes(append([]complex128(nil), amps...), 1)
+	s2 := statevec.New(c.Qubits, 1)
+	copy(s2.Amplitudes(), amps)
 	s2.ApplyCircuit(parsed)
 	if !statesEqualUpToPhase(s1.Amplitudes(), s2.Amplitudes(), 1e-8) {
 		t.Fatalf("round trip changed semantics for %s:\n%s", c.Name, src)
@@ -214,4 +216,31 @@ func TestGlobalPhaseFreeHelper(t *testing.T) {
 	if globalPhaseFree(cMat, b, 1e-12) {
 		t.Fatal("Z vs I should differ")
 	}
+}
+
+// globalPhaseFree reports whether two unitaries differ only by a global
+// phase.
+func globalPhaseFree(a, b [][]complex128, tol float64) bool {
+	var phase complex128
+	for r := range a {
+		for c := range a[r] {
+			if cmplx.Abs(b[r][c]) > tol {
+				phase = a[r][c] / b[r][c]
+				goto found
+			}
+		}
+	}
+	return true
+found:
+	if math.Abs(cmplx.Abs(phase)-1) > tol {
+		return false
+	}
+	for r := range a {
+		for c := range a[r] {
+			if cmplx.Abs(a[r][c]-phase*b[r][c]) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

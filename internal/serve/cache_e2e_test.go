@@ -43,7 +43,7 @@ func TestCacheHitServedWithoutEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := h.srv.Registry()
+	reg := h.reg
 	if got := reg.Counter("serve.engine.runs").Value(); got != 1 {
 		t.Fatalf("serve.engine.runs = %d after one job, want 1", got)
 	}
@@ -159,7 +159,7 @@ func TestCacheCoalescing(t *testing.T) {
 			if tc.shotsDup == serve.CacheMiss {
 				coalesced, runs = 1, 5 // and each shots>0 duplicate
 			}
-			reg := h.srv.Registry()
+			reg := h.reg
 			if got := reg.Counter("serve.cache.coalesced").Value(); got != coalesced {
 				t.Fatalf("serve.cache.coalesced = %d, want %d", got, coalesced)
 			}
@@ -267,10 +267,10 @@ func TestCacheCoalesceOntoRetryingLeader(t *testing.T) {
 	}
 	// Two engine executions total — the faulted attempt and the rerun; the
 	// duplicate never ran.
-	if got := h.srv.Registry().Counter("serve.engine.runs").Value(); got != 2 {
+	if got := h.reg.Counter("serve.engine.runs").Value(); got != 2 {
 		t.Errorf("serve.engine.runs = %d, want 2 (fault + rerun)", got)
 	}
-	if got := h.srv.Registry().Counter("serve.cache.coalesced").Value(); got != 1 {
+	if got := h.reg.Counter("serve.cache.coalesced").Value(); got != 1 {
 		t.Errorf("serve.cache.coalesced = %d, want 1", got)
 	}
 	res, err := h.c.Result(ctx, dup.ID)
@@ -323,7 +323,7 @@ func TestCacheDisabled(t *testing.T) {
 		}
 		h.waitState(v.ID, serve.StateDone)
 	}
-	if got := h.srv.Registry().Counter("serve.engine.runs").Value(); got != 2 {
+	if got := h.reg.Counter("serve.engine.runs").Value(); got != 2 {
 		t.Errorf("serve.engine.runs = %d, want 2 with caching disabled", got)
 	}
 	health, err := h.c.Health(context.Background())

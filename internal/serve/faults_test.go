@@ -83,10 +83,10 @@ func TestFaultTransientRetrySucceeds(t *testing.T) {
 	if v.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (one fault, one clean rerun)", v.Attempts)
 	}
-	if got := h.srv.Registry().Counter("serve.jobs.retried").Value(); got != 1 {
+	if got := h.reg.Counter("serve.jobs.retried").Value(); got != 1 {
 		t.Fatalf("serve.jobs.retried = %d, want 1", got)
 	}
-	if got := h.srv.Registry().Counter("serve.jobs.failed").Value(); got != 0 {
+	if got := h.reg.Counter("serve.jobs.failed").Value(); got != 0 {
 		t.Fatalf("serve.jobs.failed = %d, want 0", got)
 	}
 }

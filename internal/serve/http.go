@@ -90,7 +90,9 @@ type ResultStats struct {
 	DMAVMS          float64 `json:"dmav_ms"`
 	PeakDDNodes     int     `json:"peak_dd_nodes"`
 	MemoryBytes     uint64  `json:"memory_bytes"`
-	Fidelity        float64 `json:"fidelity"`
+	// Fidelity is always 1: the engine simulates exactly. It stays in the
+	// v1 wire form for clients that read it.
+	Fidelity float64 `json:"fidelity"`
 	// Degraded reports that the engine stayed in the (slower but correct)
 	// DD phase instead of converting — e.g. the flat working set would
 	// have exceeded the engine memory budget.
@@ -128,7 +130,7 @@ func resultStats(st core.Stats) ResultStats {
 		DMAVMS:          float64(st.DMAVTime) / float64(time.Millisecond),
 		PeakDDNodes:     st.PeakDDNodes,
 		MemoryBytes:     st.MemoryBytes,
-		Fidelity:        st.Fidelity,
+		Fidelity:        1,
 		Degraded:        st.Degraded,
 		DegradedReason:  st.DegradedReason,
 		Resources:       st.Resources,

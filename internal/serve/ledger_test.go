@@ -40,7 +40,7 @@ func TestLedgerAdmissionHigherConcurrency(t *testing.T) {
 			t.Fatalf("job %s finished %s: %s", id, v.State, v.Error)
 		}
 	}
-	peak := h.srv.Registry().Gauge("serve.jobs.running.peak").Value()
+	peak := h.reg.Gauge("serve.jobs.running.peak").Value()
 	t.Logf("%d concurrent cache=never jobs; the budget holds %d", peak, fits)
 	if peak < 4 || peak > fits {
 		t.Errorf("peak of %d concurrent cache=never jobs, want 4..%d under the budget", peak, fits)
@@ -80,7 +80,7 @@ func TestReservationsReleasedAtTerminal(t *testing.T) {
 		Threads: 2, MaxInFlight: 4, MemoryBudget: budget,
 		ResultCacheBudget: -1, // every job runs the engine
 	})
-	reg := h.srv.Registry()
+	reg := h.reg
 
 	var over atomic.Int64
 	stop := make(chan struct{})

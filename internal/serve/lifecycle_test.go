@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"flatdd/internal/faults"
+	"flatdd/internal/obs"
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
 )
@@ -83,8 +84,9 @@ func TestFaultLifecycleChurn(t *testing.T) {
 
 	freg := faults.New(seed)
 	freg.Arm(faults.SchedWorkerPanic, faults.Trigger{Prob: 0.01, Times: 4, Transient: true})
+	reg := obs.New()
 	srv := serve.New(serve.Config{Threads: 2, MaxInFlight: 2, QueueDepth: 256,
-		DrainGrace: 100 * time.Millisecond, Faults: freg})
+		DrainGrace: 100 * time.Millisecond, Faults: freg, Metrics: reg})
 	ts := httptest.NewServer(srv.Handler())
 	tr := &http.Transport{}
 	t.Cleanup(func() {
@@ -203,7 +205,6 @@ func TestFaultLifecycleChurn(t *testing.T) {
 			t.Fatalf("job %s is %s after Shutdown", id, v.State)
 		}
 	}
-	reg := srv.Registry()
 	t.Logf("%d jobs: %v; ops %v; %d retried", len(ids), ended, tally, reg.Counter("serve.jobs.retried").Value())
 
 	submitted := reg.Counter("serve.jobs.submitted").Value()

@@ -407,9 +407,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry returns the metrics registry the server instruments.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // admissionError is a submit-time rejection with an HTTP status, a
 // machine-readable reason for the JSON error body, and an optional
 // Retry-After hint in seconds (429/503 — the retryable rejections).

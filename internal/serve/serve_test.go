@@ -19,6 +19,7 @@ import (
 
 	"flatdd/internal/core"
 	"flatdd/internal/dmav"
+	"flatdd/internal/obs"
 	"flatdd/internal/serve"
 	"flatdd/internal/serve/client"
 )
@@ -41,6 +42,7 @@ func slowSubmit(seed int64) *serve.SubmitRequest {
 
 type testServer struct {
 	srv *serve.Server
+	reg *obs.Registry // the registry the server instruments
 	ts  *httptest.Server
 	c   *client.Client
 	t   *testing.T
@@ -48,6 +50,9 @@ type testServer struct {
 
 func newTestServer(t *testing.T, cfg serve.Config) *testServer {
 	t.Helper()
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.New()
+	}
 	srv := serve.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -56,7 +61,7 @@ func newTestServer(t *testing.T, cfg serve.Config) *testServer {
 			srv.Shutdown()
 		}
 	})
-	return &testServer{srv: srv, ts: ts, c: client.New(ts.URL), t: t}
+	return &testServer{srv: srv, reg: cfg.Metrics, ts: ts, c: client.New(ts.URL), t: t}
 }
 
 // do issues a raw HTTP request — for the endpoints outside the typed v1
@@ -160,10 +165,10 @@ func TestAdmissionRejections(t *testing.T) {
 			t.Errorf("%s: got %d (%s), want %d", tc.name, apiErr.Status, apiErr.Message, tc.code)
 		}
 	}
-	if got := h.srv.Registry().Counter("serve.jobs.rejected.budget").Value(); got != 2 {
+	if got := h.reg.Counter("serve.jobs.rejected.budget").Value(); got != 2 {
 		t.Errorf("serve.jobs.rejected.budget = %d, want 2", got)
 	}
-	if got := h.srv.Registry().Counter("serve.jobs.rejected.invalid").Value(); got != 6 {
+	if got := h.reg.Counter("serve.jobs.rejected.invalid").Value(); got != 6 {
 		t.Errorf("serve.jobs.rejected.invalid = %d, want 6", got)
 	}
 }
@@ -250,6 +255,14 @@ func TestBellJobEndToEnd(t *testing.T) {
 	}
 	if res.Stats.FinalPhase != "dd" || res.Stats.ConvertedAtGate != -1 {
 		t.Fatalf("bell circuit should finish in the DD phase: %+v", res.Stats)
+	}
+	// The v1 wire form keeps "fidelity", always 1: the engine simulates exactly.
+	code, body := h.do("GET", "/v1/jobs/"+v.ID+"/result", nil)
+	var wire struct {
+		Stats map[string]any `json:"stats"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil || code != http.StatusOK || wire.Stats["fidelity"] != 1.0 {
+		t.Fatalf("result wire stats (status %d, %v): fidelity = %v, want 1", code, err, wire.Stats["fidelity"])
 	}
 	if len(res.Top) != 2 {
 		t.Fatalf("top amplitudes: %+v", res.Top)
@@ -366,7 +379,7 @@ func TestCancelRunningJobReturnsSentinel(t *testing.T) {
 	if h.cancel(v.ID) != nil {
 		t.Fatal("cancel of a finished job did not conflict")
 	}
-	if got := h.srv.Registry().Counter("serve.jobs.canceled").Value(); got != 1 {
+	if got := h.reg.Counter("serve.jobs.canceled").Value(); got != 1 {
 		t.Fatalf("serve.jobs.canceled = %d, want 1", got)
 	}
 }
@@ -385,7 +398,7 @@ func TestQueueFullRejects(t *testing.T) {
 	if apiErr.Reason != "queue_full" || !apiErr.IsRetryable() || apiErr.RetryAfter <= 0 {
 		t.Fatalf("queue-full rejection: %+v", apiErr)
 	}
-	if got := h.srv.Registry().Counter("serve.jobs.rejected.queue_full").Value(); got != 1 {
+	if got := h.reg.Counter("serve.jobs.rejected.queue_full").Value(); got != 1 {
 		t.Fatalf("serve.jobs.rejected.queue_full = %d, want 1", got)
 	}
 	h.cancel(queued.ID)

@@ -13,8 +13,6 @@ package statevec
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 
 	"flatdd/internal/circuit"
@@ -50,28 +48,6 @@ func New(n, threads int) *State {
 	amps[0] = 1
 	return &State{n: n, amps: amps, threads: threads}
 }
-
-// FromAmplitudes wraps an existing amplitude array (not copied). The length
-// must be a power of two.
-func FromAmplitudes(amps []complex128, threads int) *State {
-	n := 0
-	for 1<<n < len(amps) {
-		n++
-	}
-	if len(amps) == 0 || 1<<n != len(amps) {
-		panic(fmt.Sprintf("statevec: length %d is not a power of two", len(amps)))
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return &State{n: n, amps: amps, threads: threads}
-}
-
-// Qubits returns the number of qubits.
-func (s *State) Qubits() int { return s.n }
-
-// Threads returns the worker count.
-func (s *State) Threads() int { return s.threads }
 
 // Amplitudes returns the backing array (not a copy).
 func (s *State) Amplitudes() []complex128 { return s.amps }
@@ -269,32 +245,4 @@ func (s *State) applyGeneric(u [][]complex128, targets []int) {
 			}
 		}
 	})
-}
-
-// Norm returns the 2-norm of the state.
-func (s *State) Norm() float64 {
-	var sum float64
-	for _, a := range s.amps {
-		sum += real(a)*real(a) + imag(a)*imag(a)
-	}
-	return math.Sqrt(sum)
-}
-
-// Probability returns |amps[idx]|^2.
-func (s *State) Probability(idx uint64) float64 {
-	a := s.amps[idx]
-	return real(a)*real(a) + imag(a)*imag(a)
-}
-
-// Sample draws one basis state from the measurement distribution.
-func (s *State) Sample(rng *rand.Rand) uint64 {
-	x := rng.Float64()
-	var acc float64
-	for i, a := range s.amps {
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		if x < acc {
-			return uint64(i)
-		}
-	}
-	return uint64(len(s.amps) - 1)
 }

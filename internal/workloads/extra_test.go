@@ -25,7 +25,7 @@ func TestWStateAmplitudes(t *testing.T) {
 
 func TestQAOAShapeAndNorm(t *testing.T) {
 	c := QAOA(8, 3, 1)
-	if err := c.Validate(); err != nil {
+	if err := validate(c); err != nil {
 		t.Fatal(err)
 	}
 	// Hadamard wall + per-round edges (ring >= n) + mixers.
@@ -33,8 +33,8 @@ func TestQAOAShapeAndNorm(t *testing.T) {
 		t.Fatalf("QAOA suspiciously small: %d gates", c.GateCount())
 	}
 	s := simulate(c)
-	if math.Abs(s.Norm()-1) > 1e-9 {
-		t.Fatalf("norm %v", s.Norm())
+	if math.Abs(norm(s)-1) > 1e-9 {
+		t.Fatalf("norm %v", norm(s))
 	}
 	// Deterministic per seed.
 	if QAOA(8, 3, 1).GateCount() != c.GateCount() {
@@ -44,12 +44,12 @@ func TestQAOAShapeAndNorm(t *testing.T) {
 
 func TestQuantumVolumeShape(t *testing.T) {
 	c := QuantumVolume(6, 6, 2)
-	if err := c.Validate(); err != nil {
+	if err := validate(c); err != nil {
 		t.Fatal(err)
 	}
 	s := simulate(c)
-	if math.Abs(s.Norm()-1) > 1e-9 {
-		t.Fatalf("norm %v", s.Norm())
+	if math.Abs(norm(s)-1) > 1e-9 {
+		t.Fatalf("norm %v", norm(s))
 	}
 	// QV circuits scramble: no amplitude should dominate.
 	for i, a := range s.Amplitudes() {
